@@ -235,23 +235,31 @@ def write_feature_archive(path, items) -> None:
             fh.write(frames.astype("<f4").tobytes())
 
 
+def _archive_field(fmt: str, blob: bytes, pos: int, path) -> int:
+    try:
+        return struct.unpack_from(fmt, blob, pos)[0]
+    except struct.error:
+        raise ValueError(f"{path}: truncated archive") from None
+
+
 def read_feature_archive(path) -> list[tuple[str, np.ndarray]]:
+    """Every (utterance_id, T x 41 float64 array) record of an archive.
+    Raises ``ValueError`` on a bad magic, a dimension other than 41 and
+    any truncation."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:8] != ARCHIVE_MAGIC:
         raise ValueError(f"{path}: not a feature archive (bad magic)")
-    (dim,) = struct.unpack_from("<I", blob, 8)
+    dim = _archive_field("<I", blob, 8, path)
+    if dim != FEATURE_DIM:
+        raise ValueError(f"{path}: archive holds {dim}-dim features, expected {FEATURE_DIM}")
     items = []
     pos = 12
     while pos < len(blob):
-        if pos + 2 > len(blob):
-            raise ValueError(f"{path}: truncated archive")
-        (id_len,) = struct.unpack_from("<H", blob, pos)
-        pos += 2
-        utt_id = blob[pos : pos + id_len].decode("utf-8")
-        pos += id_len
-        (t,) = struct.unpack_from("<I", blob, pos)
-        pos += 4
+        id_len = _archive_field("<H", blob, pos, path)
+        t = _archive_field("<I", blob, pos + 2 + id_len, path)
+        utt_id = blob[pos + 2 : pos + 2 + id_len].decode("utf-8")
+        pos += 6 + id_len
         nbytes = t * dim * 4
         if pos + nbytes > len(blob):
             raise ValueError(f"{path}: truncated archive in record {utt_id!r}")

@@ -13,6 +13,8 @@ training resumable with exact loss trajectories.
 
 from __future__ import annotations
 
+import contextlib
+import os
 import struct
 from typing import Optional
 
@@ -48,38 +50,51 @@ def _text_block(text: str) -> bytes:
 
 
 def save_checkpoint(path, model: Seq2SeqModel) -> None:
+    """Write ``model`` to a temporary file beside ``path``, then rename it
+    over ``path``: a crash mid-write leaves the previous file intact."""
+    quantize_store(model.store)
+    tmp = os.fspath(path) + ".tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            _write_checkpoint(fh, model)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
+
+
+def _write_checkpoint(fh, model: Seq2SeqModel) -> None:
     store = model.store
-    quantize_store(store)
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", VERSION))
-        header = "\n".join(model.config.to_lines() + [f"step={store.step}"])
-        fh.write(_text_block(header))
+    fh.write(MAGIC)
+    fh.write(struct.pack("<I", VERSION))
+    header = "\n".join(model.config.to_lines() + [f"step={store.step}"])
+    fh.write(_text_block(header))
 
-        fh.write(struct.pack("<B", 1 if model.src_vocab is not None else 0))
-        if model.src_vocab is not None:
-            fh.write(_text_block("\n".join(model.src_vocab.tokens())))
-        fh.write(_text_block("\n".join(model.tgt_vocab.tokens())))
+    fh.write(struct.pack("<B", 1 if model.src_vocab is not None else 0))
+    if model.src_vocab is not None:
+        fh.write(_text_block("\n".join(model.src_vocab.tokens())))
+    fh.write(_text_block("\n".join(model.tgt_vocab.tokens())))
 
-        fh.write(struct.pack("<B", 1 if model.feat_stats is not None else 0))
-        if model.feat_stats is not None:
-            dim = model.feat_stats.mean.shape[0]
-            fh.write(struct.pack("<I", dim))
-            fh.write(model.feat_stats.mean.astype("<f8").tobytes())
-            fh.write(model.feat_stats.std.astype("<f8").tobytes())
+    fh.write(struct.pack("<B", 1 if model.feat_stats is not None else 0))
+    if model.feat_stats is not None:
+        dim = model.feat_stats.mean.shape[0]
+        fh.write(struct.pack("<I", dim))
+        fh.write(model.feat_stats.mean.astype("<f8").tobytes())
+        fh.write(model.feat_stats.std.astype("<f8").tobytes())
 
-        names = sorted(store.names())
-        fh.write(struct.pack("<I", len(names)))
-        for name in names:
-            encoded = name.encode("utf-8")
-            fh.write(struct.pack("<H", len(encoded)))
-            fh.write(encoded)
-            value = store.value(name)
-            fh.write(struct.pack("<B", value.ndim))
-            fh.write(struct.pack(f"<{value.ndim}I", *value.shape))
-            m1, m2 = store.moments(name)
-            for arr in (value, m1, m2):
-                fh.write(arr.astype("<f4").tobytes())
+    names = sorted(store.names())
+    fh.write(struct.pack("<I", len(names)))
+    for name in names:
+        encoded = name.encode("utf-8")
+        fh.write(struct.pack("<H", len(encoded)))
+        fh.write(encoded)
+        value = store.value(name)
+        fh.write(struct.pack("<B", value.ndim))
+        fh.write(struct.pack(f"<{value.ndim}I", *value.shape))
+        m1, m2 = store.moments(name)
+        for arr in (value, m1, m2):
+            fh.write(arr.astype("<f4").tobytes())
 
 
 class _Reader:

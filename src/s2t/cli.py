@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import Optional
 
 import numpy as np
 
@@ -47,59 +46,57 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-# --- corpus loading helpers ---
+# --- input loading: one reader for text files and feature archives ---
+
+_MIN_SOURCE_LEN = {"text": 1, "speech": 4}  # the speech encoder subsamples frames 4x
 
 
-def _load_text_pairs(src_path, tgt_path):
-    src_lines = read_lines(src_path)
-    tgt_lines = read_lines(tgt_path)
-    if len(src_lines) != len(tgt_lines):
+def _read_sources(path, task: str) -> list:
+    """Raw inputs for ``task``: token lists from a text file or frame
+    matrices from a feature archive.  The file kind must match the task."""
+    with open(path, "rb") as fh:
+        is_archive = fh.read(8) == ARCHIVE_MAGIC
+    if is_archive != (task == "speech"):
+        need = ("a feature archive input (S2TFEAT1)" if task == "speech"
+                else "a text input, not a feature archive")
+        raise DataError(f"{path}: {task} models need {need}")
+    if is_archive:
+        return [frames for _, frames in read_feature_archive(path)]
+    return [tokenize(line) for line in read_lines(path)]
+
+
+def _model_inputs(model: Seq2SeqModel, raw: list) -> list:
+    """Encoder inputs for ``raw`` sources: source-vocabulary ids for text,
+    frames normalized with the checkpoint's feature stats for speech."""
+    if model.config.task == "text":
+        return [model.src_vocab.encode_sequence(tokens) for tokens in raw]
+    if model.feat_stats is None:
+        raise DataError("checkpoint carries no feature-normalization stats")
+    return [normalize_features(FeatureSequence(f), model.feat_stats).frames for f in raw]
+
+
+def _load_pairs(task: str, src_path, tgt_path) -> list:
+    """(raw source, target tokens) training pairs.  Pairs with an empty
+    target or a source too short to encode are dropped; a file with no
+    pair left is an error."""
+    sources = _read_sources(src_path, task)
+    targets = read_lines(tgt_path)
+    if len(sources) != len(targets):
         raise DataError(
-            f"line counts differ: {src_path} has {len(src_lines)}, {tgt_path} has {len(tgt_lines)}"
+            f"item counts differ: {src_path} has {len(sources)}, {tgt_path} has {len(targets)}"
         )
-    pairs = [(tokenize(s), tokenize(t)) for s, t in zip(src_lines, tgt_lines)]
-    kept = [(s, t) for s, t in pairs if s and t]
+    pairs = [(s, tokenize(t)) for s, t in zip(sources, targets)]
+    kept = [(s, t) for s, t in pairs if len(s) >= _MIN_SOURCE_LEN[task] and t]
     if len(kept) < len(pairs):
-        print(f"dropped {len(pairs) - len(kept)} empty pair(s)", file=sys.stderr)
+        print(f"dropped {len(pairs) - len(kept)} unusable pair(s)", file=sys.stderr)
     if not kept:
         raise DataError(f"{src_path}: no usable training pairs")
     return kept
 
 
-def _load_speech_pairs(archive_path, tgt_path, stats=None):
-    items = read_feature_archive(archive_path)
-    tgt_lines = read_lines(tgt_path)
-    if len(items) != len(tgt_lines):
-        raise DataError(
-            f"{archive_path} has {len(items)} utterances but {tgt_path} has {len(tgt_lines)} lines"
-        )
-    pairs = []
-    dropped = 0
-    for (utt_id, frames), line in zip(items, tgt_lines):
-        tokens = tokenize(line)
-        if frames.shape[0] < 4 or not tokens:
-            dropped += 1
-            continue
-        pairs.append((frames, tokens))
-    if dropped:
-        print(f"dropped {dropped} unusable utterance(s)", file=sys.stderr)
-    if not pairs:
-        raise DataError(f"{archive_path}: no usable training pairs")
-    if stats is None:
-        stats = compute_feature_stats([f for f, _ in pairs])
-    pairs = [(normalize_features(FeatureSequence(f), stats).frames, t) for f, t in pairs]
-    return pairs, stats
-
-
-def _encode_corpus(pairs, src_vocab: Optional[Vocabulary], tgt_vocab: Vocabulary) -> ParallelCorpus:
-    sources = [src_vocab.encode_sequence(s) if src_vocab else s for s, _ in pairs]
-    targets = [tgt_vocab.encode_sequence(t) for _, t in pairs]
-    return ParallelCorpus(sources, targets)
-
-
-def _is_feature_archive(path) -> bool:
-    with open(path, "rb") as fh:
-        return fh.read(8) == ARCHIVE_MAGIC
+def _corpus(model: Seq2SeqModel, pairs) -> ParallelCorpus:
+    return ParallelCorpus(_model_inputs(model, [s for s, _ in pairs]),
+                          [model.tgt_vocab.encode_sequence(t) for _, t in pairs])
 
 
 # --- commands ---
@@ -131,29 +128,19 @@ def cmd_train(args) -> int:
         config = config.resolved()
         model = None
 
-    if config.task == "text":
-        train_pairs = _load_text_pairs(args.train_src, args.train_tgt)
-        if model is None:
-            src_vocab = Vocabulary.from_corpus([s for s, _ in train_pairs], config.max_vocab)
-            tgt_vocab = Vocabulary.from_corpus([t for _, t in train_pairs], config.max_vocab)
-            model = Seq2SeqModel.build(config, src_vocab=src_vocab, tgt_vocab=tgt_vocab)
-        train_corpus = _encode_corpus(train_pairs, model.src_vocab, model.tgt_vocab)
-        dev_corpus = None
-        if args.dev_src:
-            dev_pairs = _load_text_pairs(args.dev_src, args.dev_tgt)
-            dev_corpus = _encode_corpus(dev_pairs, model.src_vocab, model.tgt_vocab)
-    else:
-        train_pairs, stats = _load_speech_pairs(
-            args.train_src, args.train_tgt,
-            stats=model.feat_stats if model is not None else None)
-        if model is None:
-            tgt_vocab = Vocabulary.from_corpus([t for _, t in train_pairs], config.max_vocab)
-            model = Seq2SeqModel.build(config, tgt_vocab=tgt_vocab, feat_stats=stats)
-        train_corpus = _encode_corpus(train_pairs, None, model.tgt_vocab)
-        dev_corpus = None
-        if args.dev_src:
-            dev_pairs, _ = _load_speech_pairs(args.dev_src, args.dev_tgt, stats=model.feat_stats)
-            dev_corpus = _encode_corpus(dev_pairs, None, model.tgt_vocab)
+    train_pairs = _load_pairs(config.task, args.train_src, args.train_tgt)
+    if model is None:
+        sources = [s for s, _ in train_pairs]
+        text = config.task == "text"
+        model = Seq2SeqModel.build(
+            config,
+            src_vocab=Vocabulary.from_corpus(sources, config.max_vocab) if text else None,
+            tgt_vocab=Vocabulary.from_corpus([t for _, t in train_pairs], config.max_vocab),
+            feat_stats=None if text else compute_feature_stats(sources))
+    train_corpus = _corpus(model, train_pairs)
+    dev_corpus = None
+    if args.dev_src:
+        dev_corpus = _corpus(model, _load_pairs(config.task, args.dev_src, args.dev_tgt))
 
     os.makedirs(args.save_dir, exist_ok=True)
     log_path = os.path.join(args.save_dir, "train.log")
@@ -185,28 +172,13 @@ def _load_ensemble(paths) -> list[Seq2SeqModel]:
     return models
 
 
-def _read_sources(models, input_path):
-    first = models[0]
-    if first.config.task == "speech":
-        if not _is_feature_archive(input_path):
-            raise DataError(
-                f"{input_path}: speech checkpoints need a feature archive input (S2TFEAT1)"
-            )
-        if first.feat_stats is None:
-            raise DataError("checkpoint carries no feature-normalization stats")
-        items = read_feature_archive(input_path)
-        return [normalize_features(FeatureSequence(f), first.feat_stats).frames for _, f in items]
-    if _is_feature_archive(input_path):
-        raise DataError(f"{input_path}: text checkpoints cannot decode a feature archive")
-    return [first.src_vocab.encode_sequence(tokenize(line)) for line in read_lines(input_path)]
-
-
 def cmd_translate(args) -> int:
     models = _load_ensemble(args.checkpoint)
     lm = load_lm(args.lm) if args.lm else None
     weights = FusionWeights(model_weights=args.model_weight or None,
                             lm_weight=args.lm_weight if lm else 0.0)
-    sources = _read_sources(models, args.input)
+    weights.resolve(len(models))  # a bad weight fails the run, not each input
+    sources = _model_inputs(models[0], _read_sources(args.input, models[0].config.task))
 
     lines = []
     for index, source in enumerate(sources):
@@ -272,25 +244,10 @@ def _teacher_forced_attention(model, source, target_ids):
 
 def cmd_dump_attention(args) -> int:
     model = load_checkpoint(args.checkpoint)
-    if model.config.task == "speech":
-        if not _is_feature_archive(args.input):
-            raise DataError(f"{args.input}: speech checkpoints need a feature archive input")
-        if model.feat_stats is None:
-            raise DataError("checkpoint carries no feature-normalization stats")
-        items = read_feature_archive(args.input)
-        if args.line >= len(items):
-            raise DataError(f"{args.input}: utterance index {args.line} out of range")
-        source = normalize_features(FeatureSequence(items[args.line][1]), model.feat_stats).frames
-        source_labels = None
-    else:
-        if _is_feature_archive(args.input):
-            raise DataError(f"{args.input}: text checkpoints cannot read a feature archive")
-        lines = read_lines(args.input)
-        if args.line >= len(lines):
-            raise DataError(f"{args.input}: line {args.line} out of range")
-        tokens = tokenize(lines[args.line])
-        source = model.src_vocab.encode_sequence(tokens)
-        source_labels = tokens
+    raw = _read_sources(args.input, model.config.task)
+    if args.line >= len(raw):
+        raise DataError(f"{args.input}: item {args.line} out of range")
+    source = _model_inputs(model, raw[args.line : args.line + 1])[0]
 
     if args.reference:
         ref_lines = read_lines(args.reference)
@@ -305,11 +262,9 @@ def cmd_dump_attention(args) -> int:
         matrix = result.attention
         row_labels = model.tgt_vocab.decode_sequence(result.tokens)
 
-    if source_labels is None:
-        # speech positions are 4x subsampled: label with the first frame index
-        source_labels = [str(4 * i) for i in range(matrix.shape[1])]
-    elif matrix.shape[1] != len(source_labels):
-        source_labels = [str(i) for i in range(matrix.shape[1])]
+    # speech positions are 4x subsampled: label each with its first frame index
+    source_labels = (raw[args.line] if model.config.task == "text"
+                     else [str(4 * i) for i in range(matrix.shape[1])])
     out = ["token\t" + "\t".join(source_labels)]
     for label, row in zip(row_labels, matrix):
         out.append(label + "\t" + "\t".join(repr(float(v)) for v in row))

@@ -82,18 +82,12 @@ class ParallelCorpus:
 
     sources: list
     targets: list[list[int]]
-    references: Optional[list[list[list[str]]]] = None
 
     def __post_init__(self):
         if len(self.sources) != len(self.targets):
             raise ValueError(
                 f"source/target counts differ: {len(self.sources)} vs {len(self.targets)}"
             )
-        if self.references is not None:
-            if len(self.references) != len(self.targets):
-                raise ValueError("reference count differs from corpus size")
-            if any(len(refs) == 0 for refs in self.references):
-                raise ValueError("every reference set must be nonempty")
 
     def __len__(self) -> int:
         return len(self.sources)

@@ -174,37 +174,36 @@ def load_lm(path) -> TrigramModel:
         lines = fh.read().splitlines()
     pos = 0
 
-    def take(prefix: str) -> str:
+    def line() -> str:
         nonlocal pos
-        line = lines[pos]
+        if pos >= len(lines):
+            raise ValueError(f"{path}: truncated language model file")
         pos += 1
-        if not line.startswith(prefix):
-            raise ValueError(f"{path}: expected {prefix!r}, found {line!r}")
-        return line[len(prefix):]
+        return lines[pos - 1]
 
-    if lines[pos] != LM_MAGIC:
+    def take(prefix: str) -> str:
+        text = line()
+        if not text.startswith(prefix):
+            raise ValueError(f"{path}: expected {prefix!r}, found {text!r}")
+        return text[len(prefix):]
+
+    if line() != LM_MAGIC:
         raise ValueError(f"{path}: not a language model file")
-    pos += 1
     if take("order=") != "3":
         raise ValueError(f"{path}: unsupported model order")
     lambdas = tuple(float(take(f"lambda{i}=")) for i in (1, 2, 3))
     vocab_size = int(take("vocab="))
-    tokens = lines[pos : pos + vocab_size]
-    pos += vocab_size
-    vocab = Vocabulary.from_tokens(tokens)
+    vocab = Vocabulary.from_tokens([line() for _ in range(vocab_size)])
     unigrams = np.zeros(vocab_size, dtype=np.int64)
     for _ in range(int(take("unigrams="))):
-        w, c = lines[pos].split()
-        pos += 1
+        w, c = line().split()
         unigrams[int(w)] = int(c)
     bigram: dict = {}
     for _ in range(int(take("bigrams="))):
-        v, w, c = (int(x) for x in lines[pos].split())
-        pos += 1
+        v, w, c = (int(x) for x in line().split())
         bigram.setdefault(v, {})[w] = c
     trigram: dict = {}
     for _ in range(int(take("trigrams="))):
-        u, v, w, c = (int(x) for x in lines[pos].split())
-        pos += 1
+        u, v, w, c = (int(x) for x in line().split())
         trigram.setdefault((u, v), {})[w] = c
     return TrigramModel(vocab, lambdas, unigrams, bigram, trigram)

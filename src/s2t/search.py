@@ -1,8 +1,12 @@
-"""Greedy decoding, beam search, shallow language-model fusion and
-log-linear ensembles of independently trained models.
+"""One decode core: beam search with shallow language-model fusion and
+log-linear ensembles of independently trained models.  Greedy decoding
+is beam search of width 1, so "beam 1 equals greedy" holds by
+construction.
 
-All tie-breaking prefers the lowest token id, so every decode is
-bit-reproducible and beam size 1 reproduces the greedy decoder exactly.
+Live hypotheses share one batched decoder state per model; after each
+step one ``gather_state`` by parent row moves every model's state to the
+surviving hypotheses.  All tie-breaking prefers the lowest flat index
+(parent row, then token id), so every decode is bit-reproducible.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ import numpy as np
 
 from .corpus import BOS_ID, EOS_ID
 from .lm import TrigramModel, fused_log_rows, lm_logprob, vocabulary_id_map
-from .model import DecoderState, Seq2SeqModel, gather_state
+from .model import DivergenceError, Seq2SeqModel, gather_state
 
 
 @dataclass
@@ -26,6 +30,8 @@ class FusionWeights:
     lm_weight: float = 0.2
 
     def resolve(self, n_models: int) -> list[float]:
+        if self.lm_weight < 0:
+            raise ValueError("lm weight must be nonnegative")
         if self.model_weights is None:
             return [1.0 / n_models] * n_models
         if len(self.model_weights) != n_models:
@@ -34,8 +40,6 @@ class FusionWeights:
             )
         if any(w <= 0 for w in self.model_weights):
             raise ValueError("model weights must be positive")
-        if self.lm_weight < 0:
-            raise ValueError("lm weight must be nonnegative")
         return list(self.model_weights)
 
 
@@ -45,7 +49,6 @@ class Hypothesis:
 
     tokens: tuple[int, ...]
     score: float
-    states: list[DecoderState]
     attention: list[np.ndarray]
     finished: bool = False
 
@@ -75,38 +78,22 @@ def _prepare(model: Seq2SeqModel, source):
     return core, final
 
 
-def _default_max_len(model: Seq2SeqModel, core, source) -> int:
-    return model.max_decode_length(core.positions, len(source))
-
-
 def greedy_decode(model: Seq2SeqModel, source, max_len: Optional[int] = None) -> DecodeResult:
     """Argmax token per step (ties to the lowest id); stops at EOS or
     ``max_len``.  Attention rows cover the emitted content tokens."""
-    if len(source) == 0:
-        raise ValueError("source is empty")
-    core, final = _prepare(model, source)
-    if max_len is None:
-        max_len = _default_max_len(model, core, source)
-    state = core.init_state(final)
-    prev = BOS_ID
-    tokens: list[int] = []
-    rows: list[np.ndarray] = []
-    score = 0.0
-    finished = False
-    for _ in range(max_len + 1):
-        state, dist, weights = core.step(state, np.array([prev]))
-        token = int(np.argmax(dist.data[0]))
-        score += float(np.log(dist.data[0, token]))
-        if token == EOS_ID:
-            finished = True
-            break
-        tokens.append(token)
-        rows.append(weights.data[0].copy())
-        prev = token
-        if len(tokens) >= max_len:
-            break
-    attention = np.vstack(rows) if rows else np.zeros((0, core.positions))
-    return DecodeResult(tokens, attention, score, finished)
+    return beam_search([model], source, beam_size=1, max_len=max_len)
+
+
+def _top_k(flat: np.ndarray, k: int) -> np.ndarray:
+    """Indices of the ``k`` highest scores, best first, ties to the lowest
+    index: the head of a stable descending sort, without sorting it all."""
+    if k == 1:
+        return np.argmax(flat, keepdims=True)
+    if k >= flat.size:
+        return np.argsort(-flat, kind="stable")
+    kth = np.partition(flat, flat.size - k)[flat.size - k]
+    candidates = np.flatnonzero(flat >= kth)  # ties with the k-th all stay
+    return candidates[np.argsort(-flat[candidates], kind="stable")[:k]]
 
 
 def _lm_context(tokens: tuple[int, ...]) -> tuple[int, int]:
@@ -144,52 +131,43 @@ def beam_search(
     fuse_lm = lm is not None and weights.lm_weight > 0.0 and not rescore_only
     id_map = vocabulary_id_map(lm, models[0].tgt_vocab) if lm is not None else None
 
-    cores = []
-    finals = []
+    cores, states = [], []
     for model in models:
         core, final = _prepare(model, source)
         cores.append(core)
-        finals.append(final)
+        states.append(core.init_state(final))
     if max_len is None:
-        max_len = _default_max_len(models[0], cores[0], source)
+        max_len = models[0].max_decode_length(cores[0].positions, len(source))
 
-    live = [Hypothesis(tokens=(BOS_ID,), score=0.0,
-                       states=[core.init_state(final) for core, final in zip(cores, finals)],
-                       attention=[])]
+    live = [Hypothesis(tokens=(BOS_ID,), score=0.0, attention=[])]
     completed: list[Hypothesis] = []
     overlong: list[Hypothesis] = []
 
     while live:
-        k = len(live)
         prev_ids = np.array([hyp.tokens[-1] for hyp in live])
-        batched = [_stack_states(model_states) for model_states in zip(*(h.states for h in live))]
-        fused = np.zeros((k, len(models[0].tgt_vocab)))
-        new_states = []
-        weight_rows = None
         for j, core in enumerate(cores):
-            state, dist, attn = core.step(batched[j], prev_ids)
-            new_states.append(state)
-            fused += model_weights[j] * np.log(dist.data)
+            states[j], dist, attn = core.step(states[j], prev_ids)
+            scores = model_weights[j] * np.log(dist.data)
             if j == 0:
-                weight_rows = attn.data
+                fused, weight_rows = scores, attn.data
+            else:
+                fused += scores
         if fuse_lm:
             for i, hyp in enumerate(live):
                 u, v = _lm_context(hyp.tokens)
                 fused[i] += weights.lm_weight * fused_log_rows(lm, id_map, u, v)
 
-        scores = np.array([h.score for h in live])[:, None] + fused
-        flat = scores.reshape(-1)
-        order = np.argsort(-flat, kind="stable")[: beam_size]
-
+        flat = (np.array([h.score for h in live])[:, None] + fused).reshape(-1)
+        if np.isnan(flat).any():
+            raise DivergenceError("decoder scores are NaN")
         next_live = []
         parents = []
-        for flat_idx in order:
+        for flat_idx in _top_k(flat, beam_size):
             parent, token = divmod(int(flat_idx), fused.shape[1])
             hyp = live[parent]
             new = Hypothesis(
                 tokens=hyp.tokens + (token,),
                 score=float(flat[flat_idx]),
-                states=[],
                 attention=hyp.attention if token == EOS_ID
                 else hyp.attention + [weight_rows[parent].copy()],
                 finished=token == EOS_ID,
@@ -201,8 +179,9 @@ def beam_search(
             else:
                 next_live.append(new)
                 parents.append(parent)
-        for hyp, parent in zip(next_live, parents):
-            hyp.states = [_row_state(state, parent) for state in new_states]
+        if next_live and parents != list(range(len(live))):  # greedy's one row never moves
+            rows = np.array(parents)
+            states = [gather_state(state, rows) for state in states]
         live = next_live
 
     pool = completed if completed else overlong
@@ -223,23 +202,3 @@ def _rank_score(hyp: Hypothesis, lm, id_map, weights, rescore_only: bool, length
         steps = len(hyp.content) + (1 if hyp.finished else 0)
         score = score / max(1, steps)
     return score
-
-
-def _stack_states(states: Sequence[DecoderState]) -> DecoderState:
-    from .autodiff import Tensor
-
-    if len(states) == 1:
-        return states[0]
-    layers = []
-    for layer in range(len(states[0].layers)):
-        c = Tensor(np.concatenate([s.layers[layer][0].data for s in states], axis=0))
-        h = Tensor(np.concatenate([s.layers[layer][1].data for s in states], axis=0))
-        layers.append((c, h))
-    attn = None
-    if states[0].attn_weights is not None:
-        attn = Tensor(np.concatenate([s.attn_weights.data for s in states], axis=0))
-    return DecoderState(layers=layers, attn_weights=attn)
-
-
-def _row_state(state: DecoderState, row: int) -> DecoderState:
-    return gather_state(state, np.array([row]))

@@ -1,0 +1,145 @@
+"""Malformed inputs end in a typed error and exit code 2, a diverged
+checkpoint in exit code 3, and a failed save never damages the previous
+checkpoint."""
+
+import struct
+
+import numpy as np
+import pytest
+
+import s2t.checkpoint as checkpoint
+from s2t.audio import ARCHIVE_MAGIC, FEATURE_DIM, read_feature_archive, write_feature_archive
+from s2t.checkpoint import load_checkpoint, save_checkpoint
+from s2t.lm import load_lm, save_lm, train_trigram
+from s2t.search import _top_k
+
+from test_cli import TRAIN_FLAGS, run
+from util import build_tiny_model, randomize
+
+
+def _archive(tmp_path, frames=6):
+    path = tmp_path / "feats.bin"
+    rows = np.random.default_rng(0).normal(size=(frames, FEATURE_DIM)).astype(np.float32)
+    write_feature_archive(path, [("u0", rows)])
+    return path
+
+
+def _speech_checkpoint(tmp_path):
+    path = tmp_path / "speech.ckpt"
+    save_checkpoint(path, randomize(build_tiny_model(task="speech", m=3, n=3, tgt_words=5), seed=3))
+    return path
+
+
+@pytest.mark.parametrize("cut", [8, 10, 16])
+@pytest.mark.parametrize("command", ["train", "translate"])
+def test_truncated_archive_exits_2(tmp_path, capsys, cut, command):
+    archive = tmp_path / "cut.bin"
+    archive.write_bytes(_archive(tmp_path).read_bytes()[:cut])
+    with pytest.raises(ValueError, match="truncated"):
+        read_feature_archive(archive)
+    if command == "train":
+        tgt = tmp_path / "train.tgt"
+        tgt.write_text("t0 t1\n")
+        argv = ["train", "--task", "speech", "--train-src", str(archive), "--train-tgt", str(tgt),
+                "--save-dir", str(tmp_path / "run"), *TRAIN_FLAGS]
+    else:
+        argv = ["translate", "--checkpoint", str(_speech_checkpoint(tmp_path)),
+                "--input", str(archive)]
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert "truncated archive" in err
+
+
+def test_archive_with_wrong_dimension_is_rejected(tmp_path):
+    path = tmp_path / "dim3.bin"
+    record = struct.pack("<H", 2) + b"u0" + struct.pack("<I", 2) + np.zeros(6, "<f4").tobytes()
+    path.write_bytes(ARCHIVE_MAGIC + struct.pack("<I", 3) + record)
+    with pytest.raises(ValueError, match="3-dim"):
+        read_feature_archive(path)
+
+
+def test_truncated_lm_file_names_the_file(tmp_path, capsys):
+    path = tmp_path / "cut.lm"
+    full = tmp_path / "full.lm"
+    save_lm(full, train_trigram([["t0", "t1", "t2"], ["t1", "t2"]]))
+    path.write_text("".join(full.read_text().splitlines(keepends=True)[:5]))
+    with pytest.raises(ValueError, match="cut.lm: truncated"):
+        load_lm(path)
+    model = tmp_path / "text.ckpt"
+    save_checkpoint(model, randomize(build_tiny_model(m=3, n=3, src_words=5, tgt_words=5), seed=4))
+    inp = tmp_path / "in.txt"
+    inp.write_text("t0 t1\n")
+    code, _, err = run(capsys, "translate", "--checkpoint", str(model), "--input", str(inp),
+                       "--lm", str(path))
+    assert code == 2
+    assert "cut.lm" in err
+
+
+def test_failed_save_keeps_previous_checkpoint(tmp_path, monkeypatch):
+    path = tmp_path / "best.ckpt"
+    save_checkpoint(path, randomize(build_tiny_model(m=3, n=3), seed=5))
+    before = path.read_bytes()
+    real_block = checkpoint._text_block
+    calls = []
+
+    def failing_block(text):
+        calls.append(text)
+        if len(calls) == 2:  # the header is already written
+            raise OSError("disk full")
+        return real_block(text)
+
+    monkeypatch.setattr(checkpoint, "_text_block", failing_block)
+    with pytest.raises(OSError, match="disk full"):
+        save_checkpoint(path, randomize(build_tiny_model(m=3, n=3), seed=6))
+    assert len(calls) == 2
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["best.ckpt"]
+    load_checkpoint(path)
+
+
+def test_negative_lm_weight_exits_2(tmp_path, capsys):
+    model = tmp_path / "text.ckpt"
+    save_checkpoint(model, randomize(build_tiny_model(m=3, n=3, src_words=5, tgt_words=5), seed=7))
+    lm_path = tmp_path / "toy.lm"
+    save_lm(lm_path, train_trigram([["t0", "t1"]]))
+    inp = tmp_path / "in.txt"
+    inp.write_text("t0 t1\n")
+    code, out, err = run(capsys, "translate", "--checkpoint", str(model), "--input", str(inp),
+                         "--lm", str(lm_path), "--lm-weight", "-1")
+    assert code == 2
+    assert "nonnegative" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("beam", ["1", "8"])
+def test_nan_checkpoint_translate_exits_3(tmp_path, capsys, beam):
+    model = build_tiny_model(m=3, n=3, src_words=5, tgt_words=5)
+    model.store.set_value("dec.vocab_b", np.full(len(model.tgt_vocab), np.nan))
+    path = tmp_path / "nan.ckpt"
+    save_checkpoint(path, model)
+    inp = tmp_path / "in.txt"
+    inp.write_text("t0 t1\n")
+    code, out, err = run(capsys, "translate", "--checkpoint", str(path), "--input", str(inp),
+                         "--beam-size", beam)
+    assert code == 3
+    assert "divergence" in err
+    assert out == ""
+
+
+def test_text_file_for_speech_task_exits_2(tmp_path, capsys):
+    src = tmp_path / "train.src"
+    src.write_text("t0 t1\n")
+    code, _, err = run(capsys, "train", "--task", "speech", "--train-src", str(src),
+                       "--train-tgt", str(src), "--save-dir", str(tmp_path / "run"), *TRAIN_FLAGS)
+    assert code == 2
+    assert "feature archive" in err
+
+
+def test_top_k_is_the_head_of_a_stable_descending_sort():
+    rng = np.random.default_rng(0)
+    for trial in range(300):
+        flat = rng.integers(-4, 1, size=int(rng.integers(1, 40))).astype(float)  # many ties
+        flat[rng.random(flat.size) < 0.2] = -np.inf
+        for k in (1, 2, 3, 8, flat.size, flat.size + 3):
+            expected = np.argsort(-flat, kind="stable")[:k]
+            np.testing.assert_array_equal(_top_k(flat, k), expected)
