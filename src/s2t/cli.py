@@ -29,7 +29,7 @@ from .config import ConfigError, RunConfig, load_config
 from .corpus import ParallelCorpus, Vocabulary, read_lines, tokenize
 from .lm import DEFAULT_LAMBDAS, load_lm, save_lm, train_trigram
 from .model import DivergenceError, Seq2SeqModel
-from .search import FusionWeights, beam_search, greedy_decode
+from .search import FusionWeights, beam_search, check_limits, greedy_decode
 from .training import train_loop
 
 
@@ -177,7 +177,8 @@ def cmd_translate(args) -> int:
     lm = load_lm(args.lm) if args.lm else None
     weights = FusionWeights(model_weights=args.model_weight or None,
                             lm_weight=args.lm_weight if lm else 0.0)
-    weights.resolve(len(models))  # a bad weight fails the run, not each input
+    weights.resolve(len(models))  # a bad weight or limit fails the run, not each input
+    check_limits(args.beam_size, args.max_len)
     sources = _model_inputs(models[0], _read_sources(args.input, models[0].config.task))
 
     lines = []

@@ -30,9 +30,9 @@ class LstmCellParams:
     wh: Tensor  # [4m, m]
     b: Tensor   # [4m]
 
-    @property
-    def units(self) -> int:
-        return self.wh.shape[1]
+    def gate_weights(self) -> tuple[Tensor, Tensor]:
+        """Per-pass [input_dim + m, 4m] weight of the [x|h] gate GEMM, and the bias."""
+        return ad.transpose(ad.concat([self.wx, self.wh])), self.b
 
 
 @dataclass
@@ -57,38 +57,33 @@ def speech_encoder_config(units: int, layer_count: int = 3, dropout: float = 0.0
     return EncoderConfig("speech", layer_count, units, frozenset(range(2, layer_count + 1)), dropout)
 
 
-def _step(wx_t: Tensor, wh_t: Tensor, b: Tensor, x: Tensor, c: Tensor, h: Tensor):
+def lstm_step(weights: tuple[Tensor, Tensor], x: Tensor, state: tuple[Tensor, Tensor]):
+    """One LSTM transition from :meth:`LstmCellParams.gate_weights`: one [x|h]
+    GEMM and one sigmoid for the whole gate block, tanh on its candidate slice."""
+    (w_t, b), (c, h) = weights, state
     m = c.shape[-1]
-    gates = (x @ wx_t) + (h @ wh_t) + b
-    i = ad.sigmoid(ad.slice_axis(gates, -1, 0, m))
-    f = ad.sigmoid(ad.slice_axis(gates, -1, m, 2 * m))
+    gates = (ad.concat([x, h]) @ w_t) + b
+    act = ad.sigmoid(gates)  # the candidate slice of this block goes unused
+    i, f, o = (ad.slice_axis(act, -1, k * m, (k + 1) * m) for k in (0, 1, 3))
     g = ad.tanh(ad.slice_axis(gates, -1, 2 * m, 3 * m))
-    o = ad.sigmoid(ad.slice_axis(gates, -1, 3 * m, 4 * m))
     c_new = (f * c) + (i * g)
     h_new = o * ad.tanh(c_new)
     return c_new, h_new
 
 
 def lstm_cell_step(params: LstmCellParams, x: Tensor, state: tuple[Tensor, Tensor]):
-    """One LSTM transition; ``x`` is [B, input_dim], state tensors are [B, m]."""
-    c, h = state
-    if x.shape[-1] != params.wx.shape[1]:
-        raise ad.ShapeMismatch(
-            f"lstm: input dim {x.shape[-1]} != expected {params.wx.shape[1]}"
-        )
-    return _step(ad.transpose(params.wx), ad.transpose(params.wh), params.b, x, c, h)
+    """One LSTM transition; ``x`` is [B, input_dim], state tensors are [B, m].
+    An ``x`` of another width fails the gate GEMM with ShapeMismatch."""
+    return lstm_step(params.gate_weights(), x, state)
 
 
 def _run_direction(params: LstmCellParams, inputs, order, carry_masks):
-    batch = inputs[0].shape[0]
-    m = params.units
-    wx_t, wh_t, b = ad.transpose(params.wx), ad.transpose(params.wh), params.b
-    c = Tensor(np.zeros((batch, m)))
-    h = Tensor(np.zeros((batch, m)))
+    weights = params.gate_weights()
+    c = h = Tensor(np.zeros((inputs[0].shape[0], params.wh.shape[1])))
     outputs = [None] * len(inputs)
     for t in order:
-        c_new, h_new = _step(wx_t, wh_t, b, inputs[t], c, h)
-        if carry_masks is not None and carry_masks[t] is not None:
+        c_new, h_new = lstm_step(weights, inputs[t], (c, h))
+        if carry_masks[t] is not None:
             keep, hold = carry_masks[t]
             c = (c_new * keep) + (c * hold)
             h = (h_new * keep) + (h * hold)
@@ -98,14 +93,12 @@ def _run_direction(params: LstmCellParams, inputs, order, carry_masks):
     return outputs, c, h
 
 
-def _carry_masks(lengths: Optional[np.ndarray], steps: int, batch: int):
+def _carry_masks(lengths: Optional[np.ndarray], steps: int):
     # per-step (keep, hold) multipliers; None where every row is live
-    if lengths is None:
-        return None
     masks = []
     for t in range(steps):
-        live = (lengths > t).astype(np.float64)[:, None]
-        masks.append(None if live.all() else (Tensor(live), Tensor(1.0 - live)))
+        live = None if lengths is None else (lengths > t).astype(np.float64)[:, None]
+        masks.append(None if live is None or live.all() else (Tensor(live), Tensor(1.0 - live)))
     return masks
 
 
@@ -123,7 +116,7 @@ def bidirectional_layer(
     """
     if len(inputs) == 0:
         raise ValueError("bidirectional layer needs a nonempty input sequence")
-    masks = _carry_masks(lengths, len(inputs), inputs[0].shape[0])
+    masks = _carry_masks(lengths, len(inputs))
     fwd_out, fwd_c, fwd_h = _run_direction(fwd, inputs, range(len(inputs)), masks)
     bwd_out, _, _ = _run_direction(bwd, inputs, range(len(inputs) - 1, -1, -1), masks)
     outputs = [f + b for f, b in zip(fwd_out, bwd_out)]

@@ -31,7 +31,7 @@ class TrigramModel:
 
     def __post_init__(self):
         l1, l2, l3 = self.lambdas
-        if abs(l1 + l2 + l3 - 1.0) > 1e-12 or min(l1, l2, l3) <= 0:
+        if not (abs(l1 + l2 + l3 - 1.0) <= 1e-12 and min(l1, l2, l3) > 0):  # NaN fails too
             raise ValueError("interpolation weights must be positive and sum to 1")
         self.unigram_counts = np.asarray(self.unigram_counts, dtype=np.int64)
         self._unigram_probs = self._smoothed_unigrams()
@@ -170,40 +170,56 @@ def save_lm(path, model: TrigramModel) -> None:
 
 
 def load_lm(path) -> TrigramModel:
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    pos = 0
+    """Read a model file; any malformed content raises ValueError naming it."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return _parse_lm(fh.read().splitlines())
+    except ValueError as exc:  # UnicodeDecodeError included
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def _parse_lm(lines: list[str]) -> TrigramModel:
+    rows = iter(lines)
 
     def line() -> str:
-        nonlocal pos
-        if pos >= len(lines):
-            raise ValueError(f"{path}: truncated language model file")
-        pos += 1
-        return lines[pos - 1]
+        text = next(rows, None)
+        if text is None:
+            raise ValueError("truncated language model file")
+        return text
 
     def take(prefix: str) -> str:
         text = line()
         if not text.startswith(prefix):
-            raise ValueError(f"{path}: expected {prefix!r}, found {text!r}")
+            raise ValueError(f"expected {prefix!r}, found {text!r}")
         return text[len(prefix):]
 
+    def records(section: str, width: int):
+        # each record is ``width`` token ids in [0, vocab) and a count in
+        # [1, 2^32), which keeps the int64 unigram total from wrapping
+        for _ in range(int(take(f"{section}="))):
+            text = line()
+            fields = [int(x) for x in text.split()]
+            if (len(fields) != width + 1 or min(fields) < 0 or not 0 < fields[-1] < 2**32
+                    or max(fields[:-1]) >= vocab_size):
+                raise ValueError(f"bad {section} record {text!r}")
+            yield fields
+
     if line() != LM_MAGIC:
-        raise ValueError(f"{path}: not a language model file")
+        raise ValueError("not a language model file")
     if take("order=") != "3":
-        raise ValueError(f"{path}: unsupported model order")
+        raise ValueError("unsupported model order")
     lambdas = tuple(float(take(f"lambda{i}=")) for i in (1, 2, 3))
     vocab_size = int(take("vocab="))
     vocab = Vocabulary.from_tokens([line() for _ in range(vocab_size)])
     unigrams = np.zeros(vocab_size, dtype=np.int64)
-    for _ in range(int(take("unigrams="))):
-        w, c = line().split()
-        unigrams[int(w)] = int(c)
+    for w, c in records("unigrams", 1):
+        unigrams[w] = c
     bigram: dict = {}
-    for _ in range(int(take("bigrams="))):
-        v, w, c = (int(x) for x in line().split())
+    for v, w, c in records("bigrams", 2):
         bigram.setdefault(v, {})[w] = c
     trigram: dict = {}
-    for _ in range(int(take("trigrams="))):
-        u, v, w, c = (int(x) for x in line().split())
+    for u, v, w, c in records("trigrams", 3):
         trigram.setdefault((u, v), {})[w] = c
+    if any(text.strip() for text in rows):
+        raise ValueError("trailing content after the trigram records")
     return TrigramModel(vocab, lambdas, unigrams, bigram, trigram)

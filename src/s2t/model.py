@@ -23,7 +23,7 @@ from .corpus import make_batch
 from .encoders import (
     EncoderConfig,
     LstmCellParams,
-    _step as _lstm_gate_step,
+    lstm_step,
     pyramidal_encode,
     speech_encoder_config,
     speech_prenet,
@@ -41,10 +41,6 @@ class DecoderState:
 
     layers: list[tuple[Tensor, Tensor]]
     attn_weights: Optional[Tensor] = None
-
-    @property
-    def batch(self) -> int:
-        return self.layers[0][0].shape[0]
 
 
 def parameter_shapes(config: RunConfig, src_vocab_size: Optional[int], tgt_vocab_size: int) -> dict:
@@ -140,15 +136,8 @@ class Seq2SeqModel:
         return speech_encoder_config(cfg.hidden_size, cfg.enc_layers, cfg.dropout)
 
     def _encoder_cells(self, tensors) -> list:
-        cells = []
-        for layer in range(self.config.enc_layers):
-            pair = []
-            for direction in ("fwd", "bwd"):
-                prefix = f"enc.{layer}.{direction}"
-                pair.append(LstmCellParams(tensors[f"{prefix}.wx"], tensors[f"{prefix}.wh"],
-                                           tensors[f"{prefix}.b"]))
-            cells.append(tuple(pair))
-        return cells
+        return [(_cell(tensors, f"enc.{layer}.fwd"), _cell(tensors, f"enc.{layer}.bwd"))
+                for layer in range(self.config.enc_layers)]
 
     def attention_params(self, tensors) -> AttentionParams:
         conv = self.config.attention == "conv"
@@ -202,16 +191,13 @@ class Seq2SeqModel:
         h, enc_mask, final = self.encode(tensors, batch.src, batch.src_lengths, train, rng)
         core = self.decoder(tensors, h, enc_mask, train, rng)
         state = core.init_state(final)
-        total = None
-        attn_rows = []
+        picked, attn_rows = [], []
         for t in range(batch.dec_in.shape[1]):
             state, dist, weights = core.step(state, batch.dec_in[:, t])
-            if collect_attention:
-                attn_rows.append(weights)
-            logp = ad.log(ad.pick(dist, batch.dec_out[:, t]))
-            term = logp * Tensor(batch.tgt_mask[:, t])
-            total = term if total is None else total + term
-        loss = ad.tsum(total).scaled(-1.0 / batch.real_token_count)
+            attn_rows.append(weights)
+            picked.append(ad.pick(dist, batch.dec_out[:, t]))
+        logp = ad.log(ad.stack(picked)) * Tensor(batch.tgt_mask.T)  # [T, B]
+        loss = ad.tsum(logp).scaled(-1.0 / batch.real_token_count)
         return (loss, attn_rows) if collect_attention else loss
 
     def sequence_nll(self, source, target) -> float:
@@ -245,6 +231,10 @@ class Seq2SeqModel:
         return 2 * encoder_positions + 10
 
 
+def _cell(tensors, prefix: str) -> LstmCellParams:
+    return LstmCellParams(tensors[f"{prefix}.wx"], tensors[f"{prefix}.wh"], tensors[f"{prefix}.b"])
+
+
 class DecoderCore:
     """Per-pass decoder: pre-transposed weights, the projected encoder block
     and the attention configuration for one source batch."""
@@ -259,13 +249,7 @@ class DecoderCore:
         self.rng = rng
         self.embed = tensors["dec.embed"]
         self.init_w_t = ad.transpose(tensors["dec.init_w"])
-        self.cells = []
-        for layer in range(cfg.dec_layers):
-            self.cells.append((
-                ad.transpose(tensors[f"dec.{layer}.wx"]),
-                ad.transpose(tensors[f"dec.{layer}.wh"]),
-                tensors[f"dec.{layer}.b"],
-            ))
+        self.cells = [_cell(tensors, f"dec.{i}").gate_weights() for i in range(cfg.dec_layers)]
         self.merge_w_t = ad.transpose(tensors["dec.merge_w"])
         self.merge_b = tensors["dec.merge_b"]
         self.vocab_w_t = ad.transpose(tensors["dec.vocab_w"])
@@ -294,9 +278,8 @@ class DecoderCore:
         cfg = self.config
         x = ad.embedding(self.embed, prev_ids)
         new_layers = []
-        for layer, (wx_t, wh_t, b) in enumerate(self.cells):
-            c, hidden = state.layers[layer]
-            c_new, h_new = _lstm_gate_step(wx_t, wh_t, b, x, c, hidden)
+        for layer, weights in enumerate(self.cells):
+            c_new, h_new = lstm_step(weights, x, state.layers[layer])
             new_layers.append((c_new, h_new))
             x = h_new
             if layer < len(self.cells) - 1 and self.train and cfg.dropout > 0.0:

@@ -68,6 +68,13 @@ class DecodeResult:
     finished: bool = True      # EOS reached before the length cap
 
 
+def check_limits(beam_size: int, max_len: Optional[int]) -> None:
+    """Reject a beam narrower than 1 or a length cap below 1."""
+    for name, value in (("beam size", beam_size), ("max len", max_len)):
+        if value is not None and value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
+
+
 def _prepare(model: Seq2SeqModel, source):
     src = np.asarray(source)
     block = src[None, :] if model.config.task == "text" else src[None, :, :]
@@ -122,8 +129,7 @@ def beam_search(
     """
     if len(models) == 0:
         raise ValueError("beam search needs at least one model")
-    if beam_size < 1:
-        raise ValueError("beam size must be >= 1")
+    check_limits(beam_size, max_len)
     if len(source) == 0:
         raise ValueError("source is empty")
     weights = weights or FusionWeights(lm_weight=0.0)

@@ -173,6 +173,21 @@ def test_loss_matches_scalar_oracle():
     assert model.sequence_nll(src, tgt) == pytest.approx(expected, abs=1e-12)
 
 
+@pytest.mark.parametrize("task, src_len, limit", [("text", 5, 475), ("speech", 6, 535)])
+def test_tiny_loss_tape_size(task, src_len, limit):
+    """Criterion 1's tiny models (same sizes, seed and batch) record one
+    taped loss within budget: the per-primitive cost dominates there."""
+    rng = np.random.default_rng(100)
+    model = build_tiny_model(task=task, m=8, n=8, src_words=16, tgt_words=16,
+                             seed=100, prenet_size=8, conv_filter_size=5)
+    source = ([int(rng.integers(4, 20)) for _ in range(src_len)] if task == "text"
+              else rng.normal(size=(src_len, 41)) * 0.5)
+    tape = ad.Tape()
+    with tape:
+        model.batch_nll(model.store.watch(tape), make_batch([source], [[4, 5]]))
+    assert len(tape.entries) <= limit
+
+
 def test_empty_target_rejected():
     model = build_tiny_model()
     with pytest.raises(ValueError, match="empty target"):

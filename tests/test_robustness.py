@@ -6,12 +6,13 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import s2t.checkpoint as checkpoint
 from s2t.audio import ARCHIVE_MAGIC, FEATURE_DIM, read_feature_archive, write_feature_archive
 from s2t.checkpoint import load_checkpoint, save_checkpoint
 from s2t.lm import load_lm, save_lm, train_trigram
-from s2t.search import _top_k
+from s2t.search import _top_k, beam_search
 
 from test_cli import TRAIN_FLAGS, run
 from util import build_tiny_model, randomize
@@ -143,3 +144,92 @@ def test_top_k_is_the_head_of_a_stable_descending_sort():
         for k in (1, 2, 3, 8, flat.size, flat.size + 3):
             expected = np.argsort(-flat, kind="stable")[:k]
             np.testing.assert_array_equal(_top_k(flat, k), expected)
+
+
+def _lm_file(path):
+    save_lm(path, train_trigram([["t0", "t1", "t2"], ["t1", "t2"], ["t2", "t0"]]))
+    return path
+
+
+@pytest.mark.parametrize("section, record", [
+    ("unigrams", "999 1"),      # id past the vocabulary
+    ("unigrams", "-1 1"),       # negative id
+    ("unigrams", "4 -3"),       # negative count
+    ("unigrams", "4 99999999999999999999"),  # count past int64
+    ("bigrams", "4 999 1"),
+    ("bigrams", "4 5 0"),       # zero count
+    ("trigrams", "1 1 999 1"),
+    ("trigrams", "1 1 4"),      # missing count
+])
+def test_lm_record_out_of_range_exits_2(tmp_path, capsys, section, record):
+    path = _lm_file(tmp_path / "bad.lm")
+    lines = path.read_text().splitlines()
+    first = next(i for i, line in enumerate(lines) if line.startswith(section + "=")) + 1
+    lines[first] = record
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=f"bad.lm: bad {section} record"):
+        load_lm(path)
+    model = tmp_path / "text.ckpt"
+    save_checkpoint(model, randomize(build_tiny_model(m=3, n=3, src_words=5, tgt_words=5), seed=9))
+    inp = tmp_path / "in.txt"
+    inp.write_text("t0 t1\n")
+    code, out, err = run(capsys, "translate", "--checkpoint", str(model), "--input", str(inp),
+                         "--lm", str(path))
+    assert code == 2
+    assert "bad.lm" in err
+    assert out == ""
+
+
+_MUTATION = st.one_of(
+    st.tuples(st.just("cut"), st.floats(0.0, 1.0)),
+    st.tuples(st.just("flip"), st.floats(0.0, 1.0), st.integers(1, 255)),
+    st.tuples(st.just("tail"), st.binary(min_size=1, max_size=12)),
+)
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(mutations=st.lists(_MUTATION, min_size=1, max_size=3))
+def test_mutated_lm_file_fails_typed_or_loads_sane(tmp_path_factory, mutations):
+    """Truncation, byte flips and trailing bytes either fail with ValueError
+    or load a model whose every context distribution is finite and positive."""
+    path = _lm_file(tmp_path_factory.mktemp("lm") / "mutated.lm")
+    blob = bytearray(path.read_bytes())
+    for kind, *args in mutations:
+        if kind == "cut":
+            blob = blob[:int(args[0] * len(blob))]
+        elif kind == "flip" and blob:
+            blob[min(int(args[0] * len(blob)), len(blob) - 1)] ^= args[1]
+        elif kind == "tail":
+            blob += args[0]
+    path.write_bytes(bytes(blob))
+    try:
+        model = load_lm(path)
+    except ValueError:
+        return
+    size = len(model.vocab)
+    for u in range(size):
+        for v in range(size):
+            dist = model.context_distribution(u, v)
+            assert dist.shape == (size,)
+            assert np.isfinite(dist).all() and (dist > 0).all()
+
+
+@pytest.mark.parametrize("flag, value", [("--beam-size", "0"), ("--max-len", "0"),
+                                         ("--max-len", "-3")])
+def test_translate_rejects_bad_search_limits_up_front(tmp_path, capsys, flag, value):
+    model = tmp_path / "text.ckpt"
+    save_checkpoint(model, randomize(build_tiny_model(m=3, n=3, src_words=5, tgt_words=5), seed=8))
+    inp = tmp_path / "in.txt"
+    inp.write_text("t0 t1\nt2\n")
+    code, out, err = run(capsys, "translate", "--checkpoint", str(model), "--input", str(inp),
+                         flag, value)
+    assert code == 2
+    assert f"{flag[2:].replace('-', ' ')} must be >= 1, got {value}" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("beam_size, max_len", [(0, None), (1, 0), (8, -3)])
+def test_beam_search_rejects_bad_limits(beam_size, max_len):
+    model = build_tiny_model(m=3, n=3)
+    with pytest.raises(ValueError, match="must be >= 1"):
+        beam_search([model], [4, 5], beam_size=beam_size, max_len=max_len)
