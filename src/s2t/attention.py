@@ -29,6 +29,7 @@ class AttentionParams:
     score_v: Tensor                      # [m]
     conv_gate: Optional[Tensor] = None   # [m], convolutional variant only
     conv_filter: Optional[Tensor] = None  # [k], k odd
+    state_w_t: Optional[Tensor] = None   # [2m, m], state_w transposed once per pass
 
     def __post_init__(self):
         if self.conv_filter is not None and self.conv_filter.shape[0] % 2 != 1:
@@ -43,7 +44,8 @@ def project_encoder(params: AttentionParams, h: Tensor) -> Tensor:
 def _scores(params, h, state, conv_term, enc_proj):
     if enc_proj is None:
         enc_proj = project_encoder(params, h)
-    inner = enc_proj + ((state @ ad.transpose(params.state_w)) + params.bias)
+    state_w_t = ad.transpose(params.state_w) if params.state_w_t is None else params.state_w_t
+    inner = enc_proj + ((state @ state_w_t) + params.bias)
     if conv_term is not None:
         inner = inner + conv_term
     return ad.transpose(ad.tanh(inner) @ params.score_v)  # [A, B] -> [B, A]

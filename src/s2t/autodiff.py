@@ -14,7 +14,7 @@ on disk (see ``checkpoint``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -22,6 +22,7 @@ __all__ = [
     "Tensor",
     "Tape",
     "TapeEntry",
+    "IndexedGrad",
     "ParameterStore",
     "ShapeMismatch",
     "UnknownPrimitive",
@@ -209,10 +210,22 @@ def apply_primitive(kind: str, inputs: Sequence[Tensor], **attrs) -> Tensor:
     return out
 
 
+class IndexedGrad(NamedTuple):
+    """A backward result that touches part of its input: ``dx[index] += value``.
+    ``index`` names each element at most once."""
+
+    index: tuple
+    value: np.ndarray
+
+
 def backprop(tape: Tape, loss: Tensor) -> dict[str, Tensor]:
     """Gradient of a scalar tape output with respect to every watched leaf.
 
-    Leaves not reachable from the loss get zero gradients.
+    Leaves not reachable from the loss get zero gradients.  A node keeps
+    the first gradient that reaches it as it is; from the second on it sums
+    into one buffer that backprop allocated itself, so arrays it did not
+    allocate (tape values, views handed out by backward rules) are never
+    written.
     """
     node = tape.node_of(loss) if isinstance(loss, Tensor) else loss
     if node is None or not isinstance(node, int) or not 0 <= node < len(tape.values):
@@ -221,17 +234,31 @@ def backprop(tape: Tape, loss: Tensor) -> dict[str, Tensor]:
         raise ValueError(f"loss node must be scalar, got shape {tape.values[node].shape}")
 
     grads: dict[int, np.ndarray] = {node: np.ones_like(tape.values[node])}
+    owned: set[int] = set()  # nodes whose buffer backprop allocated
     for entry in reversed(tape.entries):
         g = grads.pop(entry.output, None)
         if g is None:
             continue
+        owned.discard(entry.output)
         prim = _PRIMITIVES[entry.kind]
         ins = [tape.values[i] for i in entry.inputs]
         for node_id, gi in zip(entry.inputs, prim.backward(g, ins, tape.values[entry.output], entry.attrs)):
             if gi is None:
                 continue
             acc = grads.get(node_id)
-            grads[node_id] = gi if acc is None else acc + gi
+            if isinstance(gi, IndexedGrad):
+                if node_id not in owned:
+                    acc = np.zeros_like(tape.values[node_id]) if acc is None else acc.copy()
+                    grads[node_id] = acc
+                    owned.add(node_id)
+                acc[gi.index] += gi.value
+            elif acc is None:
+                grads[node_id] = gi
+            elif node_id in owned:
+                acc += gi
+            else:
+                grads[node_id] = acc + gi
+                owned.add(node_id)
 
     out: dict[str, Tensor] = {}
     for name, node_id in tape._watched.items():
@@ -357,14 +384,17 @@ def _softmax_fwd(d, a):
     x = d[0]
     if x.ndim == 0:
         raise ShapeMismatch("softmax: needs at least one axis")
-    shifted = x - x.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    e = x - x.max(axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
 
 
 def _softmax_bwd(g, d, out, a):
     inner = (g * out).sum(axis=-1, keepdims=True)
-    return [out * (g - inner)]
+    dx = g - inner
+    dx *= out
+    return [dx]
 
 
 def _log_fwd(d, a):
@@ -420,24 +450,21 @@ def _stack_bwd(g, d, out, a):
     return [g[i] for i in range(len(d))]
 
 
-def _slice_fwd(d, a):
-    x = d[0]
-    axis, start, stop = a["axis"], a["start"], a["stop"]
+def _slice_index(x, a) -> tuple:
+    axis = a["axis"]
     if not -x.ndim <= axis < x.ndim:
         raise ShapeMismatch(f"slice: axis {axis} out of range for shape {x.shape}")
     index = [slice(None)] * x.ndim
-    index[axis] = slice(start, stop)
-    return x[tuple(index)]
+    index[axis] = slice(a["start"], a["stop"])
+    return tuple(index)
+
+
+def _slice_fwd(d, a):
+    return d[0][_slice_index(d[0], a)]
 
 
 def _slice_bwd(g, d, out, a):
-    x = d[0]
-    axis, start, stop = a["axis"], a["start"], a["stop"]
-    dx = np.zeros_like(x)
-    index = [slice(None)] * x.ndim
-    index[axis] = slice(start, stop)
-    dx[tuple(index)] = g
-    return [dx]
+    return [IndexedGrad(_slice_index(d[0], a), g)]
 
 
 def _conv1d_fwd(d, a):
@@ -483,11 +510,11 @@ def _embedding_fwd(d, a):
 
 
 def _embedding_bwd(g, d, out, a):
-    table = d[0]
-    ids = np.asarray(a["ids"])
-    dt = np.zeros_like(table)
-    np.add.at(dt.T, ids, g)
-    return [dt]
+    # one column per distinct id, summed in row order before it meets the table
+    ids, inverse = np.unique(np.asarray(a["ids"]), return_inverse=True)
+    columns = np.zeros((d[0].shape[0], ids.size))
+    np.add.at(columns.T, inverse, g)
+    return [IndexedGrad((slice(None), ids), columns)]
 
 
 def _dropout_fwd(d, a):
@@ -513,11 +540,7 @@ def _pick_fwd(d, a):
 
 
 def _pick_bwd(g, d, out, a):
-    x = d[0]
-    ids = np.asarray(a["ids"])
-    dx = np.zeros_like(x)
-    dx[np.arange(x.shape[0]), ids] = g
-    return [dx]
+    return [IndexedGrad((np.arange(d[0].shape[0]), np.asarray(a["ids"])), g)]
 
 
 register_primitive("add", _add_fwd, _add_bwd)
@@ -607,8 +630,9 @@ class ParameterStore:
     """Named trainable tensors plus their Adam moment buffers.
 
     The unit of checkpointing: values, both moments and the global step
-    counter round-trip through checkpoint files.  Updates replace arrays
-    rather than mutating them, so tensors handed out earlier stay valid.
+    counter round-trip through checkpoint files.  Updates replace parameter
+    arrays rather than mutating them, so tensors handed out earlier stay
+    valid; the moment buffers belong to the store and are updated in place.
     """
 
     def __init__(self):
@@ -643,8 +667,10 @@ class ParameterStore:
         return self._m1[name], self._m2[name]
 
     def set_moments(self, name: str, m1: np.ndarray, m2: np.ndarray) -> None:
-        self._m1[name] = np.asarray(m1, dtype=np.float64)
-        self._m2[name] = np.asarray(m2, dtype=np.float64)
+        """The store takes the arrays as its buffers (copied only when they
+        are not writable float64)."""
+        self._m1[name] = np.require(m1, np.float64, "W")
+        self._m2[name] = np.require(m2, np.float64, "W")
 
     def as_tensors(self) -> dict[str, Tensor]:
         return {name: Tensor(arr) for name, arr in self._values.items()}
@@ -665,7 +691,8 @@ def adam_update(
     eps: float = 1e-8,
 ) -> ParameterStore:
     """One Adam step with bias correction. Parameters without a gradient
-    entry are untouched; the step counter advances by exactly one."""
+    entry are untouched; the step counter advances by exactly one.  The
+    moments are updated in place, parameters replaced."""
     for name, grad in grads.items():
         if name not in store:
             raise KeyError(f"gradient for unknown parameter {name!r}")
@@ -680,10 +707,13 @@ def adam_update(
     c2 = 1.0 - beta2 ** store.step
     for name, grad in grads.items():
         g = grad.data if isinstance(grad, Tensor) else np.asarray(grad, dtype=np.float64)
-        m = beta1 * store._m1[name] + (1.0 - beta1) * g
-        v = beta2 * store._m2[name] + (1.0 - beta2) * (g * g)
-        store._m1[name] = m
-        store._m2[name] = v
+        m, v = store._m1[name], store._m2[name]
+        m *= beta1
+        m += (1.0 - beta1) * g
+        gg = g * g
+        gg *= 1.0 - beta2
+        v *= beta2
+        v += gg
         store._values[name] = store._values[name] - learning_rate * (m / c1) / (np.sqrt(v / c2) + eps)
     return store
 

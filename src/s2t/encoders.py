@@ -57,18 +57,23 @@ def speech_encoder_config(units: int, layer_count: int = 3, dropout: float = 0.0
     return EncoderConfig("speech", layer_count, units, frozenset(range(2, layer_count + 1)), dropout)
 
 
+def _cell_update(gates: Tensor, c: Optional[Tensor]):
+    """(c', h') from the [B, 4m] gate pre-activations: one sigmoid for the
+    whole block, tanh on its candidate slice.  ``c`` None is the zero
+    state, whose f * c term is skipped rather than multiplied out."""
+    m = gates.shape[-1] // 4
+    act = ad.sigmoid(gates)  # the candidate slice of this block goes unused
+    i, o = ad.slice_axis(act, -1, 0, m), ad.slice_axis(act, -1, 3 * m, 4 * m)
+    g = ad.tanh(ad.slice_axis(gates, -1, 2 * m, 3 * m))
+    c_new = i * g if c is None else (ad.slice_axis(act, -1, m, 2 * m) * c) + (i * g)
+    return c_new, o * ad.tanh(c_new)
+
+
 def lstm_step(weights: tuple[Tensor, Tensor], x: Tensor, state: tuple[Tensor, Tensor]):
     """One LSTM transition from :meth:`LstmCellParams.gate_weights`: one [x|h]
-    GEMM and one sigmoid for the whole gate block, tanh on its candidate slice."""
+    GEMM for the whole gate block."""
     (w_t, b), (c, h) = weights, state
-    m = c.shape[-1]
-    gates = (ad.concat([x, h]) @ w_t) + b
-    act = ad.sigmoid(gates)  # the candidate slice of this block goes unused
-    i, f, o = (ad.slice_axis(act, -1, k * m, (k + 1) * m) for k in (0, 1, 3))
-    g = ad.tanh(ad.slice_axis(gates, -1, 2 * m, 3 * m))
-    c_new = (f * c) + (i * g)
-    h_new = o * ad.tanh(c_new)
-    return c_new, h_new
+    return _cell_update((ad.concat([x, h]) @ w_t) + b, c)
 
 
 def lstm_cell_step(params: LstmCellParams, x: Tensor, state: tuple[Tensor, Tensor]):
@@ -77,18 +82,27 @@ def lstm_cell_step(params: LstmCellParams, x: Tensor, state: tuple[Tensor, Tenso
     return lstm_step(params.gate_weights(), x, state)
 
 
-def _run_direction(params: LstmCellParams, inputs, order, carry_masks):
-    weights = params.gate_weights()
-    c = h = Tensor(np.zeros((inputs[0].shape[0], params.wh.shape[1])))
-    outputs = [None] * len(inputs)
+def _run_direction(params: LstmCellParams, x1: Tensor, batch: int, order, carry_masks):
+    """One direction over the stacked [T*B, d+1] block ``x1`` (inputs with
+    a column of ones): the input projection and bias of every step are one
+    GEMM, each step adds h @ wh^T to its rows of it."""
+    m = params.wh.shape[1]
+    bias_col = ad.reshape(params.b, (4 * m, 1))
+    projected = x1 @ ad.transpose(ad.concat([params.wx, bias_col]))  # [T*B, 4m]
+    wh_t = ad.transpose(params.wh)
+    c = h = None  # the zero state
+    outputs = [None] * len(carry_masks)
     for t in order:
-        c_new, h_new = lstm_step(weights, inputs[t], (c, h))
+        gates = ad.slice_axis(projected, 0, t * batch, (t + 1) * batch)
+        if h is not None:
+            gates = gates + (h @ wh_t)
+        c_new, h_new = _cell_update(gates, c)
         if carry_masks[t] is not None:
             keep, hold = carry_masks[t]
-            c = (c_new * keep) + (c * hold)
-            h = (h_new * keep) + (h * hold)
-        else:
-            c, h = c_new, h_new
+            c_new, h_new = c_new * keep, h_new * keep
+            if c is not None:
+                c_new, h_new = c_new + (c * hold), h_new + (h * hold)
+        c, h = c_new, h_new
         outputs[t] = h
     return outputs, c, h
 
@@ -116,9 +130,12 @@ def bidirectional_layer(
     """
     if len(inputs) == 0:
         raise ValueError("bidirectional layer needs a nonempty input sequence")
-    masks = _carry_masks(lengths, len(inputs))
-    fwd_out, fwd_c, fwd_h = _run_direction(fwd, inputs, range(len(inputs)), masks)
-    bwd_out, _, _ = _run_direction(bwd, inputs, range(len(inputs) - 1, -1, -1), masks)
+    steps, (batch, width) = len(inputs), inputs[0].shape
+    masks = _carry_masks(lengths, steps)
+    rows = ad.reshape(ad.stack(inputs), (steps * batch, width))
+    x1 = ad.concat([rows, Tensor(np.ones((steps * batch, 1)))])
+    fwd_out, fwd_c, fwd_h = _run_direction(fwd, x1, batch, range(steps), masks)
+    bwd_out, _, _ = _run_direction(bwd, x1, batch, range(steps - 1, -1, -1), masks)
     outputs = [f + b for f, b in zip(fwd_out, bwd_out)]
     return outputs, ad.concat([fwd_c, fwd_h])
 

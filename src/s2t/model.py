@@ -144,6 +144,7 @@ class Seq2SeqModel:
         return AttentionParams(
             enc_w=tensors["attn.enc_w"],
             state_w=tensors["attn.state_w"],
+            state_w_t=ad.transpose(tensors["attn.state_w"]),
             bias=tensors["attn.bias"],
             score_v=tensors["attn.score_v"],
             conv_gate=tensors["attn.conv_gate"] if conv else None,
@@ -191,12 +192,16 @@ class Seq2SeqModel:
         h, enc_mask, final = self.encode(tensors, batch.src, batch.src_lengths, train, rng)
         core = self.decoder(tensors, h, enc_mask, train, rng)
         state = core.init_state(final)
-        picked, attn_rows = [], []
+        merged, attn_rows = [], []
         for t in range(batch.dec_in.shape[1]):
-            state, dist, weights = core.step(state, batch.dec_in[:, t])
+            state, out, weights = core.advance(state, batch.dec_in[:, t])
             attn_rows.append(weights)
-            picked.append(ad.pick(dist, batch.dec_out[:, t]))
-        logp = ad.log(ad.stack(picked)) * Tensor(batch.tgt_mask.T)  # [T, B]
+            merged.append(out)
+        # the output layer runs once over all [T*B] time-major rows
+        rows = ad.stack(merged)
+        dist = core.output(ad.reshape(rows, (rows.shape[0] * rows.shape[1], rows.shape[2])))
+        picked = ad.pick(dist, batch.dec_out.T.reshape(-1))
+        logp = ad.log(picked) * Tensor(batch.tgt_mask.T.reshape(-1))
         loss = ad.tsum(logp).scaled(-1.0 / batch.real_token_count)
         return (loss, attn_rows) if collect_attention else loss
 
@@ -272,9 +277,9 @@ class DecoderCore:
         layers.append((ad.slice_axis(s0, -1, 0, m), ad.slice_axis(s0, -1, m, 2 * m)))
         return DecoderState(layers=layers, attn_weights=None)
 
-    def step(self, state: DecoderState, prev_ids: np.ndarray):
-        """Advance one target position; returns (state', distribution [B, V],
-        attention weights [B, A'])."""
+    def advance(self, state: DecoderState, prev_ids: np.ndarray):
+        """Advance one target position up to the output layer; returns
+        (state', merge output [B, m], attention weights [B, A'])."""
         cfg = self.config
         x = ad.embedding(self.embed, prev_ids)
         new_layers = []
@@ -295,9 +300,18 @@ class DecoderCore:
         if mask.shape[0] != scores.shape[0]:  # beams share one encoded source
             mask = np.broadcast_to(mask, scores.shape)
         weights, context = attend(scores, self.h, mask)
-        projected = (ad.concat([top_h, context]) @ self.merge_w_t) + self.merge_b
-        dist = ad.softmax((projected @ self.vocab_w_t) + self.vocab_b)
-        return DecoderState(layers=new_layers, attn_weights=weights), dist, weights
+        merged = (ad.concat([top_h, context]) @ self.merge_w_t) + self.merge_b
+        return DecoderState(layers=new_layers, attn_weights=weights), merged, weights
+
+    def output(self, merged: Tensor) -> Tensor:
+        """Softmax over the target vocabulary of merge outputs [rows, m]."""
+        return ad.softmax((merged @ self.vocab_w_t) + self.vocab_b)
+
+    def step(self, state: DecoderState, prev_ids: np.ndarray):
+        """Advance one target position; returns (state', distribution [B, V],
+        attention weights [B, A'])."""
+        state, merged, weights = self.advance(state, prev_ids)
+        return state, self.output(merged), weights
 
 
 def gather_state(state: DecoderState, index: np.ndarray) -> DecoderState:

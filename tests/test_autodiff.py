@@ -13,6 +13,9 @@ from s2t.autodiff import (
     backprop,
     gradient_check,
 )
+from s2t.corpus import make_batch
+
+from util import build_tiny_model, random_speech_source, random_text_source, randomize
 
 
 def t(values):
@@ -155,6 +158,90 @@ def test_unreachable_parameter_gets_zero_gradient():
         loss = ad.tsum(w)
     grads = backprop(tape, loss)
     np.testing.assert_array_equal(grads["u"].data, [0.0])
+
+
+def test_partial_gradients_accumulate_like_the_dense_rule():
+    """One node read by overlapping slices, a pick, an embedding with
+    repeated ids and a dense consumer: backprop adds the partial gradients
+    in place, bit-identical to zero-filled gradients summed in tape order."""
+    rng = np.random.default_rng(5)
+    x0 = rng.normal(size=(4, 6))
+    pick_ids, embed_ids = np.array([5, 0, 5, 2]), np.array([1, 3, 1, 1, 5])
+    consumers = [
+        lambda x: ad.slice_axis(x, 1, 0, 4),
+        lambda x: ad.slice_axis(x, 1, 2, 6),
+        lambda x: ad.slice_axis(x, 0, 1, 3),
+        lambda x: ad.pick(x, pick_ids),
+        lambda x: ad.embedding(x, embed_ids),
+        lambda x: ad.tanh(x),
+    ]
+    tape = Tape()
+    with tape:
+        x = t(x0)
+        tape.watch("x", x)
+        weights, loss = [], None
+        for consumer in consumers:
+            part = consumer(x)
+            weights.append(rng.normal(size=part.shape))
+            term = ad.tsum(part * t(weights[-1]))
+            loss = term if loss is None else loss + term
+    got = backprop(tape, loss)["x"].data
+
+    def dense(k, w):
+        dx = np.zeros_like(x0)
+        if k == 0:
+            dx[:, 0:4] = w
+        elif k == 1:
+            dx[:, 2:6] = w
+        elif k == 2:
+            dx[1:3] = w
+        elif k == 3:
+            dx[np.arange(4), pick_ids] = w
+        elif k == 4:
+            np.add.at(dx.T, embed_ids, w)
+        else:
+            dx = w * (1.0 - np.tanh(x0) ** 2)
+        return dx
+
+    want = None
+    for k in reversed(range(len(consumers))):
+        want = dense(k, weights[k]) if want is None else want + dense(k, weights[k])
+    np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("task", ["text", "speech"])
+def test_backprop_writes_only_buffers_it_allocated(monkeypatch, task):
+    """Tape values and every array a backward rule hands out (concat and
+    stack views, the broadcast of sum, slice and pick values) are unchanged
+    after backprop, and the tape still replays exactly."""
+    handed = []
+
+    def recording(backward):
+        def wrapped(g, d, out, a):
+            grads = backward(g, d, out, a)
+            for gi in grads:
+                arr = gi.value if isinstance(gi, ad.IndexedGrad) else gi
+                if arr is not None:
+                    handed.append((arr, arr.copy()))
+            return grads
+        return wrapped
+
+    for kind, prim in list(ad._PRIMITIVES.items()):
+        monkeypatch.setitem(ad._PRIMITIVES, kind, ad.Primitive(prim.forward, recording(prim.backward)))
+    rng = np.random.default_rng(4)
+    model = randomize(build_tiny_model(task=task, m=4, n=3, src_words=7, tgt_words=7, seed=3), seed=9)
+    sources = ([random_text_source(rng, 7) for _ in range(3)] if task == "text"
+               else [random_speech_source(rng) for _ in range(3)])
+    batch = make_batch(sources, [[4, 5, 6], [5], [6, 4]])
+    tape = Tape()
+    with tape:
+        loss = model.batch_nll(model.store.watch(tape), batch)
+    before = [v.copy() for v in tape.values]
+    backprop(tape, loss)
+    assert all(np.array_equal(v, b) for v, b in zip(tape.values, before))
+    assert len(handed) > len(tape.entries)
+    assert all(np.array_equal(arr, snapshot) for arr, snapshot in handed)
+    assert tape.replay()
 
 
 def test_tape_replay_is_exact():

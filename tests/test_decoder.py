@@ -7,7 +7,7 @@ from s2t.corpus import BOS_ID, EOS_ID, PAD_ID, Batch, make_batch
 from s2t.model import DivergenceError
 
 from oracles import text_forward_oracle
-from util import build_tiny_model, random_speech_source
+from util import build_tiny_model, random_speech_source, random_text_source, randomize
 
 
 def zeroed(model):
@@ -171,6 +171,31 @@ def test_loss_matches_scalar_oracle():
     dists = text_forward_oracle(values, 2, src, [BOS_ID] + tgt)
     expected = -(np.log(dists[0][tgt[0]]) + np.log(dists[1][tgt[1]]) + np.log(dists[2][EOS_ID])) / 3
     assert model.sequence_nll(src, tgt) == pytest.approx(expected, abs=1e-12)
+
+
+@pytest.mark.parametrize("task", ["text", "speech"])
+@pytest.mark.parametrize("attention", ["additive", "conv"])
+def test_batched_output_layer_matches_per_step(task, attention):
+    """batch_nll's one output layer over all target steps equals core.step
+    then pick at each step, on ragged sources and targets."""
+    rng = np.random.default_rng(21)
+    model = randomize(build_tiny_model(task=task, m=5, n=4, src_words=9, tgt_words=9, seed=6,
+                                       attention=attention, conv_filter_size=3), seed=12)
+    sources = ([random_text_source(rng, 9, 2, 7) for _ in range(4)] if task == "text"
+               else [random_speech_source(rng, min_len=4, max_len=14) for _ in range(4)])
+    targets = [[int(i) for i in rng.integers(4, 9, n)] for n in (1, 4, 2, 6)]
+    batch = make_batch(sources, targets)
+    tensors = model.store.as_tensors()
+    got = model.batch_nll(tensors, batch).item()
+
+    h, enc_mask, final = model.encode(tensors, batch.src, batch.src_lengths)
+    core = model.decoder(tensors, h, enc_mask)
+    state, total = core.init_state(final), 0.0
+    for t in range(batch.dec_in.shape[1]):
+        state, dist, _ = core.step(state, batch.dec_in[:, t])
+        picked = ad.pick(dist, batch.dec_out[:, t]).data
+        total += float((np.log(picked) * batch.tgt_mask[:, t]).sum())
+    assert got == pytest.approx(-total / batch.real_token_count, rel=1e-12, abs=0)
 
 
 @pytest.mark.parametrize("task, src_len, limit", [("text", 5, 475), ("speech", 6, 535)])

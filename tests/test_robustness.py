@@ -2,6 +2,8 @@
 checkpoint in exit code 3, and a failed save never damages the previous
 checkpoint."""
 
+import contextlib
+import io
 import struct
 
 import numpy as np
@@ -11,7 +13,9 @@ from hypothesis import given, settings, strategies as st
 import s2t.checkpoint as checkpoint
 from s2t.audio import ARCHIVE_MAGIC, FEATURE_DIM, read_feature_archive, write_feature_archive
 from s2t.checkpoint import load_checkpoint, save_checkpoint
+from s2t.cli import main
 from s2t.lm import load_lm, save_lm, train_trigram
+from s2t.model import parameter_shapes
 from s2t.search import _top_k, beam_search
 
 from test_cli import TRAIN_FLAGS, run
@@ -187,21 +191,25 @@ _MUTATION = st.one_of(
 )
 
 
+def _mutated(blob: bytes, mutations) -> bytes:
+    out = bytearray(blob)
+    for kind, *args in mutations:
+        if kind == "cut":
+            out = out[:int(args[0] * len(out))]
+        elif kind == "flip" and out:
+            out[min(int(args[0] * len(out)), len(out) - 1)] ^= args[1]
+        elif kind == "tail":
+            out += args[0]
+    return bytes(out)
+
+
 @settings(max_examples=150, derandomize=True, database=None, deadline=None)
 @given(mutations=st.lists(_MUTATION, min_size=1, max_size=3))
 def test_mutated_lm_file_fails_typed_or_loads_sane(tmp_path_factory, mutations):
     """Truncation, byte flips and trailing bytes either fail with ValueError
     or load a model whose every context distribution is finite and positive."""
     path = _lm_file(tmp_path_factory.mktemp("lm") / "mutated.lm")
-    blob = bytearray(path.read_bytes())
-    for kind, *args in mutations:
-        if kind == "cut":
-            blob = blob[:int(args[0] * len(blob))]
-        elif kind == "flip" and blob:
-            blob[min(int(args[0] * len(blob)), len(blob) - 1)] ^= args[1]
-        elif kind == "tail":
-            blob += args[0]
-    path.write_bytes(bytes(blob))
+    path.write_bytes(_mutated(path.read_bytes(), mutations))
     try:
         model = load_lm(path)
     except ValueError:
@@ -212,6 +220,41 @@ def test_mutated_lm_file_fails_typed_or_loads_sane(tmp_path_factory, mutations):
             dist = model.context_distribution(u, v)
             assert dist.shape == (size,)
             assert np.isfinite(dist).all() and (dist > 0).all()
+
+
+@pytest.fixture(scope="module")
+def text_checkpoint(tmp_path_factory):
+    path = tmp_path_factory.mktemp("ckpt") / "text.ckpt"
+    save_checkpoint(path, randomize(build_tiny_model(m=3, n=3, src_words=5, tgt_words=5), seed=5))
+    inp = path.parent / "in.txt"
+    inp.write_text("t0 t1 t2\nt3\n")
+    return path.read_bytes(), inp
+
+
+@settings(max_examples=120, derandomize=True, database=None, deadline=None)
+@given(mutations=st.lists(_MUTATION, min_size=1, max_size=3))
+def test_mutated_checkpoint_fails_typed_or_loads_sane(tmp_path_factory, text_checkpoint, mutations):
+    """Truncation, byte flips and trailing bytes either fail to load with
+    ValueError (CheckpointError among them), and ``translate`` exits 2, or
+    load with every parameter at its declared shape.  ``translate`` then
+    exits 0, or 3 when a flipped float32 is no longer finite: the format has
+    no checksum, so such a file reads like a diverged checkpoint."""
+    blob, inp = text_checkpoint
+    path = tmp_path_factory.mktemp("mutated") / "mutated.ckpt"
+    path.write_bytes(_mutated(blob, mutations))
+    try:
+        model = load_checkpoint(path)
+    except ValueError:
+        model = None
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(["translate", "--checkpoint", str(path), "--input", str(inp), "--beam-size", "2"])
+    if model is None:
+        assert code == 2
+        return
+    shapes = parameter_shapes(model.config, len(model.src_vocab), len(model.tgt_vocab))
+    assert {n: model.store.value(n).shape for n in model.store.names()} == shapes
+    finite = all(np.isfinite(model.store.value(n)).all() for n in model.store.names())
+    assert code == 0 if finite else code in (0, 3)
 
 
 @pytest.mark.parametrize("flag, value", [("--beam-size", "0"), ("--max-len", "0"),
