@@ -8,7 +8,7 @@ and weights are [B, A].
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -29,11 +29,14 @@ class AttentionParams:
     score_v: Tensor                      # [m]
     conv_gate: Optional[Tensor] = None   # [m], convolutional variant only
     conv_filter: Optional[Tensor] = None  # [k], k odd
-    state_w_t: Optional[Tensor] = None   # [2m, m], state_w transposed once per pass
+    # [2m, m], transposed once on construction: build the params inside the
+    # pass (and on the tape) that uses them.
+    state_w_t: Tensor = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.conv_filter is not None and self.conv_filter.shape[0] % 2 != 1:
             raise ValueError(f"attention filter length must be odd, got {self.conv_filter.shape[0]}")
+        self.state_w_t = ad.transpose(self.state_w)
 
 
 def project_encoder(params: AttentionParams, h: Tensor) -> Tensor:
@@ -44,8 +47,7 @@ def project_encoder(params: AttentionParams, h: Tensor) -> Tensor:
 def _scores(params, h, state, conv_term, enc_proj):
     if enc_proj is None:
         enc_proj = project_encoder(params, h)
-    state_w_t = ad.transpose(params.state_w) if params.state_w_t is None else params.state_w_t
-    inner = enc_proj + ((state @ state_w_t) + params.bias)
+    inner = enc_proj + ((state @ params.state_w_t) + params.bias)
     if conv_term is not None:
         inner = inner + conv_term
     return ad.transpose(ad.tanh(inner) @ params.score_v)  # [A, B] -> [B, A]

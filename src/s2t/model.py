@@ -144,7 +144,6 @@ class Seq2SeqModel:
         return AttentionParams(
             enc_w=tensors["attn.enc_w"],
             state_w=tensors["attn.state_w"],
-            state_w_t=ad.transpose(tensors["attn.state_w"]),
             bias=tensors["attn.bias"],
             score_v=tensors["attn.score_v"],
             conv_gate=tensors["attn.conv_gate"] if conv else None,
