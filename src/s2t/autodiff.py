@@ -633,21 +633,22 @@ class ParameterStore:
     counter round-trip through checkpoint files.  Updates replace parameter
     arrays rather than mutating them, so tensors handed out earlier stay
     valid; the moment buffers belong to the store and are updated in place.
+    The buffers are built on first use, so a store that only decodes never
+    allocates them.
     """
 
     def __init__(self):
         self._values: dict[str, np.ndarray] = {}
-        self._m1: dict[str, np.ndarray] = {}
-        self._m2: dict[str, np.ndarray] = {}
+        # None (zeros) or the arrays given to set_moments, until first use
+        self._m1: dict[str, Optional[np.ndarray]] = {}
+        self._m2: dict[str, Optional[np.ndarray]] = {}
         self.step = 0
 
     def add(self, name: str, value) -> None:
         if name in self._values:
             raise ValueError(f"parameter {name!r} already exists")
-        arr = np.array(value, dtype=np.float64)
-        self._values[name] = arr
-        self._m1[name] = np.zeros_like(arr)
-        self._m2[name] = np.zeros_like(arr)
+        self._values[name] = np.array(value, dtype=np.float64)
+        self._m1[name] = self._m2[name] = None
 
     def __contains__(self, name: str) -> bool:
         return name in self._values
@@ -664,13 +665,17 @@ class ParameterStore:
         self._values[name] = np.asarray(value, dtype=np.float64)
 
     def moments(self, name: str) -> tuple[np.ndarray, np.ndarray]:
+        """The two moment buffers, writable float64."""
+        for buffers in (self._m1, self._m2):
+            held = buffers[name]
+            buffers[name] = (np.zeros_like(self._values[name]) if held is None
+                             else np.require(held, np.float64, "W"))
         return self._m1[name], self._m2[name]
 
     def set_moments(self, name: str, m1: np.ndarray, m2: np.ndarray) -> None:
-        """The store takes the arrays as its buffers (copied only when they
-        are not writable float64)."""
-        self._m1[name] = np.require(m1, np.float64, "W")
-        self._m2[name] = np.require(m2, np.float64, "W")
+        """The store takes the arrays as its buffers (copied on first use
+        when they are not writable float64)."""
+        self._m1[name], self._m2[name] = m1, m2
 
     def as_tensors(self) -> dict[str, Tensor]:
         return {name: Tensor(arr) for name, arr in self._values.items()}
@@ -707,7 +712,7 @@ def adam_update(
     c2 = 1.0 - beta2 ** store.step
     for name, grad in grads.items():
         g = grad.data if isinstance(grad, Tensor) else np.asarray(grad, dtype=np.float64)
-        m, v = store._m1[name], store._m2[name]
+        m, v = store.moments(name)
         m *= beta1
         m += (1.0 - beta1) * g
         gg = g * g

@@ -99,11 +99,12 @@ def _write_checkpoint(fh, model: Seq2SeqModel) -> None:
 
 class _Reader:
     def __init__(self, blob: bytes, path):
-        self.blob = blob
+        self.blob = memoryview(blob)
         self.pos = 0
         self.path = path
 
-    def take(self, count: int) -> bytes:
+    def take(self, count: int) -> memoryview:
+        """The next ``count`` bytes, as a view into the blob."""
         if self.pos + count > len(self.blob):
             raise CheckpointError(f"{self.path}: truncated checkpoint")
         out = self.blob[self.pos : self.pos + count]
@@ -120,14 +121,14 @@ class _Reader:
         return struct.unpack("<I", self.take(4))[0]
 
     def text(self) -> str:
-        return self.take(self.u32()).decode("utf-8")
+        return str(self.take(self.u32()), "utf-8")
 
 
 def load_checkpoint(path) -> Seq2SeqModel:
     with open(path, "rb") as fh:
         blob = fh.read()
     reader = _Reader(blob, path)
-    if reader.take(8) != MAGIC:
+    if bytes(reader.take(8)) != MAGIC:
         raise CheckpointError(f"{path}: not a checkpoint file (bad magic)")
     version = reader.u32()
     if version != VERSION:
@@ -158,16 +159,15 @@ def load_checkpoint(path) -> Seq2SeqModel:
 
     store = ParameterStore()
     for _ in range(reader.u32()):
-        name = reader.take(reader.u16()).decode("utf-8")
+        name = str(reader.take(reader.u16()), "utf-8")
         ndim = reader.u8()
         shape = struct.unpack(f"<{ndim}I", reader.take(4 * ndim))
         count = int(np.prod(shape)) if shape else 1
-        arrays = []
-        for _ in range(3):
-            arr = np.frombuffer(reader.take(4 * count), dtype="<f4")
-            arrays.append(arr.astype(np.float64).reshape(shape))
-        store.add(name, arrays[0])
-        store.set_moments(name, arrays[1], arrays[2])
+        value, m1, m2 = (np.frombuffer(reader.take(4 * count), dtype="<f4").reshape(shape)
+                         for _ in range(3))
+        store.add(name, value)
+        # the moments stay float32 views of the file until training reads them
+        store.set_moments(name, m1, m2)
     store.step = step
     if reader.pos != len(blob):
         raise CheckpointError(f"{path}: trailing bytes after checkpoint payload")

@@ -29,7 +29,7 @@ from .config import ConfigError, RunConfig, load_config
 from .corpus import ParallelCorpus, Vocabulary, read_lines, tokenize
 from .lm import DEFAULT_LAMBDAS, load_lm, save_lm, train_trigram
 from .model import DivergenceError, Seq2SeqModel
-from .search import FusionWeights, beam_search, check_limits, greedy_decode
+from .search import FusionWeights, beam_search, check_limits, decode_batch, greedy_decode
 from .training import train_loop
 
 
@@ -172,6 +172,15 @@ def _load_ensemble(paths) -> list[Seq2SeqModel]:
     return models
 
 
+def _decode_one(models, source, index: int, options: dict):
+    """One input's decode, or None (with a note) when it cannot be decoded."""
+    try:
+        return beam_search(models, source, **options)
+    except ValueError as exc:
+        print(f"input {index}: {exc}; emitting empty line", file=sys.stderr)
+        return None
+
+
 def cmd_translate(args) -> int:
     models = _load_ensemble(args.checkpoint)
     lm = load_lm(args.lm) if args.lm else None
@@ -181,20 +190,19 @@ def cmd_translate(args) -> int:
     check_limits(args.beam_size, args.max_len)
     sources = _model_inputs(models[0], _read_sources(args.input, models[0].config.task))
 
-    lines = []
-    for index, source in enumerate(sources):
-        if len(source) == 0:
-            lines.append("")
-            continue
+    options = dict(beam_size=args.beam_size, lm=lm, weights=weights, max_len=args.max_len,
+                   length_norm=args.length_norm, rescore_only=args.rescore_only)
+    lines = [""] * len(sources)  # empty inputs stay empty lines
+    todo = [index for index, source in enumerate(sources) if len(source)]
+    size = models[0].config.batch_size
+    for group in (todo[i:i + size] for i in range(0, len(todo), size)):
         try:
-            result = beam_search(models, source, beam_size=args.beam_size, lm=lm,
-                                 weights=weights, max_len=args.max_len,
-                                 length_norm=args.length_norm, rescore_only=args.rescore_only)
-        except ValueError as exc:
-            print(f"input {index}: {exc}; emitting empty line", file=sys.stderr)
-            lines.append("")
-            continue
-        lines.append(" ".join(models[0].tgt_vocab.decode_sequence(result.tokens)))
+            results = decode_batch(models, [sources[index] for index in group], **options)
+        except ValueError:  # one input spoils its group: decode the group input by input
+            results = [_decode_one(models, sources[index], index, options) for index in group]
+        for index, result in zip(group, results):
+            if result is not None:
+                lines[index] = " ".join(models[0].tgt_vocab.decode_sequence(result.tokens))
 
     text = "".join(line + "\n" for line in lines)
     if args.output:

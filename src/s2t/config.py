@@ -93,8 +93,11 @@ def parse_config_items(items) -> dict:
 
 
 def load_config(path) -> RunConfig:
-    with open(path, encoding="utf-8") as fh:
-        return RunConfig(**parse_config_items(fh))
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return RunConfig(**parse_config_items(fh))
+    except UnicodeDecodeError:
+        raise ConfigError(f"{path}: not UTF-8 text") from None
 
 
 def config_from_lines(lines) -> RunConfig:

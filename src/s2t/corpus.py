@@ -113,7 +113,9 @@ class Batch:
         return float(self.tgt_mask.sum())
 
 
-def _pad_sources(sources: list) -> tuple[np.ndarray, np.ndarray]:
+def pad_sources(sources: list) -> tuple[np.ndarray, np.ndarray]:
+    """Token-id ([B, S], PAD-filled) or feature ([B, S, D], zero-filled)
+    block of ``sources`` with their lengths."""
     lengths = np.array([len(s) for s in sources], dtype=np.int64)
     smax = int(lengths.max())
     first = np.asarray(sources[0])
@@ -144,7 +146,7 @@ def _pad_targets(targets: list[list[int]]) -> tuple[np.ndarray, np.ndarray, np.n
 
 
 def make_batch(sources: list, targets: list[list[int]]) -> Batch:
-    src, lengths = _pad_sources(sources)
+    src, lengths = pad_sources(sources)
     dec_in, dec_out, mask = _pad_targets(targets)
     return Batch(src, lengths, dec_in, dec_out, mask)
 

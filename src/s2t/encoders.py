@@ -177,8 +177,9 @@ def pyramidal_encode(
     if len(layers) != config.layer_count:
         raise ValueError(f"expected {config.layer_count} layers, got {len(layers)}")
     min_len = 2 ** sum(1 for i in range(1, config.layer_count + 1) if i in config.subsample_layers)
-    if len(inputs) < min_len:
-        raise ValueError(f"input too short: {len(inputs)} steps, need at least {min_len}")
+    shortest = len(inputs) if lengths is None else int(np.min(lengths))
+    if shortest < min_len:  # every row of a padded batch must be long enough
+        raise ValueError(f"input too short: {shortest} steps, need at least {min_len}")
 
     seq = list(inputs)
     seq_lengths = None if lengths is None else np.asarray(lengths)

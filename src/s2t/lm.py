@@ -179,47 +179,76 @@ def load_lm(path) -> TrigramModel:
 
 
 def _parse_lm(lines: list[str]) -> TrigramModel:
-    rows = iter(lines)
+    pos = 0
 
-    def line() -> str:
-        text = next(rows, None)
-        if text is None:
+    def block(count: int) -> list[str]:
+        nonlocal pos
+        if count < 0:
+            raise ValueError(f"negative count {count} in the header")
+        if pos + count > len(lines):
             raise ValueError("truncated language model file")
-        return text
+        pos += count
+        return lines[pos - count:pos]
 
     def take(prefix: str) -> str:
-        text = line()
+        text = block(1)[0]
         if not text.startswith(prefix):
             raise ValueError(f"expected {prefix!r}, found {text!r}")
         return text[len(prefix):]
 
-    def records(section: str, width: int):
-        # each record is ``width`` token ids in [0, vocab) and a count in
-        # [1, 2^32), which keeps the int64 unigram total from wrapping
-        for _ in range(int(take(f"{section}="))):
-            text = line()
-            fields = [int(x) for x in text.split()]
-            if (len(fields) != width + 1 or min(fields) < 0 or not 0 < fields[-1] < 2**32
-                    or max(fields[:-1]) >= vocab_size):
-                raise ValueError(f"bad {section} record {text!r}")
-            yield fields
-
-    if line() != LM_MAGIC:
+    if block(1)[0] != LM_MAGIC:
         raise ValueError("not a language model file")
     if take("order=") != "3":
         raise ValueError("unsupported model order")
     lambdas = tuple(float(take(f"lambda{i}=")) for i in (1, 2, 3))
     vocab_size = int(take("vocab="))
-    vocab = Vocabulary.from_tokens([line() for _ in range(vocab_size)])
+    vocab = Vocabulary.from_tokens(block(vocab_size))
+    sections = [_records(block(int(take(f"{section}="))), section, width, vocab_size)
+                for section, width in (("unigrams", 1), ("bigrams", 2), ("trigrams", 3))]
+    if any(text.strip() for text in lines[pos:]):
+        raise ValueError("trailing content after the trigram records")
     unigrams = np.zeros(vocab_size, dtype=np.int64)
-    for w, c in records("unigrams", 1):
+    for w, c in sections[0].tolist():
         unigrams[w] = c
     bigram: dict = {}
-    for v, w, c in records("bigrams", 2):
+    for v, w, c in sections[1].tolist():
         bigram.setdefault(v, {})[w] = c
     trigram: dict = {}
-    for u, v, w, c in records("trigrams", 3):
+    for u, v, w, c in sections[2].tolist():
         trigram.setdefault((u, v), {})[w] = c
-    if any(text.strip() for text in rows):
-        raise ValueError("trailing content after the trigram records")
     return TrigramModel(vocab, lambdas, unigrams, bigram, trigram)
+
+
+def _records(texts: list[str], section: str, width: int, vocab_size: int) -> np.ndarray:
+    """One section's records as a [count, width + 1] int64 array; the first
+    bad record (see :func:`_bad_record`) is quoted.
+
+    The section is split once, with a ``;`` token after each record: when
+    every ``width + 2``-th token is ``;`` and every other one an integer,
+    each record has exactly ``width + 1`` fields."""
+    step, count = width + 2, len(texts)
+    tokens = " ; ".join(texts).split()
+    tokens.append(";")
+    if len(tokens) == count * step and tokens[step - 1::step].count(";") == count:
+        del tokens[step - 1::step]
+        try:
+            grid = np.fromiter(map(int, tokens), np.int64, len(tokens)).reshape(count, width + 1)
+        except (ValueError, OverflowError):
+            grid = None
+        if grid is not None:
+            ids, counts = grid[:, :-1], grid[:, -1]
+            if not ((ids < 0) | (ids >= vocab_size)).any() and ((counts > 0) & (counts < 2**32)).all():
+                return grid
+    first = next(text for text in texts if _bad_record(text, width, vocab_size))
+    raise ValueError(f"bad {section} record {first!r}")
+
+
+def _bad_record(text: str, width: int, vocab_size: int) -> bool:
+    """A record is ``width`` token ids in [0, vocab) and a count in [1, 2^32),
+    which keeps the int64 unigram total from wrapping."""
+    try:
+        fields = [int(x) for x in text.split()]
+    except ValueError:
+        return True
+    return (len(fields) != width + 1 or min(fields) < 0 or not 0 < fields[-1] < 2**32
+            or max(fields[:-1]) >= vocab_size)

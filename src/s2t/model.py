@@ -10,6 +10,7 @@ target token.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from typing import Optional
 
@@ -261,9 +262,14 @@ class DecoderCore:
         self.attn = model.attention_params(tensors)
         self.enc_proj = project_encoder(self.attn, h)
 
-    @property
-    def positions(self) -> int:
-        return self.h.shape[0]
+    def select(self, sources: np.ndarray) -> "DecoderCore":
+        """This core with row i attending over batch entry ``sources[i]``:
+        the encoder block, its projection and the mask gathered by row."""
+        view = copy.copy(self)
+        view.h = Tensor(self.h.data[:, sources])
+        view.enc_proj = Tensor(self.enc_proj.data[:, sources])
+        view.enc_mask = self.enc_mask[sources]
+        return view
 
     def init_state(self, enc_final: Tensor) -> DecoderState:
         """s0 = tanh(init_w . final) becomes the top layer's (cell, hidden);
@@ -295,10 +301,7 @@ class DecoderCore:
             scores = convolutional_scores(self.attn, self.h, s_t, state.attn_weights, self.enc_proj)
         else:
             scores = additive_scores(self.attn, self.h, s_t, self.enc_proj)
-        mask = self.enc_mask
-        if mask.shape[0] != scores.shape[0]:  # beams share one encoded source
-            mask = np.broadcast_to(mask, scores.shape)
-        weights, context = attend(scores, self.h, mask)
+        weights, context = attend(scores, self.h, self.enc_mask)
         merged = (ad.concat([top_h, context]) @ self.merge_w_t) + self.merge_b
         return DecoderState(layers=new_layers, attn_weights=weights), merged, weights
 

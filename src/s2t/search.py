@@ -3,9 +3,11 @@ log-linear ensembles of independently trained models.  Greedy decoding
 is beam search of width 1, so "beam 1 equals greedy" holds by
 construction.
 
-Live hypotheses share one batched decoder state per model; after each
-step one ``gather_state`` by parent row moves every model's state to the
-surviving hypotheses.  All tie-breaking prefers the lowest flat index
+A list of sources decodes at once: the live hypotheses of every source
+share one batched decoder state per model, grouped by source, and after
+each step one ``gather_state`` by parent row moves every model's state to
+the surviving hypotheses.  Each source keeps its own beam, and all
+tie-breaking prefers the lowest flat index within the source's rows
 (parent row, then token id), so every decode is bit-reproducible.
 """
 
@@ -16,7 +18,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .corpus import BOS_ID, EOS_ID
+from .corpus import BOS_ID, EOS_ID, pad_sources
 from .lm import TrigramModel, fused_log_rows, lm_logprob, vocabulary_id_map
 from .model import DivergenceError, Seq2SeqModel, gather_state
 
@@ -75,16 +77,6 @@ def check_limits(beam_size: int, max_len: Optional[int]) -> None:
             raise ValueError(f"{name} must be >= 1, got {value}")
 
 
-def _prepare(model: Seq2SeqModel, source):
-    src = np.asarray(source)
-    block = src[None, :] if model.config.task == "text" else src[None, :, :]
-    lengths = np.array([block.shape[1]])
-    tensors = model.store.as_tensors()
-    h, enc_mask, final = model.encode(tensors, block, lengths)
-    core = model.decoder(tensors, h, enc_mask)
-    return core, final
-
-
 def greedy_decode(model: Seq2SeqModel, source, max_len: Optional[int] = None) -> DecodeResult:
     """Argmax token per step (ties to the lowest id); stops at EOS or
     ``max_len``.  Attention rows cover the emitted content tokens."""
@@ -118,19 +110,47 @@ def beam_search(
     length_norm: bool = False,
     rescore_only: bool = False,
 ) -> DecodeResult:
-    """Breadth-limited search over the fused per-step distribution
-    sum_j w_j ln p_j(w|.) + lm_weight * ln p_lm(w | last two tokens).
+    """:func:`decode_batch` of the one input ``source``."""
+    return decode_batch(models, [source], beam_size, lm, weights, max_len,
+                        length_norm, rescore_only)[0]
 
-    Finished hypotheses retire to a completed pool; the winner is the
-    completed hypothesis with the highest cumulative score (per-token
-    normalized when ``length_norm``), falling back to the best live
-    hypothesis if nothing finished.  With ``rescore_only`` the language
-    model is applied to the completed pool instead of during expansion.
+
+def _encode(model: Seq2SeqModel, sources: Sequence):
+    """Encode ``sources`` as one padded batch; returns the decoder core
+    (one source per row) and the encoder final states [S, 2m]."""
+    block, lengths = pad_sources(sources)
+    tensors = model.store.as_tensors()
+    h, enc_mask, final = model.encode(tensors, block, lengths)
+    return model.decoder(tensors, h, enc_mask), final
+
+
+def decode_batch(
+    models: Sequence[Seq2SeqModel],
+    sources: Sequence,
+    beam_size: int = 8,
+    lm: Optional[TrigramModel] = None,
+    weights: Optional[FusionWeights] = None,
+    max_len: Optional[int] = None,
+    length_norm: bool = False,
+    rescore_only: bool = False,
+) -> list[DecodeResult]:
+    """Breadth-limited search over the fused per-step distribution
+    sum_j w_j ln p_j(w|.) + lm_weight * ln p_lm(w | last two tokens),
+    one result per source.
+
+    The sources are encoded as one padded batch, and the live hypotheses
+    of every source share one row block per model, grouped by source; each
+    source keeps its own beam of ``beam_size``.  Finished hypotheses
+    retire to a per-source completed pool; the winner is the completed
+    hypothesis with the highest cumulative score (per-token normalized
+    when ``length_norm``), falling back to the best live hypothesis if
+    nothing finished.  With ``rescore_only`` the language model is
+    applied to the completed pool instead of during expansion.
     """
     if len(models) == 0:
         raise ValueError("beam search needs at least one model")
     check_limits(beam_size, max_len)
-    if len(source) == 0:
+    if len(sources) == 0 or any(len(source) == 0 for source in sources):
         raise ValueError("source is empty")
     weights = weights or FusionWeights(lm_weight=0.0)
     model_weights = weights.resolve(len(models))
@@ -139,63 +159,81 @@ def beam_search(
 
     cores, states = [], []
     for model in models:
-        core, final = _prepare(model, source)
+        core, final = _encode(model, sources)
         cores.append(core)
         states.append(core.init_state(final))
-    if max_len is None:
-        max_len = models[0].max_decode_length(cores[0].positions, len(source))
+    positions = [int(n) for n in cores[0].enc_mask.sum(axis=1)]  # per source
+    caps = [max_len or models[0].max_decode_length(n, len(source))
+            for n, source in zip(positions, sources)]
 
-    live = [Hypothesis(tokens=(BOS_ID,), score=0.0, attention=[])]
-    completed: list[Hypothesis] = []
-    overlong: list[Hypothesis] = []
+    live = [[Hypothesis(tokens=(BOS_ID,), score=0.0, attention=[])] for _ in sources]
+    completed: list[list[Hypothesis]] = [[] for _ in sources]
+    overlong: list[list[Hypothesis]] = [[] for _ in sources]
+    row_sources = np.arange(len(sources))  # the source of each row
+    views = list(cores)
 
-    while live:
-        prev_ids = np.array([hyp.tokens[-1] for hyp in live])
-        for j, core in enumerate(cores):
-            states[j], dist, attn = core.step(states[j], prev_ids)
+    while True:
+        rows = [hyp for beam in live for hyp in beam]
+        prev_ids = np.array([hyp.tokens[-1] for hyp in rows])
+        for j, view in enumerate(views):
+            states[j], dist, attn = view.step(states[j], prev_ids)
             scores = model_weights[j] * np.log(dist.data)
             if j == 0:
                 fused, weight_rows = scores, attn.data
             else:
                 fused += scores
         if fuse_lm:
-            for i, hyp in enumerate(live):
+            for i, hyp in enumerate(rows):
                 u, v = _lm_context(hyp.tokens)
                 fused[i] += weights.lm_weight * fused_log_rows(lm, id_map, u, v)
 
-        flat = (np.array([h.score for h in live])[:, None] + fused).reshape(-1)
-        if np.isnan(flat).any():
+        totals = np.array([h.score for h in rows])[:, None] + fused
+        if np.isnan(totals).any():
             raise DivergenceError("decoder scores are NaN")
-        next_live = []
         parents = []
-        for flat_idx in _top_k(flat, beam_size):
-            parent, token = divmod(int(flat_idx), fused.shape[1])
-            hyp = live[parent]
-            new = Hypothesis(
-                tokens=hyp.tokens + (token,),
-                score=float(flat[flat_idx]),
-                attention=hyp.attention if token == EOS_ID
-                else hyp.attention + [weight_rows[parent].copy()],
-                finished=token == EOS_ID,
-            )
-            if new.finished:
-                completed.append(new)
-            elif len(new.tokens) - 1 >= max_len:
-                overlong.append(new)
-            else:
-                next_live.append(new)
-                parents.append(parent)
-        if next_live and parents != list(range(len(live))):  # greedy's one row never moves
-            rows = np.array(parents)
-            states = [gather_state(state, rows) for state in states]
-        live = next_live
+        first = 0  # the source's first row
+        for s, beam in enumerate(live):
+            if not beam:
+                continue
+            flat = totals[first:first + len(beam)].reshape(-1)
+            live[s] = []
+            for flat_idx in _top_k(flat, beam_size):
+                parent, token = divmod(int(flat_idx), totals.shape[1])
+                hyp = beam[parent]
+                new = Hypothesis(
+                    tokens=hyp.tokens + (token,),
+                    score=float(flat[flat_idx]),
+                    attention=hyp.attention if token == EOS_ID
+                    else hyp.attention + [weight_rows[first + parent, :positions[s]].copy()],
+                    finished=token == EOS_ID,
+                )
+                if new.finished:
+                    completed[s].append(new)
+                elif len(new.tokens) - 1 >= caps[s]:
+                    overlong[s].append(new)
+                else:
+                    live[s].append(new)
+                    parents.append(first + parent)
+            first += len(beam)
+        if not parents:
+            break
+        if parents != list(range(len(rows))):  # greedy rows move only as sources finish
+            index = np.array(parents)
+            states = [gather_state(state, index) for state in states]
+            moved = row_sources[index]
+            if not np.array_equal(moved, row_sources):
+                row_sources = moved
+                views = [core.select(row_sources) for core in cores]
 
-    pool = completed if completed else overlong
-    best = max(pool, key=lambda h: (_rank_score(h, lm, id_map, weights, rescore_only, length_norm),
-                                    [-t for t in h.tokens]))
-    attention = (np.vstack(best.attention) if best.attention
-                 else np.zeros((0, cores[0].positions)))
-    return DecodeResult(best.content, attention, best.score, best.finished)
+    results = []
+    for s in range(len(sources)):
+        pool = completed[s] if completed[s] else overlong[s]
+        best = max(pool, key=lambda h: (_rank_score(h, lm, id_map, weights, rescore_only, length_norm),
+                                        [-t for t in h.tokens]))
+        attention = (np.vstack(best.attention) if best.attention
+                     else np.zeros((0, positions[s])))
+        results.append(DecodeResult(best.content, attention, best.score, best.finished))
+    return results
 
 
 def _rank_score(hyp: Hypothesis, lm, id_map, weights, rescore_only: bool, length_norm: bool) -> float:

@@ -16,7 +16,7 @@ from typing import Callable, Optional
 from .bleu import corpus_bleu
 from .corpus import ParallelCorpus, make_batches
 from .model import Seq2SeqModel
-from .search import greedy_decode
+from .search import decode_batch
 
 
 def _epoch_shuffle_seed(seed: int, epoch: int) -> int:
@@ -34,11 +34,12 @@ def dev_loss(model: Seq2SeqModel, corpus: ParallelCorpus) -> float:
 
 
 def dev_greedy_bleu(model: Seq2SeqModel, corpus: ParallelCorpus) -> float:
-    hyps, refs = [], []
-    for source, target in zip(corpus.sources, corpus.targets):
-        result = greedy_decode(model, source)
-        hyps.append(model.tgt_vocab.decode_sequence(result.tokens))
-        refs.append([model.tgt_vocab.decode_sequence(target)])
+    """Corpus BLEU of greedy decodes, in groups of ``batch_size`` sources."""
+    size = model.config.batch_size
+    hyps = [model.tgt_vocab.decode_sequence(result.tokens)
+            for start in range(0, len(corpus.sources), size)
+            for result in decode_batch([model], corpus.sources[start:start + size], beam_size=1)]
+    refs = [[model.tgt_vocab.decode_sequence(target)] for target in corpus.targets]
     return corpus_bleu(hyps, refs).score
 
 

@@ -34,6 +34,29 @@ def test_load_restores_everything(tmp_path):
             np.testing.assert_array_equal(got, want)
 
 
+def test_loaded_moments_continue_training_bit_exactly(tmp_path):
+    """A loaded store builds its float64 moments only when first asked;
+    an Adam step on it matches the same step on the store it was saved
+    from, values and moments bit for bit."""
+    from s2t.corpus import make_batch
+
+    model = build_tiny_model(task="text", m=3, n=3, seed=4, learning_rate=0.05)
+    batch = make_batch([[4, 5, 6], [7, 4]], [[5, 6], [4, 7, 8]])
+    for step in (1, 2):
+        model.train_step(batch, step)
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, model)
+    loaded = load_checkpoint(path)
+    for source in (model, loaded):
+        source.train_step(batch, 3)
+    for name in model.store.names():
+        np.testing.assert_array_equal(loaded.store.value(name), model.store.value(name))
+        for got, want in zip(loaded.store.moments(name), model.store.moments(name)):
+            assert got.dtype == np.float64 and got.flags.writeable
+            assert np.abs(want).max() > 0
+            np.testing.assert_array_equal(got, want)
+
+
 def test_save_quantizes_live_store_to_float32(tmp_path):
     model = build_tiny_model(m=3)
     save_checkpoint(tmp_path / "m.ckpt", model)

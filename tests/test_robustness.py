@@ -4,6 +4,7 @@ checkpoint."""
 
 import contextlib
 import io
+import re
 import struct
 
 import numpy as np
@@ -11,13 +12,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import s2t.checkpoint as checkpoint
-from s2t.audio import ARCHIVE_MAGIC, FEATURE_DIM, read_feature_archive, write_feature_archive
+from s2t.audio import (ARCHIVE_MAGIC, FEATURE_DIM, SUPPORTED_RATES, AudioFormatError, load_pcm_wav,
+                       read_feature_archive, write_feature_archive)
 from s2t.checkpoint import load_checkpoint, save_checkpoint
 from s2t.cli import main
+from s2t.config import ConfigError, RunConfig, config_from_lines, load_config
 from s2t.lm import load_lm, save_lm, train_trigram
 from s2t.model import parameter_shapes
 from s2t.search import _top_k, beam_search
 
+from test_audio import write_wav
 from test_cli import TRAIN_FLAGS, run
 from util import build_tiny_model, randomize
 
@@ -184,6 +188,31 @@ def test_lm_record_out_of_range_exits_2(tmp_path, capsys, section, record):
     assert out == ""
 
 
+@pytest.mark.parametrize("section, records, quoted", [
+    ("unigrams", ["4 1 ;", "5 2"], "4 1 ;"),       # a separator-like token
+    ("unigrams", ["4 ; 1", "5 2"], "4 ; 1"),
+    ("bigrams", ["4 5 1.5", "4 999 1"], "4 5 1.5"),  # the first of two bad records
+    ("bigrams", ["4 5", "4 5 1 1"], "4 5"),         # short, then long: same token total
+    ("trigrams", ["1 1 4 1", "1 1 4 2 7"], "1 1 4 2 7"),
+])
+def test_lm_first_bad_record_is_quoted(tmp_path, section, records, quoted):
+    path = _lm_file(tmp_path / "bad.lm")
+    lines = path.read_text().splitlines()
+    first = next(i for i, line in enumerate(lines) if line.startswith(section + "=")) + 1
+    lines[first:first + len(records)] = records
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=f"bad.lm: bad {section} record '{re.escape(quoted)}'$"):
+        load_lm(path)
+
+
+def test_lm_negative_record_count_is_rejected(tmp_path):
+    path = _lm_file(tmp_path / "neg.lm")
+    text = path.read_text()
+    path.write_text(text.replace("trigrams=", "trigrams=-", 1))
+    with pytest.raises(ValueError, match="neg.lm: negative count"):
+        load_lm(path)
+
+
 _MUTATION = st.one_of(
     st.tuples(st.just("cut"), st.floats(0.0, 1.0)),
     st.tuples(st.just("flip"), st.floats(0.0, 1.0), st.integers(1, 255)),
@@ -276,3 +305,107 @@ def test_beam_search_rejects_bad_limits(beam_size, max_len):
     model = build_tiny_model(m=3, n=3)
     with pytest.raises(ValueError, match="must be >= 1"):
         beam_search([model], [4, 5], beam_size=beam_size, max_len=max_len)
+
+
+@pytest.fixture(scope="module")
+def wav_blob(tmp_path_factory):
+    path = tmp_path_factory.mktemp("wav") / "clean.wav"
+    write_wav(path, np.random.default_rng(4).integers(-3000, 3000, 1600).tolist())  # 0.1 s
+    return path.read_bytes()
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(mutations=st.lists(_MUTATION, min_size=1, max_size=3))
+def test_mutated_wav_fails_typed_or_loads_sane(tmp_path_factory, wav_blob, mutations):
+    """Truncation, byte flips and trailing bytes either fail with
+    AudioFormatError, and ``extract-features`` exits 2, or load finite
+    samples in [-1, 1) at a supported rate, and ``extract-features`` exits
+    0 with one record of the frame count the 40 ms / 10 ms framing implies.
+    The format has no checksum, so a flip inside the samples loads."""
+    wav_dir = tmp_path_factory.mktemp("wavs")
+    path = wav_dir / "a.wav"
+    path.write_bytes(_mutated(wav_blob, mutations))
+    try:
+        audio = load_pcm_wav(path)
+    except AudioFormatError:
+        audio = None
+    out = wav_dir.parent / (wav_dir.name + ".feats")
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(["extract-features", "--wav-dir", str(wav_dir), "--output", str(out)])
+    if audio is None:
+        assert code == 2
+        return
+    assert audio.samples.ndim == 1 and audio.sample_rate in SUPPORTED_RATES
+    assert ((audio.samples >= -1.0) & (audio.samples < 1.0)).all()
+    assert code == 0
+    [(utt_id, frames)] = read_feature_archive(out)
+    window, hop = audio.sample_rate * 40 // 1000, audio.sample_rate * 10 // 1000
+    count = (len(audio.samples) - window) // hop + 1 if len(audio.samples) >= window else 0
+    assert utt_id == "a" and frames.shape == (count, FEATURE_DIM)
+    assert np.isfinite(frames).all()
+
+
+@pytest.fixture(scope="module")
+def archive_blob(tmp_path_factory):
+    path = tmp_path_factory.mktemp("feats") / "clean.feats"
+    rng = np.random.default_rng(6)
+    write_feature_archive(path, [(f"u{i}", rng.normal(size=(n, FEATURE_DIM)).astype(np.float32))
+                                 for i, n in enumerate((6, 9))])
+    return path.read_bytes(), _speech_checkpoint(path.parent)
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(mutations=st.lists(_MUTATION, min_size=1, max_size=3))
+def test_mutated_archive_fails_typed_or_round_trips(tmp_path_factory, archive_blob, mutations):
+    """Truncation, byte flips and trailing bytes either fail with
+    ValueError, and ``translate`` exits 2, or read records of 41-dim frames
+    that write back and read again unchanged; ``translate`` then exits 0,
+    or 3 when a flipped float32 is no longer finite (no checksum)."""
+    blob, ckpt = archive_blob
+    work = tmp_path_factory.mktemp("mutated")
+    path = work / "mutated.feats"
+    path.write_bytes(_mutated(blob, mutations))
+    try:
+        items = read_feature_archive(path)
+    except ValueError:
+        items = None
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(["translate", "--checkpoint", str(ckpt), "--input", str(path),
+                     "--beam-size", "2", "--max-len", "3"])
+    if items is None:
+        assert code == 2
+        return
+    write_feature_archive(work / "again.feats", items)
+    again = read_feature_archive(work / "again.feats")
+    assert [u for u, _ in again] == [u for u, _ in items]
+    assert all(np.array_equal(a, b, equal_nan=True) for (_, a), (_, b) in zip(again, items))
+    assert all(f.ndim == 2 and f.shape[1] == FEATURE_DIM for _, f in items)
+    finite = all(np.isfinite(f).all() for _, f in items)
+    assert code == 0 if finite else code in (0, 3)
+
+
+CONFIG_TEXT = "\n".join(RunConfig(task="speech", hidden_size=8, embed_size=8, dropout=0.25,
+                                  learning_rate=0.01, steps=40, max_vocab=30).to_lines()) + "\n"
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(mutations=st.lists(_MUTATION, min_size=1, max_size=3))
+def test_mutated_config_fails_typed_or_round_trips(tmp_path_factory, mutations):
+    """Truncation, byte flips and trailing bytes either fail with
+    ConfigError, and ``train`` exits 2 before it reads any data, or give a
+    valid configuration that writes back and reads again unchanged."""
+    work = tmp_path_factory.mktemp("config")
+    path = work / "run.cfg"
+    path.write_bytes(_mutated(CONFIG_TEXT.encode("utf-8"), mutations))
+    try:
+        config = load_config(path).resolved()
+    except ConfigError:
+        config = None
+    if config is None:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main(["train", "--config", str(path), "--train-src", str(work / "absent.src"),
+                         "--train-tgt", str(work / "absent.tgt"), "--save-dir", str(work / "run")])
+        assert code == 2
+        assert not (work / "run").exists()
+        return
+    assert config_from_lines(config.to_lines()).resolved().to_lines() == config.to_lines()
