@@ -88,6 +88,18 @@ class Tensor:
     def item(self) -> float:
         return float(self.data.reshape(()))
 
+    def __len__(self) -> int:
+        return len(self.data)
+
+    def __getitem__(self, key) -> "Tensor":
+        """``x[i]`` or ``x[start:stop:step]`` on axis 0, recorded as one ``slice``."""
+        if isinstance(key, slice):
+            start, stop, step = key.indices(len(self))
+            return apply_primitive("slice", (self,), axis=0, start=start, stop=stop, step=step)
+        if not -len(self) <= key < len(self):
+            raise IndexError(f"index {key} out of range for axis 0 of length {len(self)}")
+        return apply_primitive("slice", (self,), axis=0, index=key)
+
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape})"
 
@@ -455,7 +467,7 @@ def _slice_index(x, a) -> tuple:
     if not -x.ndim <= axis < x.ndim:
         raise ShapeMismatch(f"slice: axis {axis} out of range for shape {x.shape}")
     index = [slice(None)] * x.ndim
-    index[axis] = slice(a["start"], a["stop"])
+    index[axis] = a["index"] if "index" in a else slice(a["start"], a["stop"], a.get("step"))
     return tuple(index)
 
 
@@ -506,14 +518,14 @@ def _embedding_fwd(d, a):
         raise ShapeMismatch(
             f"embedding-lookup: token id out of range for table with {table.shape[1]} columns"
         )
-    return table[:, ids].T
+    return table.T[ids]  # ids.shape + (n,)
 
 
 def _embedding_bwd(g, d, out, a):
     # one column per distinct id, summed in row order before it meets the table
-    ids, inverse = np.unique(np.asarray(a["ids"]), return_inverse=True)
+    ids, inverse = np.unique(np.asarray(a["ids"]).reshape(-1), return_inverse=True)
     columns = np.zeros((d[0].shape[0], ids.size))
-    np.add.at(columns.T, inverse, g)
+    np.add.at(columns.T, inverse, g.reshape(-1, g.shape[-1]))
     return [IndexedGrad((slice(None), ids), columns)]
 
 

@@ -48,6 +48,10 @@ class RunConfig:
                 raise ConfigError(f"{name} must be positive")
         if not 0.0 <= cfg.dropout < 1.0:
             raise ConfigError("dropout must lie in [0, 1)")
+        if not 0.0 <= cfg.learning_rate < float("inf"):  # NaN fails every comparison
+            raise ConfigError("learning_rate must be finite and nonnegative")
+        if cfg.max_vocab is not None and cfg.max_vocab < 1:
+            raise ConfigError("max_vocab must be positive")
         return cfg
 
     def to_lines(self) -> list[str]:

@@ -5,16 +5,16 @@ adds a two-layer tanh prenet over the 41-dim feature frames and a third
 bidirectional layer; its 2nd and 3rd layers read every other output of the
 layer below, shortening the sequence by 4x overall.
 
-All functions operate on batched tensors ([B, dim] per time step) and take
-an optional per-row length vector; rows shorter than the padded extent
-carry their last real state forward, which makes batched results identical
-to per-sequence computation.
+Sequences travel as one time-major [T, B, dim] block from the input to the
+top layer, and the functions take an optional per-row length vector; rows
+shorter than the padded extent carry their last real state forward, which
+makes batched results identical to per-sequence computation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -82,62 +82,53 @@ def lstm_cell_step(params: LstmCellParams, x: Tensor, state: tuple[Tensor, Tenso
     return lstm_step(params.gate_weights(), x, state)
 
 
-def _run_direction(params: LstmCellParams, x1: Tensor, batch: int, order, carry_masks):
+def _run_direction(params: LstmCellParams, x1: Tensor, batch: int, live: Optional[np.ndarray], order):
     """One direction over the stacked [T*B, d+1] block ``x1`` (inputs with
     a column of ones): the input projection and bias of every step are one
-    GEMM, each step adds h @ wh^T to its rows of it."""
+    GEMM, each step adds h @ wh^T to its rows of it, and rows whose ``live``
+    entry is 0 keep their state.  Returns ([T, B, m] outputs, final c, h)."""
     m = params.wh.shape[1]
     bias_col = ad.reshape(params.b, (4 * m, 1))
     projected = x1 @ ad.transpose(ad.concat([params.wx, bias_col]))  # [T*B, 4m]
     wh_t = ad.transpose(params.wh)
     c = h = None  # the zero state
-    outputs = [None] * len(carry_masks)
+    outputs = [None] * len(order)
     for t in order:
         gates = ad.slice_axis(projected, 0, t * batch, (t + 1) * batch)
         if h is not None:
             gates = gates + (h @ wh_t)
         c_new, h_new = _cell_update(gates, c)
-        if carry_masks[t] is not None:
-            keep, hold = carry_masks[t]
+        if live is not None and not live[t].all():
+            keep, hold = Tensor(live[t]), Tensor(1.0 - live[t])
             c_new, h_new = c_new * keep, h_new * keep
             if c is not None:
                 c_new, h_new = c_new + (c * hold), h_new + (h * hold)
         c, h = c_new, h_new
         outputs[t] = h
-    return outputs, c, h
-
-
-def _carry_masks(lengths: Optional[np.ndarray], steps: int):
-    # per-step (keep, hold) multipliers; None where every row is live
-    masks = []
-    for t in range(steps):
-        live = None if lengths is None else (lengths > t).astype(np.float64)[:, None]
-        masks.append(None if live is None or live.all() else (Tensor(live), Tensor(1.0 - live)))
-    return masks
+    return ad.stack(outputs), c, h
 
 
 def bidirectional_layer(
     fwd: LstmCellParams,
     bwd: LstmCellParams,
-    inputs: Sequence[Tensor],
+    inputs: Union[Tensor, Sequence[Tensor]],
     lengths: Optional[np.ndarray] = None,
 ):
-    """Runs both directions and sums their per-position outputs.
-
-    Returns (outputs, final_forward_state) where outputs keep the layer
-    width m and the final state is the forward direction's (c, h)
-    concatenation, frozen per row at its true length.
-    """
+    """Runs both directions over a [T, B, d] block (a list of T [B, d] steps
+    is stacked once).  Returns (outputs [T, B, m], the sum of the two
+    directions; final state [B, 2m], the forward direction's (c, h) frozen
+    per row at its true length)."""
     if len(inputs) == 0:
         raise ValueError("bidirectional layer needs a nonempty input sequence")
-    steps, (batch, width) = len(inputs), inputs[0].shape
-    masks = _carry_masks(lengths, steps)
-    rows = ad.reshape(ad.stack(inputs), (steps * batch, width))
-    x1 = ad.concat([rows, Tensor(np.ones((steps * batch, 1)))])
-    fwd_out, fwd_c, fwd_h = _run_direction(fwd, x1, batch, range(steps), masks)
-    bwd_out, _, _ = _run_direction(bwd, x1, batch, range(steps - 1, -1, -1), masks)
-    outputs = [f + b for f, b in zip(fwd_out, bwd_out)]
-    return outputs, ad.concat([fwd_c, fwd_h])
+    block = inputs if isinstance(inputs, Tensor) else ad.stack(inputs)
+    steps, batch, width = block.shape
+    live = None  # [T, B, 1]: 1.0 where step t lies within row b's length
+    if lengths is not None:
+        live = (np.arange(steps)[:, None, None] < np.asarray(lengths)[:, None]).astype(np.float64)
+    x1 = ad.concat([ad.reshape(block, (steps * batch, width)), Tensor(np.ones((steps * batch, 1)))])
+    fwd_out, fwd_c, fwd_h = _run_direction(fwd, x1, batch, live, range(steps))
+    bwd_out, _, _ = _run_direction(bwd, x1, batch, live, range(steps - 1, -1, -1))
+    return fwd_out + bwd_out, ad.concat([fwd_c, fwd_h])
 
 
 def speech_prenet(layers: Sequence[tuple[Tensor, Tensor]], frames: Tensor) -> Tensor:
@@ -164,16 +155,15 @@ def subsampled_length(length: int, subsample_count: int = 2) -> int:
 def pyramidal_encode(
     config: EncoderConfig,
     layers: Sequence[tuple[LstmCellParams, LstmCellParams]],
-    inputs: Sequence[Tensor],
+    inputs: Union[Tensor, Sequence[Tensor]],
     lengths: Optional[np.ndarray] = None,
     train: bool = False,
     rng: Optional[np.random.Generator] = None,
 ):
-    """Stack bidirectional layers; subsampling layers read every other output
-    of the layer below.  Inter-layer dropout applies during training only.
-
-    Returns (outputs, final_state, out_lengths).
-    """
+    """Stack bidirectional layers over a [T, B, d] block (or a list of T
+    [B, d] steps); subsampling layers read ``[0::2]`` of the layer below.
+    Inter-layer dropout applies during training only.  Returns (outputs
+    [T', B, m], final state [B, 2m], out_lengths, None when lengths is)."""
     if len(layers) != config.layer_count:
         raise ValueError(f"expected {config.layer_count} layers, got {len(layers)}")
     min_len = 2 ** sum(1 for i in range(1, config.layer_count + 1) if i in config.subsample_layers)
@@ -181,7 +171,7 @@ def pyramidal_encode(
     if shortest < min_len:  # every row of a padded batch must be long enough
         raise ValueError(f"input too short: {shortest} steps, need at least {min_len}")
 
-    seq = list(inputs)
+    seq = inputs
     seq_lengths = None if lengths is None else np.asarray(lengths)
     final = None
     for index, (fwd, bwd) in enumerate(layers, start=1):
@@ -191,6 +181,6 @@ def pyramidal_encode(
                 seq_lengths = (seq_lengths + 1) // 2
         if index > 1 and train and config.dropout > 0.0:
             scale = 1.0 / (1.0 - config.dropout)
-            seq = [ad.dropout(x, (rng.random(x.shape) >= config.dropout) * scale) for x in seq]
+            seq = ad.dropout(seq, (rng.random(seq.shape) >= config.dropout) * scale)
         seq, final = bidirectional_layer(fwd, bwd, seq, seq_lengths)
     return seq, final, seq_lengths

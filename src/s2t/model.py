@@ -155,28 +155,20 @@ class Seq2SeqModel:
 
     def encode(self, tensors, src_block: np.ndarray, lengths: np.ndarray,
                train: bool = False, rng=None):
-        """Returns (h [A', B, m], encoder mask [B, A'], final state [B, 2m])."""
-        cfg = self.config
-        lengths = np.asarray(lengths)
-        if cfg.task == "text":
-            steps = src_block.shape[1]
-            inputs = [ad.embedding(tensors["src_embed"], src_block[:, t]) for t in range(steps)]
+        """Runs the [S, B, d] block of embedded ids or prenet frames through the
+        encoder; returns (h [A', B, m], encoder mask [B, A'], final state [B, 2m])."""
+        if self.config.task == "text":
+            inputs = ad.embedding(tensors["src_embed"], src_block.T)
         else:
             frames = Tensor(np.ascontiguousarray(np.swapaxes(src_block, 0, 1)))  # [S, B, D]
             layers = [(tensors["prenet.0.w"], tensors["prenet.0.b"]),
                       (tensors["prenet.1.w"], tensors["prenet.1.b"])]
-            projected = speech_prenet(layers, frames)
-            steps, batch = src_block.shape[1], src_block.shape[0]
-            inputs = [ad.reshape(ad.slice_axis(projected, 0, t, t + 1), (batch, cfg.prenet_size))
-                      for t in range(steps)]
-        outputs, final, out_lengths = pyramidal_encode(
+            inputs = speech_prenet(layers, frames)
+        h, final, out_lengths = pyramidal_encode(
             self.encoder_config(), self._encoder_cells(tensors), inputs,
-            lengths, train=train, rng=rng,
+            np.asarray(lengths), train=train, rng=rng,
         )
-        if out_lengths is None:
-            out_lengths = np.full(src_block.shape[0], len(outputs), dtype=np.int64)
-        h = ad.stack(outputs)
-        enc_mask = np.arange(len(outputs))[None, :] < out_lengths[:, None]
+        enc_mask = np.arange(len(h))[None, :] < out_lengths[:, None]
         return h, enc_mask, final
 
     def decoder(self, tensors, h: Tensor, enc_mask: np.ndarray,

@@ -91,6 +91,31 @@ def test_embedding_out_of_range():
         ad.embedding(table, np.array([5]))
 
 
+def test_embedding_of_2d_ids_is_ids_shape_by_table_rows():
+    table = np.arange(12.0).reshape(3, 4)
+    ids = np.array([[0, 3], [3, 1], [2, 2]])
+    out = ad.embedding(t(table), ids)
+    assert out.shape == (3, 2, 3)
+    np.testing.assert_array_equal(out.data, table.T[ids])
+
+
+def test_tensor_indexing_on_axis_zero():
+    x0 = np.arange(12.0).reshape(4, 3)
+    tape = Tape()
+    with tape:
+        x = t(x0)
+        row, rows = x[-1], x[0::2]
+    np.testing.assert_array_equal(row.data, x0[3])
+    np.testing.assert_array_equal(rows.data, x0[0::2])
+    assert [e.kind for e in tape.entries] == ["slice", "slice"]
+    assert len(x) == 4 and len(list(x)) == 4
+    for index in (4, -5):
+        with pytest.raises(IndexError):
+            x[index]
+    with pytest.raises(TypeError):
+        len(t(1.0))
+
+
 # --- tape and backprop ---
 
 
@@ -161,12 +186,14 @@ def test_unreachable_parameter_gets_zero_gradient():
 
 
 def test_partial_gradients_accumulate_like_the_dense_rule():
-    """One node read by overlapping slices, a pick, an embedding with
-    repeated ids and a dense consumer: backprop adds the partial gradients
-    in place, bit-identical to zero-filled gradients summed in tape order."""
+    """One node read by overlapping slices (a range, an integer index and a
+    step), a pick, embeddings with repeated 1-D and 2-D ids and a dense
+    consumer: backprop adds the partial gradients in place, bit-identical
+    to zero-filled gradients summed in tape order."""
     rng = np.random.default_rng(5)
     x0 = rng.normal(size=(4, 6))
     pick_ids, embed_ids = np.array([5, 0, 5, 2]), np.array([1, 3, 1, 1, 5])
+    grid_ids = np.array([[1, 3, 1], [5, 1, 3]])
     consumers = [
         lambda x: ad.slice_axis(x, 1, 0, 4),
         lambda x: ad.slice_axis(x, 1, 2, 6),
@@ -174,6 +201,9 @@ def test_partial_gradients_accumulate_like_the_dense_rule():
         lambda x: ad.pick(x, pick_ids),
         lambda x: ad.embedding(x, embed_ids),
         lambda x: ad.tanh(x),
+        lambda x: x[2],
+        lambda x: x[1::2],
+        lambda x: ad.embedding(x, grid_ids),
     ]
     tape = Tape()
     with tape:
@@ -199,8 +229,14 @@ def test_partial_gradients_accumulate_like_the_dense_rule():
             dx[np.arange(4), pick_ids] = w
         elif k == 4:
             np.add.at(dx.T, embed_ids, w)
-        else:
+        elif k == 5:
             dx = w * (1.0 - np.tanh(x0) ** 2)
+        elif k == 6:
+            dx[2] = w
+        elif k == 7:
+            dx[1::2] = w
+        else:
+            np.add.at(dx.T, grid_ids.reshape(-1), w.reshape(-1, 4))
         return dx
 
     want = None
@@ -365,6 +401,22 @@ def _case_embedding(rng):
     return {"e": Tensor(table)}, lambda p: ad.tsum(ad.tanh(ad.embedding(p["e"], ids)))
 
 
+def _case_slice_index(rng):
+    a = rng.normal(size=(4, 3))
+    return {"a": Tensor(a)}, lambda p: ad.tsum(ad.tanh(p["a"][-2]))
+
+
+def _case_slice_step(rng):
+    a = rng.normal(size=(5, 3))
+    return {"a": Tensor(a)}, lambda p: ad.tsum(ad.tanh(p["a"][0::2]))
+
+
+def _case_embedding_2d(rng):
+    table = rng.normal(size=(3, 4))
+    ids = rng.integers(0, 4, size=(3, 5))  # 15 ids over 4 columns repeat
+    return {"e": Tensor(table)}, lambda p: ad.tsum(ad.tanh(ad.embedding(p["e"], ids)))
+
+
 def _case_dropout(rng):
     a = rng.normal(size=(3, 4))
     mask = (rng.random((3, 4)) > 0.4) * 2.0
@@ -382,6 +434,7 @@ ALL_CASES = [
     _case_matmul_vec, _case_transpose, _case_reshape, _case_tanh, _case_sigmoid,
     _case_softmax, _case_log, _case_sum_axis, _case_concat, _case_stack,
     _case_slice, _case_conv, _case_embedding, _case_dropout, _case_pick,
+    _case_slice_index, _case_slice_step, _case_embedding_2d,
 ]
 
 

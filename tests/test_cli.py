@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from s2t.audio import FEATURE_DIM, read_feature_archive, write_feature_archive
 from s2t.checkpoint import save_checkpoint
@@ -294,6 +295,20 @@ def test_missing_file_is_data_error(tmp_path, capsys):
     code, _, _ = run(capsys, "evaluate", "--hyp", str(tmp_path / "nope.txt"),
                      "--ref", str(tmp_path / "nope.txt"))
     assert code == 2
+
+
+@pytest.mark.parametrize("flag, key", [
+    ("--learning-rate=nan", "learning_rate"), ("--learning-rate=inf", "learning_rate"),
+    ("--learning-rate=-0.5", "learning_rate"), ("--max-vocab=0", "max_vocab"),
+])
+def test_bad_numeric_config_is_rejected_before_reading_data(tmp_path, capsys, flag, key):
+    # the training files do not exist: the config check must fire first
+    code, _, err = run(capsys, "train", "--train-src", str(tmp_path / "none.src"),
+                       "--train-tgt", str(tmp_path / "none.tgt"),
+                       "--save-dir", str(tmp_path / "run"), flag, "--quiet")
+    assert code == 2
+    assert key in err
+    assert not (tmp_path / "run").exists()
 
 
 def test_divergence_exit_code(tmp_path, capsys):

@@ -198,18 +198,23 @@ def test_batched_output_layer_matches_per_step(task, attention):
     assert got == pytest.approx(-total / batch.real_token_count, rel=1e-12, abs=0)
 
 
-@pytest.mark.parametrize("task, src_len, limit", [("text", 5, 475), ("speech", 6, 535)])
-def test_tiny_loss_tape_size(task, src_len, limit):
+@pytest.mark.parametrize("task, src_lens, limit", [
+    pytest.param("text", (5,), 449, id="text"),
+    pytest.param("speech", (6,), 502, id="speech"),
+    pytest.param("speech", (9, 7, 8), 709, id="speech-ragged"),
+])
+def test_tiny_loss_tape_size(task, src_lens, limit):
     """Criterion 1's tiny models (same sizes, seed and batch) record one
-    taped loss within budget: the per-primitive cost dominates there."""
+    taped loss within budget: the per-primitive cost dominates there.  The
+    ragged batch runs every encoder layer with its live mask."""
     rng = np.random.default_rng(100)
     model = build_tiny_model(task=task, m=8, n=8, src_words=16, tgt_words=16,
                              seed=100, prenet_size=8, conv_filter_size=5)
-    source = ([int(rng.integers(4, 20)) for _ in range(src_len)] if task == "text"
-              else rng.normal(size=(src_len, 41)) * 0.5)
+    sources = [[int(rng.integers(4, 20)) for _ in range(n)] if task == "text"
+               else rng.normal(size=(n, 41)) * 0.5 for n in src_lens]
     tape = ad.Tape()
     with tape:
-        model.batch_nll(model.store.watch(tape), make_batch([source], [[4, 5]]))
+        model.batch_nll(model.store.watch(tape), make_batch(sources, [[4, 5]] * len(sources)))
     assert len(tape.entries) <= limit
 
 
