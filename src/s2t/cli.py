@@ -28,8 +28,8 @@ from .checkpoint import CheckpointError, load_checkpoint
 from .config import ConfigError, RunConfig, load_config
 from .corpus import ParallelCorpus, Vocabulary, read_lines, tokenize
 from .lm import DEFAULT_LAMBDAS, load_lm, save_lm, train_trigram
-from .model import DivergenceError, Seq2SeqModel
-from .search import FusionWeights, beam_search, check_limits, decode_batch, greedy_decode
+from .model import DivergenceError, Seq2SeqModel, encoder_config
+from .search import FusionWeights, beam_search, check_limits, decode_batch
 from .training import train_loop
 
 
@@ -47,9 +47,6 @@ class _Parser(argparse.ArgumentParser):
 
 
 # --- input loading: one reader for text files and feature archives ---
-
-_MIN_SOURCE_LEN = {"text": 1, "speech": 4}  # the speech encoder subsamples frames 4x
-
 
 def _read_sources(path, task: str) -> list:
     """Raw inputs for ``task``: token lists from a text file or frame
@@ -75,18 +72,19 @@ def _model_inputs(model: Seq2SeqModel, raw: list) -> list:
     return [normalize_features(FeatureSequence(f), model.feat_stats).frames for f in raw]
 
 
-def _load_pairs(task: str, src_path, tgt_path) -> list:
+def _load_pairs(config: RunConfig, src_path, tgt_path) -> list:
     """(raw source, target tokens) training pairs.  Pairs with an empty
-    target or a source too short to encode are dropped; a file with no
-    pair left is an error."""
-    sources = _read_sources(src_path, task)
+    target or a source shorter than the encoder's stride are dropped; a
+    file with no pair left is an error."""
+    sources = _read_sources(src_path, config.task)
     targets = read_lines(tgt_path)
     if len(sources) != len(targets):
         raise DataError(
             f"item counts differ: {src_path} has {len(sources)}, {tgt_path} has {len(targets)}"
         )
     pairs = [(s, tokenize(t)) for s, t in zip(sources, targets)]
-    kept = [(s, t) for s, t in pairs if len(s) >= _MIN_SOURCE_LEN[task] and t]
+    min_len = encoder_config(config).stride
+    kept = [(s, t) for s, t in pairs if len(s) >= min_len and t]
     if len(kept) < len(pairs):
         print(f"dropped {len(pairs) - len(kept)} unusable pair(s)", file=sys.stderr)
     if not kept:
@@ -128,7 +126,7 @@ def cmd_train(args) -> int:
         config = config.resolved()
         model = None
 
-    train_pairs = _load_pairs(config.task, args.train_src, args.train_tgt)
+    train_pairs = _load_pairs(config, args.train_src, args.train_tgt)
     if model is None:
         sources = [s for s, _ in train_pairs]
         text = config.task == "text"
@@ -140,7 +138,7 @@ def cmd_train(args) -> int:
     train_corpus = _corpus(model, train_pairs)
     dev_corpus = None
     if args.dev_src:
-        dev_corpus = _corpus(model, _load_pairs(config.task, args.dev_src, args.dev_tgt))
+        dev_corpus = _corpus(model, _load_pairs(config, args.dev_src, args.dev_tgt))
 
     os.makedirs(args.save_dir, exist_ok=True)
     log_path = os.path.join(args.save_dir, "train.log")
@@ -172,15 +170,6 @@ def _load_ensemble(paths) -> list[Seq2SeqModel]:
     return models
 
 
-def _decode_one(models, source, index: int, options: dict):
-    """One input's decode, or None (with a note) when it cannot be decoded."""
-    try:
-        return beam_search(models, source, **options)
-    except ValueError as exc:
-        print(f"input {index}: {exc}; emitting empty line", file=sys.stderr)
-        return None
-
-
 def cmd_translate(args) -> int:
     models = _load_ensemble(args.checkpoint)
     lm = load_lm(args.lm) if args.lm else None
@@ -192,17 +181,20 @@ def cmd_translate(args) -> int:
 
     options = dict(beam_size=args.beam_size, lm=lm, weights=weights, max_len=args.max_len,
                    length_norm=args.length_norm, rescore_only=args.rescore_only)
-    lines = [""] * len(sources)  # empty inputs stay empty lines
-    todo = [index for index, source in enumerate(sources) if len(source)]
+    lines = [""] * len(sources)  # empty and too-short inputs stay empty lines
+    min_len = max(encoder_config(model.config).stride for model in models)
+    todo = []
+    for index, source in enumerate(sources):
+        if 0 < len(source) < min_len:
+            print(f"input {index}: input too short: {len(source)} steps, need at least {min_len}; "
+                  "emitting empty line", file=sys.stderr)
+        elif len(source):
+            todo.append(index)
     size = models[0].config.batch_size
     for group in (todo[i:i + size] for i in range(0, len(todo), size)):
-        try:
-            results = decode_batch(models, [sources[index] for index in group], **options)
-        except ValueError:  # one input spoils its group: decode the group input by input
-            results = [_decode_one(models, sources[index], index, options) for index in group]
+        results = decode_batch(models, [sources[index] for index in group], **options)
         for index, result in zip(group, results):
-            if result is not None:
-                lines[index] = " ".join(models[0].tgt_vocab.decode_sequence(result.tokens))
+            lines[index] = " ".join(models[0].tgt_vocab.decode_sequence(result.tokens))
 
     text = "".join(line + "\n" for line in lines)
     if args.output:
@@ -267,13 +259,14 @@ def cmd_dump_attention(args) -> int:
         matrix = _teacher_forced_attention(model, source, target_ids)
         row_labels = target_tokens
     else:
-        result = greedy_decode(model, source)
+        result = beam_search([model], source, beam_size=1)
         matrix = result.attention
         row_labels = model.tgt_vocab.decode_sequence(result.tokens)
 
-    # speech positions are 4x subsampled: label each with its first frame index
+    # a speech position covers ``stride`` frames: label it with its first frame
+    stride = encoder_config(model.config).stride
     source_labels = (raw[args.line] if model.config.task == "text"
-                     else [str(4 * i) for i in range(matrix.shape[1])])
+                     else [str(stride * i) for i in range(matrix.shape[1])])
     out = ["token\t" + "\t".join(source_labels)]
     for label, row in zip(row_labels, matrix):
         out.append(label + "\t" + "\t".join(repr(float(v)) for v in row))

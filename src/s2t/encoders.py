@@ -14,7 +14,7 @@ makes batched results identical to per-sequence computation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -39,7 +39,6 @@ class LstmCellParams:
 class EncoderConfig:
     kind: str                      # "text" | "speech"
     layer_count: int
-    units: int
     subsample_layers: frozenset    # 1-based indices of layers reading every other input
     dropout: float = 0.0
 
@@ -47,14 +46,20 @@ class EncoderConfig:
         if self.kind == "text" and self.subsample_layers:
             raise ValueError("text encoder does not subsample")
 
+    @property
+    def stride(self) -> int:
+        """Input frames per encoder position, which is also the shortest
+        input the encoder accepts."""
+        return 2 ** len(self.subsample_layers)
 
-def text_encoder_config(units: int, layer_count: int = 2, dropout: float = 0.0) -> EncoderConfig:
-    return EncoderConfig("text", layer_count, units, frozenset(), dropout)
+
+def text_encoder_config(layer_count: int = 2, dropout: float = 0.0) -> EncoderConfig:
+    return EncoderConfig("text", layer_count, frozenset(), dropout)
 
 
-def speech_encoder_config(units: int, layer_count: int = 3, dropout: float = 0.0) -> EncoderConfig:
-    # the 2nd and 3rd layers read every other output from the layer below
-    return EncoderConfig("speech", layer_count, units, frozenset(range(2, layer_count + 1)), dropout)
+def speech_encoder_config(layer_count: int = 3, dropout: float = 0.0) -> EncoderConfig:
+    # the 2nd and later layers read every other output from the layer below
+    return EncoderConfig("speech", layer_count, frozenset(range(2, layer_count + 1)), dropout)
 
 
 def _cell_update(gates: Tensor, c: Optional[Tensor]):
@@ -74,12 +79,6 @@ def lstm_step(weights: tuple[Tensor, Tensor], x: Tensor, state: tuple[Tensor, Te
     GEMM for the whole gate block."""
     (w_t, b), (c, h) = weights, state
     return _cell_update((ad.concat([x, h]) @ w_t) + b, c)
-
-
-def lstm_cell_step(params: LstmCellParams, x: Tensor, state: tuple[Tensor, Tensor]):
-    """One LSTM transition; ``x`` is [B, input_dim], state tensors are [B, m].
-    An ``x`` of another width fails the gate GEMM with ShapeMismatch."""
-    return lstm_step(params.gate_weights(), x, state)
 
 
 def _run_direction(params: LstmCellParams, x1: Tensor, batch: int, live: Optional[np.ndarray], order):
@@ -111,21 +110,19 @@ def _run_direction(params: LstmCellParams, x1: Tensor, batch: int, live: Optiona
 def bidirectional_layer(
     fwd: LstmCellParams,
     bwd: LstmCellParams,
-    inputs: Union[Tensor, Sequence[Tensor]],
+    inputs: Tensor,
     lengths: Optional[np.ndarray] = None,
 ):
-    """Runs both directions over a [T, B, d] block (a list of T [B, d] steps
-    is stacked once).  Returns (outputs [T, B, m], the sum of the two
-    directions; final state [B, 2m], the forward direction's (c, h) frozen
-    per row at its true length)."""
+    """Runs both directions over a [T, B, d] block.  Returns (outputs
+    [T, B, m], the sum of the two directions; final state [B, 2m], the
+    forward direction's (c, h) frozen per row at its true length)."""
     if len(inputs) == 0:
         raise ValueError("bidirectional layer needs a nonempty input sequence")
-    block = inputs if isinstance(inputs, Tensor) else ad.stack(inputs)
-    steps, batch, width = block.shape
+    steps, batch, width = inputs.shape
     live = None  # [T, B, 1]: 1.0 where step t lies within row b's length
     if lengths is not None:
         live = (np.arange(steps)[:, None, None] < np.asarray(lengths)[:, None]).astype(np.float64)
-    x1 = ad.concat([ad.reshape(block, (steps * batch, width)), Tensor(np.ones((steps * batch, 1)))])
+    x1 = ad.concat([ad.reshape(inputs, (steps * batch, width)), Tensor(np.ones((steps * batch, 1)))])
     fwd_out, fwd_c, fwd_h = _run_direction(fwd, x1, batch, live, range(steps))
     bwd_out, _, _ = _run_direction(bwd, x1, batch, live, range(steps - 1, -1, -1))
     return fwd_out + bwd_out, ad.concat([fwd_c, fwd_h])
@@ -155,21 +152,20 @@ def subsampled_length(length: int, subsample_count: int = 2) -> int:
 def pyramidal_encode(
     config: EncoderConfig,
     layers: Sequence[tuple[LstmCellParams, LstmCellParams]],
-    inputs: Union[Tensor, Sequence[Tensor]],
+    inputs: Tensor,
     lengths: Optional[np.ndarray] = None,
     train: bool = False,
     rng: Optional[np.random.Generator] = None,
 ):
-    """Stack bidirectional layers over a [T, B, d] block (or a list of T
-    [B, d] steps); subsampling layers read ``[0::2]`` of the layer below.
-    Inter-layer dropout applies during training only.  Returns (outputs
+    """Stack bidirectional layers over a [T, B, d] block; subsampling layers
+    read ``[0::2]`` of the layer below.  Inputs shorter than
+    ``config.stride`` are rejected.  Inter-layer dropout applies during training only.  Returns (outputs
     [T', B, m], final state [B, 2m], out_lengths, None when lengths is)."""
     if len(layers) != config.layer_count:
         raise ValueError(f"expected {config.layer_count} layers, got {len(layers)}")
-    min_len = 2 ** sum(1 for i in range(1, config.layer_count + 1) if i in config.subsample_layers)
     shortest = len(inputs) if lengths is None else int(np.min(lengths))
-    if shortest < min_len:  # every row of a padded batch must be long enough
-        raise ValueError(f"input too short: {shortest} steps, need at least {min_len}")
+    if shortest < config.stride:  # every row of a padded batch must be long enough
+        raise ValueError(f"input too short: {shortest} steps, need at least {config.stride}")
 
     seq = inputs
     seq_lengths = None if lengths is None else np.asarray(lengths)

@@ -19,6 +19,7 @@ from .corpus import BOS_ID, EOS_ID, Vocabulary
 
 LM_MAGIC = "S2TLM1"
 DEFAULT_LAMBDAS = (0.1, 0.3, 0.6)  # unigram, bigram, trigram
+CONTEXT_CACHE_SIZE = 1024  # cached contexts, each a float64 vector of V entries
 
 
 @dataclass
@@ -55,7 +56,8 @@ class TrigramModel:
         return self._unigram_probs
 
     def context_distribution(self, u: int, v: int) -> np.ndarray:
-        """p(. | u, v) as a dense vector over the model's vocabulary."""
+        """p(. | u, v) as a dense vector over the model's vocabulary.  Up to
+        ``CONTEXT_CACHE_SIZE`` contexts are cached; a full cache is cleared."""
         key = (u, v)
         cached = self._context_cache.get(key)
         if cached is not None:
@@ -75,6 +77,8 @@ class TrigramModel:
             total = self._trigram_totals[key]
             for w, count in tri.items():
                 probs[w] += l3 * count / total
+        if len(self._context_cache) >= CONTEXT_CACHE_SIZE:
+            self._context_cache.clear()
         self._context_cache[key] = probs
         return probs
 

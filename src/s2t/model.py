@@ -88,6 +88,14 @@ def parameter_shapes(config: RunConfig, src_vocab_size: Optional[int], tgt_vocab
     return shapes
 
 
+def encoder_config(config: RunConfig) -> EncoderConfig:
+    """The encoder stack of a resolved configuration; its ``stride`` is the
+    shortest source the model accepts."""
+    if config.task == "text":
+        return text_encoder_config(config.enc_layers, config.dropout)
+    return speech_encoder_config(config.enc_layers, config.dropout)
+
+
 def init_parameters(store: ParameterStore, shapes: dict, hidden_size: int, seed: int) -> None:
     """Glorot-uniform matrices; zero biases except LSTM forget gates at 1."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xC0FFEE]))
@@ -130,12 +138,6 @@ class Seq2SeqModel:
 
     # --- assembly helpers ---
 
-    def encoder_config(self) -> EncoderConfig:
-        cfg = self.config
-        if cfg.task == "text":
-            return text_encoder_config(cfg.hidden_size, cfg.enc_layers, cfg.dropout)
-        return speech_encoder_config(cfg.hidden_size, cfg.enc_layers, cfg.dropout)
-
     def _encoder_cells(self, tensors) -> list:
         return [(_cell(tensors, f"enc.{layer}.fwd"), _cell(tensors, f"enc.{layer}.bwd"))
                 for layer in range(self.config.enc_layers)]
@@ -165,7 +167,7 @@ class Seq2SeqModel:
                       (tensors["prenet.1.w"], tensors["prenet.1.b"])]
             inputs = speech_prenet(layers, frames)
         h, final, out_lengths = pyramidal_encode(
-            self.encoder_config(), self._encoder_cells(tensors), inputs,
+            encoder_config(self.config), self._encoder_cells(tensors), inputs,
             np.asarray(lengths), train=train, rng=rng,
         )
         enc_mask = np.arange(len(h))[None, :] < out_lengths[:, None]

@@ -3,12 +3,15 @@ log-linear ensembles of independently trained models.  Greedy decoding
 is beam search of width 1, so "beam 1 equals greedy" holds by
 construction.
 
-A list of sources decodes at once: the live hypotheses of every source
-share one batched decoder state per model, grouped by source, and after
-each step one ``gather_state`` by parent row moves every model's state to
-the surviving hypotheses.  Each source keeps its own beam, and all
-tie-breaking prefers the lowest flat index within the source's rows
-(parent row, then token id), so every decode is bit-reproducible.
+A list of sources decodes at once: the live rows of every source share
+one batched decoder state per model, grouped by source, and after each
+step one ``gather_state`` by parent row moves every model's state to the
+surviving rows.  A beam is arrays, not objects: a score and an LM context
+per row, and a trail of (attention rows, parent row, token) per step that
+the retired candidates are traced back through at the end.  Each source
+keeps its own beam, and all tie-breaking prefers the lowest flat index
+within the source's rows (parent row, then token id), so every decode is
+bit-reproducible.
 """
 
 from __future__ import annotations
@@ -46,23 +49,6 @@ class FusionWeights:
 
 
 @dataclass
-class Hypothesis:
-    """BOS-rooted partial output with its cumulative fused log score."""
-
-    tokens: tuple[int, ...]
-    score: float
-    attention: list[np.ndarray]
-    finished: bool = False
-
-    @property
-    def content(self) -> list[int]:
-        out = list(self.tokens[1:])
-        if self.finished:
-            out = out[:-1]
-        return out
-
-
-@dataclass
 class DecodeResult:
     tokens: list[int]          # content token ids (no BOS/EOS)
     attention: np.ndarray      # one row per emitted content token, [T, A']
@@ -93,11 +79,6 @@ def _top_k(flat: np.ndarray, k: int) -> np.ndarray:
     kth = np.partition(flat, flat.size - k)[flat.size - k]
     candidates = np.flatnonzero(flat >= kth)  # ties with the k-th all stay
     return candidates[np.argsort(-flat[candidates], kind="stable")[:k]]
-
-
-def _lm_context(tokens: tuple[int, ...]) -> tuple[int, int]:
-    padded = (BOS_ID, BOS_ID) + tokens[1:]  # skip the BOS root, re-pad
-    return padded[-2], padded[-1]
 
 
 def beam_search(
@@ -138,14 +119,19 @@ def decode_batch(
     sum_j w_j ln p_j(w|.) + lm_weight * ln p_lm(w | last two tokens),
     one result per source.
 
-    The sources are encoded as one padded batch, and the live hypotheses
-    of every source share one row block per model, grouped by source; each
-    source keeps its own beam of ``beam_size``.  Finished hypotheses
-    retire to a per-source completed pool; the winner is the completed
-    hypothesis with the highest cumulative score (per-token normalized
-    when ``length_norm``), falling back to the best live hypothesis if
-    nothing finished.  With ``rescore_only`` the language model is
-    applied to the completed pool instead of during expansion.
+    The sources are encoded as one padded batch, and the live rows of
+    every source (at most ``beam_size`` each) share one row block per
+    model, grouped by source.  The beam is arrays: each row's cumulative
+    score and LM context (its last two tokens, BOS-padded), and a trail
+    with one entry per step: that step's attention rows and, for each row
+    that survives the step, its parent row and token.  A candidate that
+    emits EOS retires to its source's completed pool, and one that reaches
+    the length cap to its overlong pool, as (score, step, row, token).
+    Only the pool entries are traced back through the trail, once, at the
+    end.  The winner is the completed entry with the highest cumulative
+    score (per-token normalized when ``length_norm``; ties to the lowest
+    token ids), else the best overlong entry.  With ``rescore_only`` the
+    language model scores the pool instead of every expansion.
     """
     if len(models) == 0:
         raise ValueError("beam search needs at least one model")
@@ -166,83 +152,94 @@ def decode_batch(
     caps = [max_len or models[0].max_decode_length(n, len(source))
             for n, source in zip(positions, sources)]
 
-    live = [[Hypothesis(tokens=(BOS_ID,), score=0.0, attention=[])] for _ in sources]
-    completed: list[list[Hypothesis]] = [[] for _ in sources]
-    overlong: list[list[Hypothesis]] = [[] for _ in sources]
+    sizes = [1] * len(sources)  # live rows per source, in row order
+    scores = np.zeros(len(sources))
+    context = np.full((len(sources), 2), BOS_ID)
+    prev_ids = np.full(len(sources), BOS_ID)
+    completed = [[] for _ in sources]  # per source: (score, step, row, token)
+    overlong = [[] for _ in sources]
+    trail = []  # per step: (attention rows, parent row, token) of the survivors
     row_sources = np.arange(len(sources))  # the source of each row
     views = list(cores)
 
     while True:
-        rows = [hyp for beam in live for hyp in beam]
-        prev_ids = np.array([hyp.tokens[-1] for hyp in rows])
+        step = len(trail)
         for j, view in enumerate(views):
             states[j], dist, attn = view.step(states[j], prev_ids)
-            scores = model_weights[j] * np.log(dist.data)
+            model_scores = model_weights[j] * np.log(dist.data)
             if j == 0:
-                fused, weight_rows = scores, attn.data
+                fused, attn_rows = model_scores, attn.data
             else:
-                fused += scores
-        if fuse_lm:
-            for i, hyp in enumerate(rows):
-                u, v = _lm_context(hyp.tokens)
-                fused[i] += weights.lm_weight * fused_log_rows(lm, id_map, u, v)
+                fused += model_scores
+        if fuse_lm:  # one LM row per distinct context, gathered by row
+            keys, inverse = np.unique(context, axis=0, return_inverse=True)
+            lm_rows = np.array([fused_log_rows(lm, id_map, u, v) for u, v in keys.tolist()])
+            fused += weights.lm_weight * lm_rows[inverse.reshape(-1)]
 
-        totals = np.array([h.score for h in rows])[:, None] + fused
+        totals = scores[:, None] + fused
         if np.isnan(totals).any():
             raise DivergenceError("decoder scores are NaN")
-        parents = []
-        first = 0  # the source's first row
-        for s, beam in enumerate(live):
-            if not beam:
+        vocab = totals.shape[1]
+        flat = totals.reshape(-1)
+        survivors, first = [], 0  # first: the source's first row
+        for s, size in enumerate(sizes):
+            if not size:
                 continue
-            flat = totals[first:first + len(beam)].reshape(-1)
-            live[s] = []
-            for flat_idx in _top_k(flat, beam_size):
-                parent, token = divmod(int(flat_idx), totals.shape[1])
-                hyp = beam[parent]
-                new = Hypothesis(
-                    tokens=hyp.tokens + (token,),
-                    score=float(flat[flat_idx]),
-                    attention=hyp.attention if token == EOS_ID
-                    else hyp.attention + [weight_rows[first + parent, :positions[s]].copy()],
-                    finished=token == EOS_ID,
-                )
-                if new.finished:
-                    completed[s].append(new)
-                elif len(new.tokens) - 1 >= caps[s]:
-                    overlong[s].append(new)
-                else:
-                    live[s].append(new)
-                    parents.append(first + parent)
-            first += len(beam)
-        if not parents:
+            best = first * vocab + _top_k(flat[first * vocab:(first + size) * vocab], beam_size)
+            first += size
+            retire = (best % vocab == EOS_ID) | (step + 1 >= caps[s])
+            for index in best[retire].tolist():
+                row, token = divmod(index, vocab)
+                pool = completed if token == EOS_ID else overlong
+                pool[s].append((float(flat[index]), step, row, token))
+            survivors.append(best[~retire])
+            sizes[s] = len(survivors[-1])
+        keep = np.concatenate(survivors)
+        parents, prev_ids = np.divmod(keep, vocab)
+        trail.append((attn_rows, parents, prev_ids))
+        if not len(keep):
             break
-        if parents != list(range(len(rows))):  # greedy rows move only as sources finish
-            index = np.array(parents)
-            states = [gather_state(state, index) for state in states]
-            moved = row_sources[index]
+        scores = flat[keep]
+        context = np.column_stack([context[parents, 1], prev_ids])
+        if not np.array_equal(parents, np.arange(len(totals))):  # greedy rows move only as sources finish
+            states = [gather_state(state, parents) for state in states]
+            moved = row_sources[parents]
             if not np.array_equal(moved, row_sources):
                 row_sources = moved
                 views = [core.select(row_sources) for core in cores]
 
     results = []
-    for s in range(len(sources)):
-        pool = completed[s] if completed[s] else overlong[s]
-        best = max(pool, key=lambda h: (_rank_score(h, lm, id_map, weights, rescore_only, length_norm),
-                                        [-t for t in h.tokens]))
-        attention = (np.vstack(best.attention) if best.attention
-                     else np.zeros((0, positions[s])))
-        results.append(DecodeResult(best.content, attention, best.score, best.finished))
+    for s, width in enumerate(positions):
+        entries = []
+        for score, step, row, token in completed[s] or overlong[s]:
+            tokens, path = _trace(trail, step, row, token)
+            finished = token == EOS_ID
+            content = tokens[:-1] if finished else tokens
+            rank = _rank_score(score, content, finished, lm, id_map, weights, rescore_only, length_norm)
+            entries.append(((rank, [-t for t in tokens]), score, content, finished, path))  # ties: lowest ids
+        _, score, content, finished, path = max(entries, key=lambda entry: entry[0])
+        rows = [trail[t][0][path[t], :width] for t in range(len(content))]
+        attention = np.vstack(rows) if rows else np.zeros((0, width))
+        results.append(DecodeResult(content, attention, score, finished))
     return results
 
 
-def _rank_score(hyp: Hypothesis, lm, id_map, weights, rescore_only: bool, length_norm: bool) -> float:
-    score = hyp.score
+def _trace(trail: list, step: int, row: int, token: int) -> tuple[list[int], list[int]]:
+    """The tokens emitted up to ``token``, the candidate of ``row`` at
+    ``step``, and the row of each step 0 .. ``step`` on the way there."""
+    tokens, rows = [token], [row]
+    for _, parents, emitted in reversed(trail[:step]):
+        tokens.append(int(emitted[rows[-1]]))
+        rows.append(int(parents[rows[-1]]))
+    return tokens[::-1], rows[::-1]
+
+
+def _rank_score(score: float, content: list[int], finished: bool, lm, id_map, weights,
+                rescore_only: bool, length_norm: bool) -> float:
     if rescore_only and lm is not None and weights.lm_weight > 0.0:
-        ids = [int(id_map[t]) for t in hyp.content]
+        ids = [int(id_map[t]) for t in content]
         lm_score = lm_logprob(lm, ids) if ids else lm.logprob(BOS_ID, BOS_ID, EOS_ID)
         score = score + weights.lm_weight * lm_score
     if length_norm:
-        steps = len(hyp.content) + (1 if hyp.finished else 0)
-        score = score / max(1, steps)
+        score = score / max(1, len(content) + finished)  # EOS counts as a step
     return score

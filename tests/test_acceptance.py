@@ -275,13 +275,14 @@ def test_criterion_6_pyramidal_length_law():
         if a % 4 == 0:
             assert expected == a // 4
     # spot-check the real encoder at a few lengths
+    from s2t import autodiff as ad
     from s2t.encoders import pyramidal_encode
     from test_encoders import _stack
 
     rng = np.random.default_rng(66)
     cfg, cells = _stack(rng, "speech", 3, 2, 3)
     for a in (4, 5, 13, 16, 29, 64, 200):
-        inputs = [Tensor(rng.normal(size=(1, 3))) for _ in range(a)]
+        inputs = ad.stack([Tensor(rng.normal(size=(1, 3))) for _ in range(a)])
         outputs, _, _ = pyramidal_encode(cfg, cells, inputs)
         assert len(outputs) == pyramid_length_oracle(a)
     print("\ncriterion 6 PASS: length law holds on [4, 200] and on the encoder")

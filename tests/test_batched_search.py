@@ -8,8 +8,10 @@ import pytest
 from s2t.audio import FEATURE_DIM, write_feature_archive
 from s2t.bleu import corpus_bleu
 from s2t.checkpoint import load_checkpoint, save_checkpoint
-from s2t.corpus import EOS_ID, ParallelCorpus
+from s2t import search
+from s2t.corpus import BOS_ID, EOS_ID, ParallelCorpus
 from s2t.lm import save_lm, train_trigram
+from s2t.model import DecoderCore
 from s2t.search import FusionWeights, beam_search, decode_batch, greedy_decode
 from s2t.training import dev_greedy_bleu
 
@@ -153,6 +155,58 @@ def test_translate_short_utterance_among_good_ones(tmp_path, capsys):
     for i in (0, 2, 3, 4):
         result = beam_search([loaded], frames[i].astype(np.float64), beam_size=2, max_len=3)
         assert lines[i] == " ".join(loaded.tgt_vocab.decode_sequence(result.tokens))
+
+
+def test_translate_archive_of_only_too_short_inputs(tmp_path, capsys):
+    """Every input is shorter than the encoder's stride of 4: all lines are
+    empty, each input gets one note, and the run succeeds."""
+    model = randomize(build_tiny_model(task="speech", m=3, n=3, tgt_words=5), seed=13)
+    ckpt = tmp_path / "speech.ckpt"
+    save_checkpoint(ckpt, model)
+    rng = np.random.default_rng(4)
+    archive = tmp_path / "in.feats"
+    write_feature_archive(archive, [(f"u{i}", rng.normal(size=(n, FEATURE_DIM)).astype(np.float32))
+                                    for i, n in enumerate((2, 3, 1))])
+    code, out, err = run(capsys, "translate", "--checkpoint", str(ckpt), "--input", str(archive))
+    assert code == 0
+    assert out == "\n\n\n"
+    assert err.splitlines() == [
+        f"input {i}: input too short: {n} steps, need at least 4; emitting empty line"
+        for i, n in enumerate((2, 3, 1))]
+
+
+def test_lm_fusion_scores_each_distinct_context_once_per_step(monkeypatch):
+    """``fused_log_rows`` runs once per distinct (u, v) context of a step,
+    and the decode equals the one without the counting wrapper."""
+    models = _models("text", "additive", seed=70)[:1]
+    sources = _sources(np.random.default_rng(71), "text", 3)
+    options = dict(beam_size=8, lm=LM, weights=FusionWeights(lm_weight=0.3))
+    plain = decode_batch(models, sources, **options)
+
+    steps = []  # per step: (the rows' previous tokens, the contexts scored)
+    original_step, original_rows = DecoderCore.step, search.fused_log_rows
+
+    def step(self, state, prev_ids):
+        steps.append((list(prev_ids), []))
+        return original_step(self, state, prev_ids)
+
+    def rows(lm, id_map, u, v):
+        steps[-1][1].append((u, v))
+        return original_rows(lm, id_map, u, v)
+
+    monkeypatch.setattr(DecoderCore, "step", step)
+    monkeypatch.setattr(search, "fused_log_rows", rows)
+    counted = decode_batch(models, sources, **options)
+    for got, want in zip(counted, plain):
+        _assert_same_decode(got, want)
+
+    assert steps[0] == ([BOS_ID] * 3, [(BOS_ID, BOS_ID)])
+    assert len(steps) > 2
+    for prev_ids, contexts in steps:
+        assert len(contexts) == len(set(contexts))  # no context scored twice
+        assert {v for _, v in contexts} == set(prev_ids)
+    assert sorted(steps[1][1]) == [(BOS_ID, v) for v in sorted(set(steps[1][0]))]
+    assert sum(len(c) for _, c in steps) < sum(len(p) for p, _ in steps)
 
 
 def test_dev_bleu_decodes_in_batches_like_per_input_greedy():

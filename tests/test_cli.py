@@ -270,6 +270,55 @@ def test_dump_attention_teacher_forced_speech_shape(tmp_path, capsys):
         assert abs(weights.sum() - 1.0) < 1e-6
 
 
+@pytest.mark.parametrize("teacher_forced", [False, True])
+def test_dump_attention_labels_speech_positions_by_stride(tmp_path, capsys, teacher_forced):
+    """Four encoder layers subsample three times: a position covers 8 frames."""
+    model = randomize(build_tiny_model(task="speech", m=3, n=3, tgt_words=5, enc_layers=4), seed=30)
+    path = tmp_path / "speech.ckpt"
+    save_checkpoint(path, model)
+    frames = np.random.default_rng(1).normal(size=(16, FEATURE_DIM)).astype(np.float32)
+    archive = tmp_path / "feats.bin"
+    write_feature_archive(archive, [("u0", frames)])
+    ref = tmp_path / "ref.txt"
+    ref.write_text("t0 t1\n")
+    out = tmp_path / "att.tsv"
+    extra = ["--reference", str(ref)] if teacher_forced else []
+    code, _, err = run(capsys, "dump-attention", "--checkpoint", str(path), "--input", str(archive),
+                       "--output", str(out), *extra)
+    assert code == 0, err
+    assert out.read_text().splitlines()[0].split("\t") == ["token", "0", "8"]
+
+
+def _speech_pairs(tmp_path, lengths):
+    rng = np.random.default_rng(4)
+    archive = tmp_path / "train.feats"
+    write_feature_archive(archive, [(f"u{i}", rng.normal(size=(n, FEATURE_DIM)).astype(np.float32))
+                                    for i, n in enumerate(lengths)])
+    tgt = tmp_path / "train.tgt"
+    tgt.write_text("".join(f"w{i % 3} w{(i + 1) % 3}\n" for i in range(len(lengths))))
+    return archive, tgt
+
+
+@pytest.mark.parametrize("enc_layers, lengths, dropped", [
+    (4, (12, 5, 16, 10, 9), True),   # 5 frames < 8, the 4-layer encoder's stride
+    (2, (6, 3, 4, 9), False),        # 3 frames >= 2, the 2-layer encoder's stride
+])
+def test_train_drops_pairs_shorter_than_the_encoder_stride(tmp_path, capsys, enc_layers, lengths,
+                                                           dropped):
+    archive, tgt = _speech_pairs(tmp_path, lengths)
+    config = tmp_path / "speech.cfg"
+    config.write_text(f"enc_layers={enc_layers}\nprenet_size=6\nconv_filter_size=5\n")
+    code, _, err = run(capsys, "train", "--task", "speech", "--config", str(config),
+                       "--train-src", str(archive), "--train-tgt", str(tgt),
+                       "--dev-src", str(archive), "--dev-tgt", str(tgt),
+                       "--save-dir", str(tmp_path / "run"), "--hidden-size", "3",
+                       "--embed-size", "3", "--dropout", "0.0", "--batch-size", "8",
+                       "--steps", "2", "--save-every", "2", "--quiet")
+    assert code == 0, err
+    assert ("dropped 1 unusable pair(s)" in err) == dropped
+    assert "too short" not in err
+
+
 def test_extract_features_from_wavs(tmp_path, capsys):
     wav_dir = tmp_path / "wavs"
     wav_dir.mkdir()

@@ -6,7 +6,7 @@ from s2t.autodiff import Tensor, gradient_check
 from s2t.encoders import (
     LstmCellParams,
     bidirectional_layer,
-    lstm_cell_step,
+    lstm_step,
     pyramidal_encode,
     speech_encoder_config,
     speech_prenet,
@@ -33,7 +33,7 @@ def test_lstm_zero_weights_halves_cell_state():
     params = zero_cell(3, 2)
     c = Tensor(np.ones((1, 2)))
     h = Tensor(np.zeros((1, 2)))
-    c2, h2 = lstm_cell_step(params, Tensor(np.array([[0.3, -0.5, 2.0]])), (c, h))
+    c2, h2 = lstm_step(params.gate_weights(), Tensor(np.array([[0.3, -0.5, 2.0]])), (c, h))
     np.testing.assert_allclose(c2.data, 0.5)
     np.testing.assert_allclose(h2.data, 0.5 * np.tanh(0.5))
 
@@ -49,7 +49,7 @@ def test_lstm_matches_scalar_oracle_over_two_steps():
     for step in range(2):
         c, h = lstm_step_oracle(params.wx.data.tolist(), params.wh.data.tolist(),
                                 params.b.data.tolist(), xs[step].tolist(), c, h)
-        ct, ht = lstm_cell_step(params, Tensor(xs[step][None, :]), (ct, ht))
+        ct, ht = lstm_step(params.gate_weights(), Tensor(xs[step][None, :]), (ct, ht))
     np.testing.assert_allclose(ct.data[0], c, atol=1e-12)
     np.testing.assert_allclose(ht.data[0], h, atol=1e-12)
 
@@ -64,14 +64,14 @@ def test_lstm_saturated_gates_hold_memory():
     params = LstmCellParams(params.wx, params.wh, Tensor(b))
     c = Tensor(np.array([[0.4, -0.2, 0.9]]))
     h = Tensor(np.zeros((1, m)))
-    c2, _ = lstm_cell_step(params, Tensor(np.zeros((1, 2))), (c, h))
+    c2, _ = lstm_step(params.gate_weights(), Tensor(np.zeros((1, 2))), (c, h))
     np.testing.assert_allclose(c2.data, c.data, atol=1e-4)
 
 
 def test_lstm_rejects_dimension_mismatch():
     params = zero_cell(3, 2)
     with pytest.raises(ad.ShapeMismatch):
-        lstm_cell_step(params, Tensor(np.zeros((1, 4))), (Tensor(np.zeros((1, 2))), Tensor(np.zeros((1, 2)))))
+        lstm_step(params.gate_weights(), Tensor(np.zeros((1, 4))), (Tensor(np.zeros((1, 2))), Tensor(np.zeros((1, 2)))))
 
 
 def test_lstm_gradients_match_finite_differences():
@@ -87,7 +87,7 @@ def test_lstm_gradients_match_finite_differences():
 
         def f(p):
             cell = LstmCellParams(p["wx"], p["wh"], p["b"])
-            c, h = lstm_cell_step(cell, p["x"], (p["c"], p["h"]))
+            c, h = lstm_step(cell.gate_weights(), p["x"], (p["c"], p["h"]))
             return ad.tsum(c) + ad.tsum(h)
 
         point = {"wx": Tensor(wx), "wh": Tensor(wh), "b": Tensor(b),
@@ -101,10 +101,10 @@ def test_bidirectional_single_element():
     fwd = make_cell(rng, 2, 2)
     bwd = make_cell(rng, 2, 2)
     x = Tensor(rng.normal(size=(1, 2)))
-    outputs, final = bidirectional_layer(fwd, bwd, [x])
+    outputs, final = bidirectional_layer(fwd, bwd, ad.stack([x]))
     zeros = (Tensor(np.zeros((1, 2))), Tensor(np.zeros((1, 2))))
-    _, hf = lstm_cell_step(fwd, x, zeros)
-    _, hb = lstm_cell_step(bwd, x, zeros)
+    _, hf = lstm_step(fwd.gate_weights(), x, zeros)
+    _, hb = lstm_step(bwd.gate_weights(), x, zeros)
     np.testing.assert_allclose(outputs[0].data, hf.data + hb.data, atol=1e-12)
     assert final.shape == (1, 4)
 
@@ -114,7 +114,7 @@ def test_bidirectional_palindrome_symmetry():
     cell = make_cell(rng, 2, 3)
     seq = [Tensor(rng.normal(size=(1, 2))) for _ in range(2)]
     seq = seq + [seq[1], seq[0]]  # palindrome x0 x1 x1 x0
-    outputs, _ = bidirectional_layer(cell, cell, seq)
+    outputs, _ = bidirectional_layer(cell, cell, ad.stack(seq))
     values = [o.data for o in outputs]
     np.testing.assert_allclose(values[0], values[3], atol=1e-12)
     np.testing.assert_allclose(values[1], values[2], atol=1e-12)
@@ -125,7 +125,7 @@ def test_bidirectional_matches_two_oracle_passes():
     fwd = make_cell(rng, 2, 2)
     bwd = make_cell(rng, 2, 2)
     xs = rng.normal(size=(3, 2))
-    outputs, final = bidirectional_layer(fwd, bwd, [Tensor(x[None, :]) for x in xs])
+    outputs, final = bidirectional_layer(fwd, bwd, ad.stack([Tensor(x[None, :]) for x in xs]))
 
     def run_oracle(cell, order):
         c, h = [0.0, 0.0], [0.0, 0.0]
@@ -151,11 +151,11 @@ def test_bidirectional_rejects_empty_sequence():
     rng = np.random.default_rng(26)
     cell = make_cell(rng, 2, 2)
     with pytest.raises(ValueError, match="nonempty"):
-        bidirectional_layer(cell, cell, [])
+        bidirectional_layer(cell, cell, Tensor(np.zeros((0, 1, 2))))
 
 
 def _stack(rng, kind, input_dim, m, layers):
-    cfg = speech_encoder_config(m, layers) if kind == "speech" else text_encoder_config(m, layers)
+    cfg = speech_encoder_config(layers) if kind == "speech" else text_encoder_config(layers)
     cells = []
     for i in range(layers):
         d = input_dim if i == 0 else m
@@ -167,7 +167,7 @@ def test_pyramidal_output_lengths():
     rng = np.random.default_rng(27)
     cfg, cells = _stack(rng, "speech", 4, 2, 3)
     for a, expected in [(16, 4), (13, 4)]:
-        inputs = [Tensor(rng.normal(size=(1, 4))) for _ in range(a)]
+        inputs = ad.stack([Tensor(rng.normal(size=(1, 4))) for _ in range(a)])
         outputs, final, _ = pyramidal_encode(cfg, cells, inputs)
         assert len(outputs) == expected
         assert final.shape == (1, 4)
@@ -176,7 +176,7 @@ def test_pyramidal_output_lengths():
 def test_text_encoder_keeps_length():
     rng = np.random.default_rng(28)
     cfg, cells = _stack(rng, "text", 3, 2, 2)
-    inputs = [Tensor(rng.normal(size=(1, 3))) for _ in range(9)]
+    inputs = ad.stack([Tensor(rng.normal(size=(1, 3))) for _ in range(9)])
     outputs, _, _ = pyramidal_encode(cfg, cells, inputs)
     assert len(outputs) == 9
 
@@ -193,7 +193,7 @@ def test_pyramidal_rejects_too_short_input():
     rng = np.random.default_rng(29)
     cfg, cells = _stack(rng, "speech", 4, 2, 3)
     with pytest.raises(ValueError, match="too short"):
-        pyramidal_encode(cfg, cells, [Tensor(np.zeros((1, 4)))] * 3)
+        pyramidal_encode(cfg, cells, ad.stack([Tensor(np.zeros((1, 4)))] * 3))
 
 
 def test_prenet_zero_weights_give_zero_output():
@@ -234,11 +234,11 @@ def test_batched_encoding_matches_per_sequence():
     padded = np.zeros((3, smax, 3))
     for i, s in enumerate(seqs):
         padded[i, : len(s)] = s
-    batch_inputs = [Tensor(padded[:, t, :]) for t in range(smax)]
+    batch_inputs = ad.stack([Tensor(padded[:, t, :]) for t in range(smax)])
     batch_out, batch_final, out_lengths = pyramidal_encode(cfg, cells, batch_inputs, lengths)
 
     for i, s in enumerate(seqs):
-        single_inputs = [Tensor(s[t][None, :]) for t in range(len(s))]
+        single_inputs = ad.stack([Tensor(s[t][None, :]) for t in range(len(s))])
         single_out, single_final, _ = pyramidal_encode(cfg, cells, single_inputs)
         assert out_lengths[i] == len(single_out)
         for t in range(len(single_out)):
@@ -249,7 +249,7 @@ def test_batched_encoding_matches_per_sequence():
 def test_encoding_deterministic_without_dropout():
     rng = np.random.default_rng(32)
     cfg, cells = _stack(rng, "text", 3, 2, 2)
-    inputs = [Tensor(rng.normal(size=(2, 3))) for _ in range(5)]
+    inputs = ad.stack([Tensor(rng.normal(size=(2, 3))) for _ in range(5)])
     out1, final1, _ = pyramidal_encode(cfg, cells, inputs)
     out2, final2, _ = pyramidal_encode(cfg, cells, inputs)
     for a, b in zip(out1, out2):

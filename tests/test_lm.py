@@ -3,6 +3,7 @@ import pytest
 
 from s2t.corpus import BOS_ID, PAD_ID, Vocabulary
 from s2t.lm import (
+    CONTEXT_CACHE_SIZE,
     DEFAULT_LAMBDAS,
     fused_log_rows,
     lm_logprob,
@@ -128,3 +129,18 @@ def test_vocabulary_remap_for_fusion():
     rows = fused_log_rows(model, id_map, BOS_ID, BOS_ID)
     direct = np.log(model.context_distribution(BOS_ID, BOS_ID))
     assert rows[other.encode("a")] == direct[model.vocab.encode("a")]
+
+
+def test_context_cache_is_bounded_and_exact():
+    """5,000 distinct contexts leave at most ``CONTEXT_CACHE_SIZE`` cached,
+    and a context computed again after eviction is unchanged."""
+    words = [f"w{i}" for i in range(80)]
+    model = train_trigram([[words[i], words[(7 * i) % 80], words[(13 * i) % 80]] for i in range(80)])
+    size = len(model.vocab)
+    contexts = [(u, v) for u in range(size) for v in range(size)][:5000]
+    assert len(contexts) == 5000
+    first = {key: model.context_distribution(*key).copy() for key in contexts}
+    assert len(model._context_cache) <= CONTEXT_CACHE_SIZE
+    for key in contexts:
+        np.testing.assert_array_equal(model.context_distribution(*key), first[key])
+    assert len(model._context_cache) <= CONTEXT_CACHE_SIZE
