@@ -19,7 +19,11 @@ from .corpus import BOS_ID, EOS_ID, Vocabulary
 
 LM_MAGIC = "S2TLM1"
 DEFAULT_LAMBDAS = (0.1, 0.3, 0.6)  # unigram, bigram, trigram
-CONTEXT_CACHE_SIZE = 1024  # cached contexts, each a float64 vector of V entries
+# Cached contexts, each a float64 vector of V entries (32 KB at V=4000).  A
+# beam-8 + LM translate group of 64 inputs of 6-13 tokens (untrained 256-unit
+# model, V=4000) asks for at most 1,717 distinct contexts; a whole 1,000-line
+# input for 3,163.
+CONTEXT_CACHE_SIZE = 4096
 
 
 @dataclass
