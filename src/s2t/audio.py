@@ -38,10 +38,6 @@ class AudioBuffer:
         if not np.isfinite(self.samples).all():
             raise AudioFormatError("audio contains non-finite samples")
 
-    @property
-    def duration(self) -> float:
-        return len(self.samples) / self.sample_rate
-
 
 @dataclass
 class FrameBlock:

@@ -175,10 +175,6 @@ class Tape:
         """Register a named leaf whose gradient backprop should report."""
         self._watched[name] = self._bind(tensor)
 
-    @property
-    def watched(self) -> dict[str, int]:
-        return dict(self._watched)
-
     def replay(self) -> bool:
         """Recompute every entry from its recorded inputs.
 

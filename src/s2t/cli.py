@@ -164,8 +164,7 @@ def _load_ensemble(paths) -> list[Seq2SeqModel]:
             raise DataError(f"{path}: task kind differs between ensemble members")
         if model.tgt_vocab != first.tgt_vocab:
             raise DataError(f"{path}: target vocabulary differs between ensemble members")
-        if (model.src_vocab is None) != (first.src_vocab is None) or (
-                model.src_vocab is not None and model.src_vocab != first.src_vocab):
+        if model.src_vocab != first.src_vocab:
             raise DataError(f"{path}: source vocabulary differs between ensemble members")
     return models
 

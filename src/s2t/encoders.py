@@ -5,10 +5,10 @@ adds a two-layer tanh prenet over the 41-dim feature frames and a third
 bidirectional layer; its 2nd and 3rd layers read every other output of the
 layer below, shortening the sequence by 4x overall.
 
-Sequences travel as one time-major [T, B, dim] block from the input to the
-top layer, and the functions take an optional per-row length vector; rows
-shorter than the padded extent carry their last real state forward, which
-makes batched results identical to per-sequence computation.
+Sequences travel as one time-major [T, B, dim] block with a per-row length
+vector.  Padded steps are computed and never read: the forward direction
+runs on through them, the backward one starts each row from the zero state
+at its last real step, the final state is read there, attention skips them.
 """
 
 from __future__ import annotations
@@ -37,29 +37,23 @@ class LstmCellParams:
 
 @dataclass
 class EncoderConfig:
-    kind: str                      # "text" | "speech"
     layer_count: int
-    subsample_layers: frozenset    # 1-based indices of layers reading every other input
+    subsample: bool  # the 2nd and later layers read every other output of the layer below
     dropout: float = 0.0
-
-    def __post_init__(self):
-        if self.kind == "text" and self.subsample_layers:
-            raise ValueError("text encoder does not subsample")
 
     @property
     def stride(self) -> int:
         """Input frames per encoder position, which is also the shortest
         input the encoder accepts."""
-        return 2 ** len(self.subsample_layers)
+        return 2 ** (self.layer_count - 1) if self.subsample else 1
 
 
 def text_encoder_config(layer_count: int = 2, dropout: float = 0.0) -> EncoderConfig:
-    return EncoderConfig("text", layer_count, frozenset(), dropout)
+    return EncoderConfig(layer_count, False, dropout)
 
 
 def speech_encoder_config(layer_count: int = 3, dropout: float = 0.0) -> EncoderConfig:
-    # the 2nd and later layers read every other output from the layer below
-    return EncoderConfig("speech", layer_count, frozenset(range(2, layer_count + 1)), dropout)
+    return EncoderConfig(layer_count, True, dropout)
 
 
 def _cell_update(gates: Tensor, c: Optional[Tensor]):
@@ -81,30 +75,27 @@ def lstm_step(weights: tuple[Tensor, Tensor], x: Tensor, state: tuple[Tensor, Te
     return _cell_update((ad.concat([x, h]) @ w_t) + b, c)
 
 
-def _run_direction(params: LstmCellParams, x1: Tensor, batch: int, live: Optional[np.ndarray], order):
+def _run_direction(params: LstmCellParams, x1: Tensor, batch: int, order, restart=None):
     """One direction over the stacked [T*B, d+1] block ``x1`` (inputs with
-    a column of ones): the input projection and bias of every step are one
-    GEMM, each step adds h @ wh^T to its rows of it, and rows whose ``live``
-    entry is 0 keep their state.  Returns ([T, B, m] outputs, final c, h)."""
+    a column of ones): one GEMM projects every step, and each step adds
+    h @ wh^T to its rows.  Rows whose ``restart`` is the step enter it from
+    the zero state.  Returns per-step lists of [B, m] cell and hidden states."""
     m = params.wh.shape[1]
     bias_col = ad.reshape(params.b, (4 * m, 1))
     projected = x1 @ ad.transpose(ad.concat([params.wx, bias_col]))  # [T*B, 4m]
     wh_t = ad.transpose(params.wh)
     c = h = None  # the zero state
-    outputs = [None] * len(order)
+    cells, outputs = [None] * len(order), [None] * len(order)
     for t in order:
         gates = ad.slice_axis(projected, 0, t * batch, (t + 1) * batch)
         if h is not None:
+            if restart is not None and (restart == t).any():
+                keep = Tensor((restart != t).astype(np.float64)[:, None])
+                c, h = c * keep, h * keep
             gates = gates + (h @ wh_t)
-        c_new, h_new = _cell_update(gates, c)
-        if live is not None and not live[t].all():
-            keep, hold = Tensor(live[t]), Tensor(1.0 - live[t])
-            c_new, h_new = c_new * keep, h_new * keep
-            if c is not None:
-                c_new, h_new = c_new + (c * hold), h_new + (h * hold)
-        c, h = c_new, h_new
-        outputs[t] = h
-    return ad.stack(outputs), c, h
+        c, h = _cell_update(gates, c)
+        cells[t], outputs[t] = c, h
+    return cells, outputs
 
 
 def bidirectional_layer(
@@ -113,19 +104,24 @@ def bidirectional_layer(
     inputs: Tensor,
     lengths: Optional[np.ndarray] = None,
 ):
-    """Runs both directions over a [T, B, d] block.  Returns (outputs
-    [T, B, m], the sum of the two directions; final state [B, 2m], the
-    forward direction's (c, h) frozen per row at its true length)."""
+    """Runs both directions over a [T, B, d] block whose rows are real up
+    to ``lengths`` (default: all of them).  Returns (outputs [T, B, m], the
+    sum of the two directions; final state [B, 2m], the forward direction's
+    (c, h) at each row's last real step)."""
     if len(inputs) == 0:
         raise ValueError("bidirectional layer needs a nonempty input sequence")
     steps, batch, width = inputs.shape
-    live = None  # [T, B, 1]: 1.0 where step t lies within row b's length
-    if lengths is not None:
-        live = (np.arange(steps)[:, None, None] < np.asarray(lengths)[:, None]).astype(np.float64)
+    last = np.full(batch, steps - 1) if lengths is None else np.asarray(lengths) - 1
     x1 = ad.concat([ad.reshape(inputs, (steps * batch, width)), Tensor(np.ones((steps * batch, 1)))])
-    fwd_out, fwd_c, fwd_h = _run_direction(fwd, x1, batch, live, range(steps))
-    bwd_out, _, _ = _run_direction(bwd, x1, batch, live, range(steps - 1, -1, -1))
-    return fwd_out + bwd_out, ad.concat([fwd_c, fwd_h])
+    fwd_c, fwd_h = _run_direction(fwd, x1, batch, range(steps))
+    _, bwd_h = _run_direction(bwd, x1, batch, range(steps - 1, -1, -1), last)
+    fwd_out = ad.stack(fwd_h)
+    if (last == steps - 1).all():
+        final = ad.concat([fwd_c[-1], fwd_h[-1]])
+    else:  # one gather of each row's (c | h) at its last real step
+        states = ad.reshape(ad.concat([ad.stack(fwd_c), fwd_out]), (steps * batch, -1))
+        final = ad.apply_primitive("slice", (states,), axis=0, index=last * batch + np.arange(batch))
+    return fwd_out + ad.stack(bwd_h), final
 
 
 def speech_prenet(layers: Sequence[tuple[Tensor, Tensor]], frames: Tensor) -> Tensor:
@@ -157,26 +153,23 @@ def pyramidal_encode(
     train: bool = False,
     rng: Optional[np.random.Generator] = None,
 ):
-    """Stack bidirectional layers over a [T, B, d] block; subsampling layers
-    read ``[0::2]`` of the layer below.  Inputs shorter than
-    ``config.stride`` are rejected.  Inter-layer dropout applies during training only.  Returns (outputs
-    [T', B, m], final state [B, 2m], out_lengths, None when lengths is)."""
+    """Stacks bidirectional layers over a [T, B, d] block whose rows are real
+    up to ``lengths`` (default: all); subsampling layers read ``[0::2]``.
+    Rejects inputs shorter than ``config.stride``; dropout between layers in
+    training only.  Returns (outputs [T', B, m], final [B, 2m], out_lengths)."""
     if len(layers) != config.layer_count:
         raise ValueError(f"expected {config.layer_count} layers, got {len(layers)}")
-    shortest = len(inputs) if lengths is None else int(np.min(lengths))
+    lengths = np.full(inputs.shape[1], len(inputs)) if lengths is None else np.asarray(lengths)
+    shortest = int(np.min(lengths))
     if shortest < config.stride:  # every row of a padded batch must be long enough
         raise ValueError(f"input too short: {shortest} steps, need at least {config.stride}")
 
-    seq = inputs
-    seq_lengths = None if lengths is None else np.asarray(lengths)
-    final = None
-    for index, (fwd, bwd) in enumerate(layers, start=1):
-        if index in config.subsample_layers:
-            seq = seq[0::2]
-            if seq_lengths is not None:
-                seq_lengths = (seq_lengths + 1) // 2
-        if index > 1 and train and config.dropout > 0.0:
+    seq, final = inputs, None
+    for index, (fwd, bwd) in enumerate(layers):
+        if index > 0 and config.subsample:
+            seq, lengths = seq[0::2], (lengths + 1) // 2
+        if index > 0 and train and config.dropout > 0.0:
             scale = 1.0 / (1.0 - config.dropout)
             seq = ad.dropout(seq, (rng.random(seq.shape) >= config.dropout) * scale)
-        seq, final = bidirectional_layer(fwd, bwd, seq, seq_lengths)
-    return seq, final, seq_lengths
+        seq, final = bidirectional_layer(fwd, bwd, seq, lengths)
+    return seq, final, lengths

@@ -224,9 +224,9 @@ class Seq2SeqModel:
         adam_update(self.store, grads, self.config.learning_rate)
         return value
 
-    def max_decode_length(self, encoder_positions: int, source_len: int) -> int:
-        if self.config.task == "text":
-            return 2 * source_len + 10
+    def max_decode_length(self, encoder_positions: int) -> int:
+        """Length cap of a decode; text never subsamples, so its positions
+        are its source tokens."""
         return 2 * encoder_positions + 10
 
 

@@ -149,8 +149,7 @@ def decode_batch(
         cores.append(core)
         states.append(core.init_state(final))
     positions = [int(n) for n in cores[0].enc_mask.sum(axis=1)]  # per source
-    caps = [max_len or models[0].max_decode_length(n, len(source))
-            for n, source in zip(positions, sources)]
+    caps = [max_len or models[0].max_decode_length(n) for n in positions]
 
     sizes = [1] * len(sources)  # live rows per source, in row order
     scores = np.zeros(len(sources))

@@ -45,10 +45,8 @@ def dev_greedy_bleu(model: Seq2SeqModel, corpus: ParallelCorpus) -> float:
 
 @dataclass
 class TrainOutcome:
-    final_step: int
     best_step: int
     best_bleu: float
-    best_path: str
 
 
 def train_loop(
@@ -57,13 +55,11 @@ def train_loop(
     dev_corpus: Optional[ParallelCorpus],
     save_dir: str,
     log_line: Callable[[str], None],
-    stop_early: Optional[Callable[[float], bool]] = None,
 ) -> TrainOutcome:
     """Runs from the store's current step up to ``config.steps``.
 
-    ``stop_early`` (given the latest dev BLEU) may end training at a
-    checkpoint boundary.  Checkpoints go to ``save_dir`` as
-    ``ckpt-<step>.ckpt`` plus ``best.ckpt`` ranked by dev BLEU.
+    Checkpoints go to ``save_dir`` as ``ckpt-<step>.ckpt`` plus
+    ``best.ckpt`` ranked by dev BLEU.
     """
     from .checkpoint import save_checkpoint
 
@@ -96,6 +92,4 @@ def train_loop(
                 best_bleu, best_step = latest_bleu, step
                 save_checkpoint(best_path, model)
         log_line(f"{step}\t{loss!r}\t{dev_loss_text}\t{dev_bleu_text}")
-        if at_save_point and stop_early and latest_bleu is not None and stop_early(latest_bleu):
-            break
-    return TrainOutcome(step, best_step, best_bleu, best_path)
+    return TrainOutcome(best_step, best_bleu)

@@ -186,14 +186,15 @@ def test_unreachable_parameter_gets_zero_gradient():
 
 
 def test_partial_gradients_accumulate_like_the_dense_rule():
-    """One node read by overlapping slices (a range, an integer index and a
-    step), a pick, embeddings with repeated 1-D and 2-D ids and a dense
-    consumer: backprop adds the partial gradients in place, bit-identical
-    to zero-filled gradients summed in tape order."""
+    """One node read by overlapping slices (a range, an integer index, an
+    array of distinct rows and a step), a pick, embeddings with repeated
+    1-D and 2-D ids and a dense consumer: backprop adds the partial
+    gradients in place, bit-identical to zero-filled gradients summed in
+    tape order."""
     rng = np.random.default_rng(5)
     x0 = rng.normal(size=(4, 6))
     pick_ids, embed_ids = np.array([5, 0, 5, 2]), np.array([1, 3, 1, 1, 5])
-    grid_ids = np.array([[1, 3, 1], [5, 1, 3]])
+    grid_ids, row_ids = np.array([[1, 3, 1], [5, 1, 3]]), np.array([3, 0, 2])
     consumers = [
         lambda x: ad.slice_axis(x, 1, 0, 4),
         lambda x: ad.slice_axis(x, 1, 2, 6),
@@ -204,6 +205,7 @@ def test_partial_gradients_accumulate_like_the_dense_rule():
         lambda x: x[2],
         lambda x: x[1::2],
         lambda x: ad.embedding(x, grid_ids),
+        lambda x: ad.apply_primitive("slice", (x,), axis=0, index=row_ids),
     ]
     tape = Tape()
     with tape:
@@ -235,8 +237,10 @@ def test_partial_gradients_accumulate_like_the_dense_rule():
             dx[2] = w
         elif k == 7:
             dx[1::2] = w
-        else:
+        elif k == 8:
             np.add.at(dx.T, grid_ids.reshape(-1), w.reshape(-1, 4))
+        else:
+            dx[row_ids] = w
         return dx
 
     want = None
@@ -411,6 +415,12 @@ def _case_slice_step(rng):
     return {"a": Tensor(a)}, lambda p: ad.tsum(ad.tanh(p["a"][0::2]))
 
 
+def _case_slice_rows(rng):
+    a = rng.normal(size=(5, 3))
+    rows = rng.permutation(5)[:3]  # distinct rows, as the encoder's final-state gather reads
+    return {"a": Tensor(a)}, lambda p: ad.tsum(ad.tanh(ad.apply_primitive("slice", (p["a"],), axis=0, index=rows)))
+
+
 def _case_embedding_2d(rng):
     table = rng.normal(size=(3, 4))
     ids = rng.integers(0, 4, size=(3, 5))  # 15 ids over 4 columns repeat
@@ -434,7 +444,7 @@ ALL_CASES = [
     _case_matmul_vec, _case_transpose, _case_reshape, _case_tanh, _case_sigmoid,
     _case_softmax, _case_log, _case_sum_axis, _case_concat, _case_stack,
     _case_slice, _case_conv, _case_embedding, _case_dropout, _case_pick,
-    _case_slice_index, _case_slice_step, _case_embedding_2d,
+    _case_slice_index, _case_slice_step, _case_embedding_2d, _case_slice_rows,
 ]
 
 

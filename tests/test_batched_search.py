@@ -131,8 +131,9 @@ def test_translate_file_matches_per_input_decodes(tmp_path, capsys, task, attent
 
 
 def test_translate_short_utterance_among_good_ones(tmp_path, capsys):
-    """A 2-frame utterance spoils its batch: the batch decodes input by
-    input, and only that input's line is empty."""
+    """A 2-frame utterance is shorter than the encoder's stride: translate
+    reports it before decoding, the other inputs decode as one batch with
+    no per-input retry, and only that input's line is empty."""
     model = randomize(build_tiny_model(task="speech", m=3, n=3, tgt_words=5), seed=12)
     bias = np.zeros(len(model.tgt_vocab))
     bias[EOS_ID] = -50.0  # never finishes: every good input emits max-len tokens

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -201,12 +203,13 @@ def test_batched_output_layer_matches_per_step(task, attention):
 @pytest.mark.parametrize("task, src_lens, limit", [
     pytest.param("text", (5,), 449, id="text"),
     pytest.param("speech", (6,), 502, id="speech"),
-    pytest.param("speech", (9, 7, 8), 709, id="speech-ragged"),
+    pytest.param("speech", (9, 7, 8), 690, id="speech-ragged"),
 ])
 def test_tiny_loss_tape_size(task, src_lens, limit):
     """Criterion 1's tiny models (same sizes, seed and batch) record one
     taped loss within budget: the per-primitive cost dominates there.  The
-    ragged batch runs every encoder layer with its live mask."""
+    ragged batch restarts the backward direction of every encoder layer
+    at each shorter row's end and gathers the final state once."""
     rng = np.random.default_rng(100)
     model = build_tiny_model(task=task, m=8, n=8, src_words=16, tgt_words=16,
                              seed=100, prenet_size=8, conv_filter_size=5)
@@ -216,6 +219,36 @@ def test_tiny_loss_tape_size(task, src_lens, limit):
     with tape:
         model.batch_nll(model.store.watch(tape), make_batch(sources, [[4, 5]] * len(sources)))
     assert len(tape.entries) <= limit
+
+
+@pytest.mark.parametrize("task", ["text", "speech"])
+def test_padded_source_positions_are_never_read(task):
+    """Large random values in the padded source positions of a ragged batch
+    leave every real encoder output and the final state bit-identical, and
+    the loss and every gradient too, in eval mode and with dropout."""
+    rng = np.random.default_rng(43)
+    model = randomize(build_tiny_model(task=task, m=6, n=5, src_words=12, tgt_words=8, dropout=0.3),
+                      seed=44, scale=0.7)
+    sources = ([random_text_source(rng, 12, n, n) for n in (7, 3, 5)] if task == "text"
+               else [random_speech_source(rng, min_len=n, max_len=n) for n in (13, 6, 9)])
+    batch = make_batch(sources, [[4, 5, 6], [7], [5, 4]])
+    padded = np.arange(batch.src.shape[1])[None, :] >= batch.src_lengths[:, None]
+    noisy = batch.src.copy()
+    noisy[padded] = (rng.integers(0, 12, size=padded.sum()) if task == "text"
+                     else rng.normal(size=(padded.sum(), 41)) * 1e3)
+
+    def run(src, train):
+        h, enc_mask, final = model.encode(model.store.as_tensors(), src, batch.src_lengths)
+        real = [h.data[:n, b] for b, n in enumerate(enc_mask.sum(axis=1))]
+        tape = ad.Tape()
+        with tape:
+            loss = model.batch_nll(model.store.watch(tape), replace(batch, src=src),
+                                   train=train, rng=np.random.default_rng(45))
+        grads = ad.backprop(tape, loss)
+        return [a.tobytes() for a in real + [final.data, loss.data] + [grads[k].data for k in sorted(grads)]]
+
+    for train in (False, True):
+        assert run(noisy, train) == run(batch.src, train)
 
 
 def test_empty_target_rejected():
