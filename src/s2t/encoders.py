@@ -106,8 +106,8 @@ def bidirectional_layer(
 ):
     """Runs both directions over a [T, B, d] block whose rows are real up
     to ``lengths`` (default: all of them).  Returns (outputs [T, B, m], the
-    sum of the two directions; final state [B, 2m], the forward direction's
-    (c, h) at each row's last real step)."""
+    sum of the two directions; the forward direction's per-step cell and
+    hidden states, for :func:`final_state`)."""
     if len(inputs) == 0:
         raise ValueError("bidirectional layer needs a nonempty input sequence")
     steps, batch, width = inputs.shape
@@ -115,13 +115,22 @@ def bidirectional_layer(
     x1 = ad.concat([ad.reshape(inputs, (steps * batch, width)), Tensor(np.ones((steps * batch, 1)))])
     fwd_c, fwd_h = _run_direction(fwd, x1, batch, range(steps))
     _, bwd_h = _run_direction(bwd, x1, batch, range(steps - 1, -1, -1), last)
-    fwd_out = ad.stack(fwd_h)
+    return ad.stack(fwd_h) + ad.stack(bwd_h), (fwd_c, fwd_h)
+
+
+def final_state(forward, lengths: np.ndarray) -> Tensor:
+    """[B, 2m]: the forward direction's (c | h) at each row's last real step,
+    from the per-step states :func:`bidirectional_layer` returns."""
+    cells, hidden = forward
+    steps, last = len(cells), np.asarray(lengths) - 1
     if (last == steps - 1).all():
-        final = ad.concat([fwd_c[-1], fwd_h[-1]])
-    else:  # one gather of each row's (c | h) at its last real step
-        states = ad.reshape(ad.concat([ad.stack(fwd_c), fwd_out]), (steps * batch, -1))
-        final = ad.apply_primitive("slice", (states,), axis=0, index=last * batch + np.arange(batch))
-    return fwd_out + ad.stack(bwd_h), final
+        return ad.concat([cells[-1], hidden[-1]])
+    # one gather of each row's c and h, interleaved so the result is [c | h]
+    batch, m = cells[0].shape
+    states = ad.reshape(ad.stack(cells + hidden), (2 * steps * batch, m))
+    rows = last * batch + np.arange(batch)
+    index = np.stack([rows, rows + steps * batch], axis=1).reshape(-1)
+    return ad.reshape(ad.apply_primitive("slice", (states,), axis=0, index=index), (batch, 2 * m))
 
 
 def speech_prenet(layers: Sequence[tuple[Tensor, Tensor]], frames: Tensor) -> Tensor:
@@ -164,12 +173,12 @@ def pyramidal_encode(
     if shortest < config.stride:  # every row of a padded batch must be long enough
         raise ValueError(f"input too short: {shortest} steps, need at least {config.stride}")
 
-    seq, final = inputs, None
+    seq = inputs
     for index, (fwd, bwd) in enumerate(layers):
         if index > 0 and config.subsample:
             seq, lengths = seq[0::2], (lengths + 1) // 2
         if index > 0 and train and config.dropout > 0.0:
             scale = 1.0 / (1.0 - config.dropout)
             seq = ad.dropout(seq, (rng.random(seq.shape) >= config.dropout) * scale)
-        seq, final = bidirectional_layer(fwd, bwd, seq, lengths)
-    return seq, final, lengths
+        seq, forward = bidirectional_layer(fwd, bwd, seq, lengths)
+    return seq, final_state(forward, lengths), lengths

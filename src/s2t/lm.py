@@ -5,6 +5,11 @@ likelihood n-gram estimates.  Unseen higher-order contexts simply
 contribute nothing (no renormalization).  The unigram distribution gives
 every unseen word exactly 1/(V * total) and discounts seen words
 proportionally, so it still sums to one and every probability is positive.
+
+The model holds what its file holds: the [V] unigram counts and int64
+records, [n, 3] rows (v, w, count) for bigrams and [n, 4] rows
+(u, v, w, count) for trigrams.  Each record section is sorted and has no
+repeated n-gram, so the successors of a context are one slice of it.
 """
 
 from __future__ import annotations
@@ -19,20 +24,15 @@ from .corpus import BOS_ID, EOS_ID, Vocabulary
 
 LM_MAGIC = "S2TLM1"
 DEFAULT_LAMBDAS = (0.1, 0.3, 0.6)  # unigram, bigram, trigram
-# Cached contexts, each a float64 vector of V entries (32 KB at V=4000).  A
-# beam-8 + LM translate group of 64 inputs of 6-13 tokens (untrained 256-unit
-# model, V=4000) asks for at most 1,717 distinct contexts; a whole 1,000-line
-# input for 3,163.
-CONTEXT_CACHE_SIZE = 4096
 
 
 @dataclass
 class TrigramModel:
     vocab: Vocabulary
     lambdas: tuple[float, float, float]
-    unigram_counts: np.ndarray              # [V] counts of predicted tokens
-    bigram: dict                            # v -> {w: count}
-    trigram: dict                           # (u, v) -> {w: count}
+    unigram_counts: np.ndarray  # [V] counts of predicted tokens
+    bigrams: np.ndarray         # [n, 3] records (v, w, count), sorted and unique
+    trigrams: np.ndarray        # [n, 4] records (u, v, w, count), sorted and unique
 
     def __post_init__(self):
         l1, l2, l3 = self.lambdas
@@ -40,9 +40,8 @@ class TrigramModel:
             raise ValueError("interpolation weights must be positive and sum to 1")
         self.unigram_counts = np.asarray(self.unigram_counts, dtype=np.int64)
         self._unigram_probs = self._smoothed_unigrams()
-        self._bigram_totals = {v: sum(c.values()) for v, c in self.bigram.items()}
-        self._trigram_totals = {uv: sum(c.values()) for uv, c in self.trigram.items()}
-        self._context_cache: dict = {}
+        size = len(self.vocab)
+        self._successors = (_successors(self.bigrams, size, l2), _successors(self.trigrams, size, l3))
 
     def _smoothed_unigrams(self) -> np.ndarray:
         total = int(self.unigram_counts.sum())
@@ -60,37 +59,48 @@ class TrigramModel:
         return self._unigram_probs
 
     def context_distribution(self, u: int, v: int) -> np.ndarray:
-        """p(. | u, v) as a dense vector over the model's vocabulary.  Up to
-        ``CONTEXT_CACHE_SIZE`` contexts are cached; a full cache is cleared."""
-        key = (u, v)
-        cached = self._context_cache.get(key)
-        if cached is not None:
-            return cached
-        l1, l2, l3 = self.lambdas
-        probs = l1 * self._unigram_probs
-        bi = self.bigram.get(v)
-        if bi:
-            probs = probs.copy()
-            total = self._bigram_totals[v]
-            for w, count in bi.items():
-                probs[w] += l2 * count / total
-        tri = self.trigram.get(key)
-        if tri:
-            if bi is None:
-                probs = probs.copy()
-            total = self._trigram_totals[key]
-            for w, count in tri.items():
-                probs[w] += l3 * count / total
-        if len(self._context_cache) >= CONTEXT_CACHE_SIZE:
-            self._context_cache.clear()
-        self._context_cache[key] = probs
+        """p(. | u, v) as a new dense vector over the model's vocabulary: the
+        unigram term, then one indexed add per seen higher-order context."""
+        probs = self.lambdas[0] * self._unigram_probs
+        for (spans, words, shares), context in zip(self._successors, (v, u * len(self.vocab) + v)):
+            span = spans.get(context)
+            if span is not None:
+                start, stop = span
+                probs[words[start:stop]] += shares[start:stop]
         return probs
 
     def logprob(self, u: int, v: int, w: int) -> float:
         return float(log(self.context_distribution(u, v)[w]))
 
     def observed_contexts(self) -> list[tuple[int, int]]:
-        return list(self.trigram)
+        return [divmod(context, len(self.vocab)) for context in self._successors[1][0]]
+
+
+def _successors(records: np.ndarray, size: int, weight: float):
+    """One sorted record section as ({packed context: (start, stop) of its
+    records}, successor ids, each record's ``weight * count / context total``)."""
+    contexts, words, counts = _pack(records[:, :-2], size), records[:, -2], records[:, -1]
+    starts = np.flatnonzero(np.diff(contexts, prepend=-1))
+    stops = np.append(starts[1:], len(records))
+    shares = weight * counts / np.repeat(np.add.reduceat(counts, starts), stops - starts)
+    spans = dict(zip(contexts[starts].tolist(), zip(starts.tolist(), stops.tolist())))
+    return spans, words, shares
+
+
+def _pack(ids: np.ndarray, size: int) -> np.ndarray:
+    """One int64 key per row of [n, k] token ids, ordered as the rows are."""
+    if size ** ids.shape[1] > 2**63:
+        raise ValueError(f"a vocabulary of {size} tokens is too large for int64 n-gram keys")
+    keys = np.zeros(len(ids), dtype=np.int64)
+    for column in ids.T:
+        keys = keys * size + column
+    return keys
+
+
+def _count(grams: np.ndarray, size: int) -> np.ndarray:
+    """Sorted unique [n, k + 1] records (ids..., count) of the rows of [events, k]."""
+    _, first, counts = np.unique(_pack(grams, size), return_index=True, return_counts=True)
+    return np.column_stack([grams[first], counts])
 
 
 def train_trigram(
@@ -107,20 +117,14 @@ def train_trigram(
         raise ValueError("corpus is empty")
     if vocab is None:
         vocab = Vocabulary.from_corpus(corpus)
-    unigrams = np.zeros(len(vocab), dtype=np.int64)
-    bigram: dict = {}
-    trigram: dict = {}
+    events = []  # (u, v, w) for every predicted token
     for sentence in corpus:
-        ids = vocab.encode_sequence(sentence) + [EOS_ID]
-        u, v = BOS_ID, BOS_ID
-        for w in ids:
-            unigrams[w] += 1
-            bigram.setdefault(v, {})
-            bigram[v][w] = bigram[v].get(w, 0) + 1
-            trigram.setdefault((u, v), {})
-            trigram[(u, v)][w] = trigram[(u, v)].get(w, 0) + 1
-            u, v = v, w
-    return TrigramModel(vocab, tuple(lambdas), unigrams, bigram, trigram)
+        ids = [BOS_ID, BOS_ID] + vocab.encode_sequence(sentence) + [EOS_ID]
+        events.extend(zip(ids, ids[1:], ids[2:]))
+    grams = np.array(events, dtype=np.int64)
+    size = len(vocab)
+    return TrigramModel(vocab, tuple(lambdas), np.bincount(grams[:, 2], minlength=size),
+                        _count(grams[:, 1:], size), _count(grams, size))
 
 
 def lm_logprob(model: TrigramModel, ids: Sequence[int]) -> float:
@@ -152,6 +156,11 @@ def fused_log_rows(model: TrigramModel, id_map: np.ndarray, u_other: int, v_othe
 
 
 def save_lm(path, model: TrigramModel) -> None:
+    """Header, vocabulary, then the seen unigrams as (w, count) records and
+    the bigram and trigram records, one per line."""
+    seen = np.flatnonzero(model.unigram_counts)
+    sections = (("unigrams", np.column_stack([seen, model.unigram_counts[seen]])),
+                ("bigrams", model.bigrams), ("trigrams", model.trigrams))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(LM_MAGIC + "\n")
         fh.write("order=3\n")
@@ -161,20 +170,9 @@ def save_lm(path, model: TrigramModel) -> None:
         fh.write(f"vocab={len(tokens)}\n")
         for tok in tokens:
             fh.write(tok + "\n")
-        seen = np.flatnonzero(model.unigram_counts)
-        fh.write(f"unigrams={len(seen)}\n")
-        for w in seen:
-            fh.write(f"{w} {model.unigram_counts[w]}\n")
-        rows = [(v, w, c) for v, succ in sorted(model.bigram.items())
-                for w, c in sorted(succ.items())]
-        fh.write(f"bigrams={len(rows)}\n")
-        for v, w, c in rows:
-            fh.write(f"{v} {w} {c}\n")
-        rows = [(u, v, w, c) for (u, v), succ in sorted(model.trigram.items())
-                for w, c in sorted(succ.items())]
-        fh.write(f"trigrams={len(rows)}\n")
-        for u, v, w, c in rows:
-            fh.write(f"{u} {v} {w} {c}\n")
+        for section, records in sections:
+            fh.write(f"{section}={len(records)}\n")
+            fh.writelines(" ".join(map(str, row)) + "\n" for row in records.tolist())
 
 
 def load_lm(path) -> TrigramModel:
@@ -211,32 +209,26 @@ def _parse_lm(lines: list[str]) -> TrigramModel:
     lambdas = tuple(float(take(f"lambda{i}=")) for i in (1, 2, 3))
     vocab_size = int(take("vocab="))
     vocab = Vocabulary.from_tokens(block(vocab_size))
-    sections = [_records(block(int(take(f"{section}="))), section, width, vocab_size)
-                for section, width in (("unigrams", 1), ("bigrams", 2), ("trigrams", 3))]
+    unigrams, bigrams, trigrams = (
+        _records(block(int(take(f"{section}="))), section, width, vocab_size)
+        for section, width in (("unigrams", 1), ("bigrams", 2), ("trigrams", 3)))
     if any(text.strip() for text in lines[pos:]):
         raise ValueError("trailing content after the trigram records")
-    unigrams = np.zeros(vocab_size, dtype=np.int64)
-    for w, c in sections[0].tolist():
-        unigrams[w] = c
-    bigram: dict = {}
-    for v, w, c in sections[1].tolist():
-        bigram.setdefault(v, {})[w] = c
-    trigram: dict = {}
-    for u, v, w, c in sections[2].tolist():
-        trigram.setdefault((u, v), {})[w] = c
-    return TrigramModel(vocab, lambdas, unigrams, bigram, trigram)
+    unigram_counts = np.zeros(vocab_size, dtype=np.int64)
+    unigram_counts[unigrams[:, 0]] = unigrams[:, 1]
+    return TrigramModel(vocab, lambdas, unigram_counts, bigrams, trigrams)
 
 
 def _records(texts: list[str], section: str, width: int, vocab_size: int) -> np.ndarray:
-    """One section's records as a [count, width + 1] int64 array; the first
-    bad record (see :func:`_bad_record`) is quoted.
+    """One section's records as a [count, width + 1] int64 array, sorted by
+    their ids with none repeated; the first bad record (see
+    :func:`_bad_record`), or else the first out of order, is quoted.
 
     The section is split once, with a ``;`` token after each record: when
     every ``width + 2``-th token is ``;`` and every other one an integer,
     each record has exactly ``width + 1`` fields."""
     step, count = width + 2, len(texts)
-    tokens = " ; ".join(texts).split()
-    tokens.append(";")
+    tokens = " ; ".join(texts + [""]).split()
     if len(tokens) == count * step and tokens[step - 1::step].count(";") == count:
         del tokens[step - 1::step]
         try:
@@ -246,6 +238,11 @@ def _records(texts: list[str], section: str, width: int, vocab_size: int) -> np.
         if grid is not None:
             ids, counts = grid[:, :-1], grid[:, -1]
             if not ((ids < 0) | (ids >= vocab_size)).any() and ((counts > 0) & (counts < 2**32)).all():
+                keys = _pack(ids, vocab_size)
+                unordered = np.flatnonzero(keys[1:] <= keys[:-1])
+                if unordered.size:
+                    raise ValueError(f"{section} record {texts[unordered[0] + 1]!r} "
+                                     "is out of order or repeated")
                 return grid
     first = next(text for text in texts if _bad_record(text, width, vocab_size))
     raise ValueError(f"bad {section} record {first!r}")

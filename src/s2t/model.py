@@ -191,12 +191,12 @@ class Seq2SeqModel:
             state, out, weights = core.advance(state, batch.dec_in[:, t])
             attn_rows.append(weights)
             merged.append(out)
-        # the output layer runs once over all [T*B] time-major rows
+        # the output layer runs once, over the real rows of the time-major [T*B] block
         rows = ad.stack(merged)
-        dist = core.output(ad.reshape(rows, (rows.shape[0] * rows.shape[1], rows.shape[2])))
-        picked = ad.pick(dist, batch.dec_out.T.reshape(-1))
-        logp = ad.log(picked) * Tensor(batch.tgt_mask.T.reshape(-1))
-        loss = ad.tsum(logp).scaled(-1.0 / batch.real_token_count)
+        real = np.flatnonzero(batch.tgt_mask.T.reshape(-1))
+        rows = ad.apply_primitive("slice", (ad.reshape(rows, (-1, rows.shape[2])),), axis=0, index=real)
+        picked = ad.pick(core.output(rows), batch.dec_out.T.reshape(-1)[real])
+        loss = ad.tsum(ad.log(picked)).scaled(-1.0 / batch.real_token_count)
         return (loss, attn_rows) if collect_attention else loss
 
     def sequence_nll(self, source, target) -> float:

@@ -3,6 +3,7 @@ values.  Deliberately written with different machinery than the package
 (explicit loops, Fractions, scalar arithmetic) so they cannot share bugs
 with the code under test."""
 
+from collections import Counter
 from fractions import Fraction
 from math import exp, log, tanh
 
@@ -158,3 +159,44 @@ def text_forward_oracle(values, m, src_ids, dec_in_ids):
         e = np.exp(logits - logits.max())
         dists.append(e / e.sum())
     return dists
+
+
+def trigram_oracle(sentences, size, lambdas, bos):
+    """p(. | u, v) of the interpolated trigram model, from raw counts in
+    Python floats.  ``sentences`` are the predicted ids of each sentence
+    (EOS included), each started from the context (bos, bos).  Per word:
+    l1 * p1, plus l2 * count / total of the bigram context, plus
+    l3 * count / total of the trigram context, in that order; p1 gives each
+    unseen word 1 / (size * total) and scales the seen ones to the rest."""
+    l1, l2, l3 = lambdas
+    uni, bi, tri = Counter(), Counter(), Counter()
+    for ids in sentences:
+        u = v = bos
+        for w in ids:
+            uni[w] += 1
+            bi[v, w] += 1
+            tri[u, v, w] += 1
+            u, v = v, w
+    total = sum(uni.values())
+    if total == 0:
+        p1 = [1.0 / size] * size
+    else:
+        floor = 1.0 / (size * total)
+        rest = 1.0 - (size - len(uni)) * floor
+        p1 = [uni[w] / total * rest if uni[w] else floor for w in range(size)]
+    bi_total, tri_total = Counter(), Counter()
+    for (v, _), count in bi.items():
+        bi_total[v] += count
+    for (u, v, _), count in tri.items():
+        tri_total[u, v] += count
+
+    def distribution(u, v):
+        probs = [l1 * p for p in p1]
+        for w in range(size):
+            if bi[v, w]:
+                probs[w] += l2 * bi[v, w] / bi_total[v]
+            if tri[u, v, w]:
+                probs[w] += l3 * tri[u, v, w] / tri_total[u, v]
+        return probs
+
+    return distribution

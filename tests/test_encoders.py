@@ -6,6 +6,7 @@ from s2t.autodiff import Tensor, gradient_check
 from s2t.encoders import (
     LstmCellParams,
     bidirectional_layer,
+    final_state,
     lstm_step,
     pyramidal_encode,
     speech_encoder_config,
@@ -101,7 +102,8 @@ def test_bidirectional_single_element():
     fwd = make_cell(rng, 2, 2)
     bwd = make_cell(rng, 2, 2)
     x = Tensor(rng.normal(size=(1, 2)))
-    outputs, final = bidirectional_layer(fwd, bwd, ad.stack([x]))
+    outputs, forward = bidirectional_layer(fwd, bwd, ad.stack([x]))
+    final = final_state(forward, [1])
     zeros = (Tensor(np.zeros((1, 2))), Tensor(np.zeros((1, 2))))
     _, hf = lstm_step(fwd.gate_weights(), x, zeros)
     _, hb = lstm_step(bwd.gate_weights(), x, zeros)
@@ -125,7 +127,8 @@ def test_bidirectional_matches_two_oracle_passes():
     fwd = make_cell(rng, 2, 2)
     bwd = make_cell(rng, 2, 2)
     xs = rng.normal(size=(3, 2))
-    outputs, final = bidirectional_layer(fwd, bwd, ad.stack([Tensor(x[None, :]) for x in xs]))
+    outputs, forward = bidirectional_layer(fwd, bwd, ad.stack([Tensor(x[None, :]) for x in xs]))
+    final = final_state(forward, [3])
 
     def run_oracle(cell, order):
         c, h = [0.0, 0.0], [0.0, 0.0]

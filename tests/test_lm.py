@@ -1,9 +1,10 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from s2t.corpus import BOS_ID, PAD_ID, Vocabulary
+from s2t.corpus import BOS_ID, EOS_ID, PAD_ID, Vocabulary
 from s2t.lm import (
-    CONTEXT_CACHE_SIZE,
     DEFAULT_LAMBDAS,
     fused_log_rows,
     lm_logprob,
@@ -12,6 +13,8 @@ from s2t.lm import (
     train_trigram,
     vocabulary_id_map,
 )
+
+from oracles import trigram_oracle
 
 
 def test_single_sentence_hand_count_case():
@@ -107,7 +110,7 @@ def test_lm_file_round_trip(tmp_path):
     loaded = load_lm(path_a)
     save_lm(path_b, loaded)
     assert path_a.read_bytes() == path_b.read_bytes()
-    for u, v in model.observed_contexts():
+    for u, v in itertools.product(range(len(model.vocab)), repeat=2):
         np.testing.assert_array_equal(model.context_distribution(u, v),
                                       loaded.context_distribution(u, v))
 
@@ -131,16 +134,23 @@ def test_vocabulary_remap_for_fusion():
     assert rows[other.encode("a")] == direct[model.vocab.encode("a")]
 
 
-def test_context_cache_is_bounded_and_exact():
-    """5,000 distinct contexts leave at most ``CONTEXT_CACHE_SIZE`` cached,
-    and a context computed again after eviction is unchanged."""
-    words = [f"w{i}" for i in range(80)]
-    model = train_trigram([[words[i], words[(7 * i) % 80], words[(13 * i) % 80]] for i in range(80)])
+@pytest.mark.parametrize("seed", range(6))
+def test_every_context_matches_the_count_oracle_bitwise(tmp_path, seed):
+    """Every p(. | u, v) over the whole vocabulary, as trained and after a
+    save and reload, equals the raw-count formula in Python floats bit for
+    bit."""
+    rng = np.random.default_rng(600 + seed)
+    words = [f"w{i}" for i in range(int(rng.integers(1, 14)))]
+    corpus = [[words[i] for i in rng.integers(0, len(words), rng.integers(0, 9))]
+              for _ in range(int(rng.integers(1, 40)))]
+    lambdas = DEFAULT_LAMBDAS if seed % 2 else (0.2, 0.25, 0.55)
+    model = train_trigram(corpus, lambdas)
+    save_lm(tmp_path / "model.lm", model)
+    loaded = load_lm(tmp_path / "model.lm")
     size = len(model.vocab)
-    contexts = [(u, v) for u in range(size) for v in range(size)][:5000]
-    assert len(contexts) == 5000
-    first = {key: model.context_distribution(*key).copy() for key in contexts}
-    assert len(model._context_cache) <= CONTEXT_CACHE_SIZE
-    for key in contexts:
-        np.testing.assert_array_equal(model.context_distribution(*key), first[key])
-    assert len(model._context_cache) <= CONTEXT_CACHE_SIZE
+    oracle = trigram_oracle([model.vocab.encode_sequence(s) + [EOS_ID] for s in corpus],
+                            size, lambdas, BOS_ID)
+    for u, v in itertools.product(range(size), repeat=2):
+        expected = np.array(oracle(u, v))
+        assert model.context_distribution(u, v).tobytes() == expected.tobytes(), (u, v)
+        assert loaded.context_distribution(u, v).tobytes() == expected.tobytes(), (u, v)

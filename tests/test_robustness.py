@@ -154,6 +154,21 @@ def test_top_k_is_the_head_of_a_stable_descending_sort():
             np.testing.assert_array_equal(_top_k(flat, k), expected)
 
 
+def _section_start(lines, section):
+    """Index of the first record line of ``section``."""
+    return next(i for i, line in enumerate(lines) if line.startswith(section + "=")) + 1
+
+
+def _translate_with_lm(tmp_path, capsys, lm_path):
+    """``translate`` of one line with a tiny text model and the LM file."""
+    model = tmp_path / "text.ckpt"
+    save_checkpoint(model, randomize(build_tiny_model(m=3, n=3, src_words=5, tgt_words=5), seed=9))
+    inp = tmp_path / "in.txt"
+    inp.write_text("t0 t1\n")
+    return run(capsys, "translate", "--checkpoint", str(model), "--input", str(inp),
+               "--lm", str(lm_path))
+
+
 def _lm_file(path):
     save_lm(path, train_trigram([["t0", "t1", "t2"], ["t1", "t2"], ["t2", "t0"]]))
     return path
@@ -172,17 +187,12 @@ def _lm_file(path):
 def test_lm_record_out_of_range_exits_2(tmp_path, capsys, section, record):
     path = _lm_file(tmp_path / "bad.lm")
     lines = path.read_text().splitlines()
-    first = next(i for i, line in enumerate(lines) if line.startswith(section + "=")) + 1
+    first = _section_start(lines, section)
     lines[first] = record
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError, match=f"bad.lm: bad {section} record"):
         load_lm(path)
-    model = tmp_path / "text.ckpt"
-    save_checkpoint(model, randomize(build_tiny_model(m=3, n=3, src_words=5, tgt_words=5), seed=9))
-    inp = tmp_path / "in.txt"
-    inp.write_text("t0 t1\n")
-    code, out, err = run(capsys, "translate", "--checkpoint", str(model), "--input", str(inp),
-                         "--lm", str(path))
+    code, out, err = _translate_with_lm(tmp_path, capsys, path)
     assert code == 2
     assert "bad.lm" in err
     assert out == ""
@@ -198,11 +208,62 @@ def test_lm_record_out_of_range_exits_2(tmp_path, capsys, section, record):
 def test_lm_first_bad_record_is_quoted(tmp_path, section, records, quoted):
     path = _lm_file(tmp_path / "bad.lm")
     lines = path.read_text().splitlines()
-    first = next(i for i, line in enumerate(lines) if line.startswith(section + "=")) + 1
+    first = _section_start(lines, section)
     lines[first:first + len(records)] = records
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError, match=f"bad.lm: bad {section} record '{re.escape(quoted)}'$"):
         load_lm(path)
+
+
+@pytest.mark.parametrize("sections", [("unigrams",), ("bigrams",), ("trigrams",),
+                                      ("unigrams", "bigrams", "trigrams")],
+                         ids=["unigrams", "bigrams", "trigrams", "all"])
+def test_lm_with_empty_sections_loads_and_decodes(tmp_path, capsys, sections):
+    """A section of zero records holds no counts: an empty unigram section
+    gives the uniform unigram distribution, an empty bigram or trigram
+    section leaves every context unseen at that order."""
+    path = _lm_file(tmp_path / "empty.lm")
+    lines = path.read_text().splitlines()
+    for section in sections:
+        start = _section_start(lines, section)
+        count = int(lines[start - 1].split("=")[1])
+        lines[start - 1:start + count] = [f"{section}=0"]
+    path.write_text("\n".join(lines) + "\n")
+    model = load_lm(path)
+    size = len(model.vocab)
+    for u in range(size):
+        for v in range(size):
+            dist = model.context_distribution(u, v)
+            assert np.isfinite(dist).all() and (dist > 0).all()
+    if "unigrams" in sections:
+        np.testing.assert_array_equal(model.unigram_probs, np.full(size, 1.0 / size))
+    code, out, err = _translate_with_lm(tmp_path, capsys, path)
+    assert code == 0, err
+    assert len(out.splitlines()) == 1
+
+
+@pytest.mark.parametrize("section, change", [
+    ("unigrams", "swap"), ("bigrams", "swap"), ("trigrams", "swap"), ("bigrams", "repeat"),
+])
+def test_lm_records_out_of_order_or_repeated_exit_2(tmp_path, capsys, section, change):
+    """Each section must be sorted by its ids with none repeated, as
+    ``save_lm`` writes it; the first record breaking that is quoted."""
+    path = _lm_file(tmp_path / "order.lm")
+    lines = path.read_text().splitlines()
+    first = _section_start(lines, section)
+    quoted = lines[first]
+    if change == "swap":
+        lines[first], lines[first + 1] = lines[first + 1], lines[first]
+    else:
+        lines[first + 1] = lines[first]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=f"order.lm: {section} record '{re.escape(quoted)}' "
+                                         "is out of order or repeated$"):
+        load_lm(path)
+    code, out, err = _translate_with_lm(tmp_path, capsys, path)
+    assert code == 2
+    assert "out of order or repeated" in err
+    assert out == ""
 
 
 def test_lm_negative_record_count_is_rejected(tmp_path):
