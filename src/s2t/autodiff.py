@@ -36,6 +36,7 @@ __all__ = [
     "conv1d",
     "dropout",
     "embedding",
+    "linear",
     "log",
     "pick",
     "reshape",
@@ -108,9 +109,6 @@ class Tensor:
 
     def __mul__(self, other: "Tensor") -> "Tensor":
         return apply_primitive("mul", (self, other))
-
-    def __matmul__(self, other: "Tensor") -> "Tensor":
-        return apply_primitive("matmul", (self, other))
 
     def __neg__(self) -> "Tensor":
         return apply_primitive("scale", (self,), alpha=-1.0)
@@ -327,29 +325,18 @@ def _scale_bwd(g, d, out, a):
 def _matmul_fwd(d, a):
     x, w = d
     if x.ndim == 0 or w.ndim == 0 or w.ndim > 2:
-        raise ShapeMismatch(f"matmul: unsupported operand ranks {x.shape} @ {w.shape}")
-    if x.shape[-1] != w.shape[0]:
-        raise ShapeMismatch(f"matmul: inner dimensions differ, {x.shape} @ {w.shape}")
-    return x @ w
+        raise ShapeMismatch(f"matmul: unsupported operand ranks {x.shape} by weight {w.shape}")
+    if x.shape[-1] != w.shape[-1]:
+        raise ShapeMismatch(f"matmul: input width differs from the weight's, {x.shape} by {w.shape}")
+    return x @ w.T
 
 
 def _matmul_bwd(g, d, out, a):
     x, w = d
+    x2 = x.reshape(-1, x.shape[-1])
     if w.ndim == 2:
-        dx = g @ w.T
-        if x.ndim == 1:
-            dw = np.outer(x, g)
-        else:
-            k = x.shape[-1]
-            dw = x.reshape(-1, k).T @ g.reshape(-1, g.shape[-1])
-    else:
-        if x.ndim == 1:
-            dx = g * w
-            dw = g * x
-        else:
-            dx = g[..., None] * w
-            dw = x.reshape(-1, x.shape[-1]).T @ g.reshape(-1)
-    return [dx, dw]
+        return [g @ w, (x2.T @ g.reshape(-1, w.shape[0])).T]
+    return [g[..., None] * w, x2.T @ g.reshape(-1)]
 
 
 def _transpose_fwd(d, a):
@@ -574,6 +561,12 @@ register_primitive("pick", _pick_fwd, _pick_bwd)
 # thin wrappers so model code reads naturally
 
 
+def linear(x: Tensor, w: Tensor) -> Tensor:
+    """``x`` times the weight as stored: ``x @ w.T`` for an [out, in] matrix,
+    ``x @ w`` for an [in] vector; ``x`` is [..., in]."""
+    return apply_primitive("matmul", (x, w))
+
+
 def tanh(x: Tensor) -> Tensor:
     return apply_primitive("tanh", (x,))
 
@@ -740,7 +733,8 @@ def gradient_check(f, point: dict, epsilon: float = 1e-5) -> float:
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    work = {name: np.array(t.data if isinstance(t, Tensor) else t, dtype=np.float64)
+    # C order: each probe writes through ``reshape(-1)``, a view only then
+    work = {name: np.array(t.data if isinstance(t, Tensor) else t, dtype=np.float64, order="C")
             for name, t in point.items()}
 
     tape = Tape()

@@ -30,7 +30,7 @@ from .corpus import ParallelCorpus, Vocabulary, read_lines, tokenize
 from .lm import DEFAULT_LAMBDAS, load_lm, save_lm, train_trigram
 from .model import DivergenceError, Seq2SeqModel, encoder_config
 from .search import FusionWeights, beam_search, check_limits, decode_batch
-from .training import train_loop
+from .training import logged_best, train_loop
 
 
 class UsageError(Exception):
@@ -142,6 +142,7 @@ def cmd_train(args) -> int:
 
     os.makedirs(args.save_dir, exist_ok=True)
     log_path = os.path.join(args.save_dir, "train.log")
+    best = logged_best(log_path, model.store.step)  # none before a fresh run's step 0
     with open(log_path, "a" if args.resume else "w", encoding="utf-8") as log_fh:
 
         def log_line(text: str) -> None:
@@ -150,7 +151,7 @@ def cmd_train(args) -> int:
             if not args.quiet:
                 print(text)
 
-        outcome = train_loop(model, train_corpus, dev_corpus, args.save_dir, log_line)
+        outcome = train_loop(model, train_corpus, dev_corpus, args.save_dir, log_line, best)
     if outcome.best_step >= 0 and not args.quiet:
         print(f"best dev BLEU {outcome.best_bleu:.2f} at step {outcome.best_step}", file=sys.stderr)
     return 0
@@ -166,7 +167,17 @@ def _load_ensemble(paths) -> list[Seq2SeqModel]:
             raise DataError(f"{path}: target vocabulary differs between ensemble members")
         if model.src_vocab != first.src_vocab:
             raise DataError(f"{path}: source vocabulary differs between ensemble members")
+        if not _same_feat_stats(model.feat_stats, first.feat_stats):
+            raise DataError(f"{path}: feature statistics differ between ensemble members")
     return models
+
+
+def _same_feat_stats(a, b) -> bool:
+    """Both absent, or equal arrays: every member's inputs are normalized
+    with the first member's stats."""
+    if a is None or b is None:
+        return a is b
+    return np.array_equal(a.mean, b.mean) and np.array_equal(a.std, b.std)
 
 
 def cmd_translate(args) -> int:

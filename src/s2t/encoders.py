@@ -31,8 +31,8 @@ class LstmCellParams:
     b: Tensor   # [4m]
 
     def gate_weights(self) -> tuple[Tensor, Tensor]:
-        """Per-pass [input_dim + m, 4m] weight of the [x|h] gate GEMM, and the bias."""
-        return ad.transpose(ad.concat([self.wx, self.wh])), self.b
+        """Per-pass [4m, input_dim + m] weight of the [x|h] gate GEMM, and the bias."""
+        return ad.concat([self.wx, self.wh]), self.b
 
 
 @dataclass
@@ -71,19 +71,18 @@ def _cell_update(gates: Tensor, c: Optional[Tensor]):
 def lstm_step(weights: tuple[Tensor, Tensor], x: Tensor, state: tuple[Tensor, Tensor]):
     """One LSTM transition from :meth:`LstmCellParams.gate_weights`: one [x|h]
     GEMM for the whole gate block."""
-    (w_t, b), (c, h) = weights, state
-    return _cell_update((ad.concat([x, h]) @ w_t) + b, c)
+    (w, b), (c, h) = weights, state
+    return _cell_update(ad.linear(ad.concat([x, h]), w) + b, c)
 
 
 def _run_direction(params: LstmCellParams, x1: Tensor, batch: int, order, restart=None):
     """One direction over the stacked [T*B, d+1] block ``x1`` (inputs with
     a column of ones): one GEMM projects every step, and each step adds
-    h @ wh^T to its rows.  Rows whose ``restart`` is the step enter it from
+    wh . h to its rows.  Rows whose ``restart`` is the step enter it from
     the zero state.  Returns per-step lists of [B, m] cell and hidden states."""
     m = params.wh.shape[1]
     bias_col = ad.reshape(params.b, (4 * m, 1))
-    projected = x1 @ ad.transpose(ad.concat([params.wx, bias_col]))  # [T*B, 4m]
-    wh_t = ad.transpose(params.wh)
+    projected = ad.linear(x1, ad.concat([params.wx, bias_col]))  # [T*B, 4m]
     c = h = None  # the zero state
     cells, outputs = [None] * len(order), [None] * len(order)
     for t in order:
@@ -92,7 +91,7 @@ def _run_direction(params: LstmCellParams, x1: Tensor, batch: int, order, restar
             if restart is not None and (restart == t).any():
                 keep = Tensor((restart != t).astype(np.float64)[:, None])
                 c, h = c * keep, h * keep
-            gates = gates + (h @ wh_t)
+            gates = gates + ad.linear(h, params.wh)
         c, h = _cell_update(gates, c)
         cells[t], outputs[t] = c, h
     return cells, outputs
@@ -143,7 +142,7 @@ def speech_prenet(layers: Sequence[tuple[Tensor, Tensor]], frames: Tensor) -> Te
     for w, b in layers:
         if out.shape[-1] != w.shape[1]:
             raise ad.ShapeMismatch(f"prenet: input dim {out.shape[-1]} != expected {w.shape[1]}")
-        out = ad.tanh((out @ ad.transpose(w)) + b)
+        out = ad.tanh(ad.linear(out, w) + b)
     return out
 
 
@@ -159,13 +158,12 @@ def pyramidal_encode(
     layers: Sequence[tuple[LstmCellParams, LstmCellParams]],
     inputs: Tensor,
     lengths: Optional[np.ndarray] = None,
-    train: bool = False,
     rng: Optional[np.random.Generator] = None,
 ):
     """Stacks bidirectional layers over a [T, B, d] block whose rows are real
     up to ``lengths`` (default: all); subsampling layers read ``[0::2]``.
-    Rejects inputs shorter than ``config.stride``; dropout between layers in
-    training only.  Returns (outputs [T', B, m], final [B, 2m], out_lengths)."""
+    Rejects inputs shorter than ``config.stride``; dropout between layers
+    when ``rng`` is given.  Returns (outputs [T', B, m], final [B, 2m], out_lengths)."""
     if len(layers) != config.layer_count:
         raise ValueError(f"expected {config.layer_count} layers, got {len(layers)}")
     lengths = np.full(inputs.shape[1], len(inputs)) if lengths is None else np.asarray(lengths)
@@ -177,7 +175,7 @@ def pyramidal_encode(
     for index, (fwd, bwd) in enumerate(layers):
         if index > 0 and config.subsample:
             seq, lengths = seq[0::2], (lengths + 1) // 2
-        if index > 0 and train and config.dropout > 0.0:
+        if index > 0 and rng is not None and config.dropout > 0.0:
             scale = 1.0 / (1.0 - config.dropout)
             seq = ad.dropout(seq, (rng.random(seq.shape) >= config.dropout) * scale)
         seq, forward = bidirectional_layer(fwd, bwd, seq, lengths)

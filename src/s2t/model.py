@@ -155,10 +155,10 @@ class Seq2SeqModel:
 
     # --- forward passes ---
 
-    def encode(self, tensors, src_block: np.ndarray, lengths: np.ndarray,
-               train: bool = False, rng=None):
+    def encode(self, tensors, src_block: np.ndarray, lengths: np.ndarray, rng=None):
         """Runs the [S, B, d] block of embedded ids or prenet frames through the
-        encoder; returns (h [A', B, m], encoder mask [B, A'], final state [B, 2m])."""
+        encoder, with dropout when ``rng`` is given; returns (h [A', B, m],
+        encoder mask [B, A'], final state [B, 2m])."""
         if self.config.task == "text":
             inputs = ad.embedding(tensors["src_embed"], src_block.T)
         else:
@@ -168,23 +168,21 @@ class Seq2SeqModel:
             inputs = speech_prenet(layers, frames)
         h, final, out_lengths = pyramidal_encode(
             encoder_config(self.config), self._encoder_cells(tensors), inputs,
-            np.asarray(lengths), train=train, rng=rng,
+            np.asarray(lengths), rng,
         )
         enc_mask = np.arange(len(h))[None, :] < out_lengths[:, None]
         return h, enc_mask, final
 
-    def decoder(self, tensors, h: Tensor, enc_mask: np.ndarray,
-                train: bool = False, rng=None) -> "DecoderCore":
-        return DecoderCore(self, tensors, h, enc_mask, train, rng)
+    def decoder(self, tensors, h: Tensor, enc_mask: np.ndarray, rng=None) -> "DecoderCore":
+        return DecoderCore(self, tensors, h, enc_mask, rng)
 
-    def batch_nll(self, tensors, batch, train: bool = False, rng=None,
-                  collect_attention: bool = False):
+    def batch_nll(self, tensors, batch, rng=None, collect_attention: bool = False):
         """Teacher-forced negative log likelihood, averaged over the real
-        target tokens in the batch."""
+        target tokens in the batch; dropout runs when ``rng`` is given."""
         if batch.dec_in.shape[1] == 0:
             raise ValueError("empty target")
-        h, enc_mask, final = self.encode(tensors, batch.src, batch.src_lengths, train, rng)
-        core = self.decoder(tensors, h, enc_mask, train, rng)
+        h, enc_mask, final = self.encode(tensors, batch.src, batch.src_lengths, rng)
+        core = self.decoder(tensors, h, enc_mask, rng)
         state = core.init_state(final)
         merged, attn_rows = [], []
         for t in range(batch.dec_in.shape[1]):
@@ -216,7 +214,7 @@ class Seq2SeqModel:
         tape = Tape()
         with tape:
             tensors = self.store.watch(tape)
-            loss = self.batch_nll(tensors, batch, train=True, rng=rng)
+            loss = self.batch_nll(tensors, batch, rng)
         value = loss.item()
         if not np.isfinite(value):
             raise DivergenceError(f"non-finite loss at step {step_index}")
@@ -235,23 +233,22 @@ def _cell(tensors, prefix: str) -> LstmCellParams:
 
 
 class DecoderCore:
-    """Per-pass decoder: pre-transposed weights, the projected encoder block
-    and the attention configuration for one source batch."""
+    """Per-pass decoder: the weights, the projected encoder block and the
+    attention configuration for one source batch; dropout between the LSTM
+    layers when ``rng`` is given."""
 
-    def __init__(self, model: Seq2SeqModel, tensors, h: Tensor, enc_mask: np.ndarray,
-                 train: bool = False, rng=None):
+    def __init__(self, model: Seq2SeqModel, tensors, h: Tensor, enc_mask: np.ndarray, rng=None):
         cfg = model.config
         self.config = cfg
         self.h = h
         self.enc_mask = np.asarray(enc_mask, dtype=bool)
-        self.train = train
         self.rng = rng
         self.embed = tensors["dec.embed"]
-        self.init_w_t = ad.transpose(tensors["dec.init_w"])
+        self.init_w = tensors["dec.init_w"]
         self.cells = [_cell(tensors, f"dec.{i}").gate_weights() for i in range(cfg.dec_layers)]
-        self.merge_w_t = ad.transpose(tensors["dec.merge_w"])
+        self.merge_w = tensors["dec.merge_w"]
         self.merge_b = tensors["dec.merge_b"]
-        self.vocab_w_t = ad.transpose(tensors["dec.vocab_w"])
+        self.vocab_w = tensors["dec.vocab_w"]
         self.vocab_b = tensors["dec.vocab_b"]
         self.attn = model.attention_params(tensors)
         self.enc_proj = project_encoder(self.attn, h)
@@ -269,7 +266,7 @@ class DecoderCore:
         """s0 = tanh(init_w . final) becomes the top layer's (cell, hidden);
         lower layers start at zero, the attention history starts empty."""
         m = self.config.hidden_size
-        s0 = ad.tanh(enc_final @ self.init_w_t)
+        s0 = ad.tanh(ad.linear(enc_final, self.init_w))
         batch = s0.shape[0]
         zeros = Tensor(np.zeros((batch, m)))
         layers = [(zeros, zeros) for _ in range(self.config.dec_layers - 1)]
@@ -286,7 +283,7 @@ class DecoderCore:
             c_new, h_new = lstm_step(weights, x, state.layers[layer])
             new_layers.append((c_new, h_new))
             x = h_new
-            if layer < len(self.cells) - 1 and self.train and cfg.dropout > 0.0:
+            if layer < len(self.cells) - 1 and self.rng is not None and cfg.dropout > 0.0:
                 scale = 1.0 / (1.0 - cfg.dropout)
                 x = ad.dropout(x, (self.rng.random(x.shape) >= cfg.dropout) * scale)
         top_c, top_h = new_layers[-1]
@@ -296,12 +293,12 @@ class DecoderCore:
         else:
             scores = additive_scores(self.attn, self.h, s_t, self.enc_proj)
         weights, context = attend(scores, self.h, self.enc_mask)
-        merged = (ad.concat([top_h, context]) @ self.merge_w_t) + self.merge_b
+        merged = ad.linear(ad.concat([top_h, context]), self.merge_w) + self.merge_b
         return DecoderState(layers=new_layers, attn_weights=weights), merged, weights
 
     def output(self, merged: Tensor) -> Tensor:
         """Softmax over the target vocabulary of merge outputs [rows, m]."""
-        return ad.softmax((merged @ self.vocab_w_t) + self.vocab_b)
+        return ad.softmax(ad.linear(merged, self.vocab_w) + self.vocab_b)
 
     def step(self, state: DecoderState, prev_ids: np.ndarray):
         """Advance one target position; returns (state', distribution [B, V],

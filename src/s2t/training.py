@@ -43,10 +43,32 @@ def dev_greedy_bleu(model: Seq2SeqModel, corpus: ParallelCorpus) -> float:
     return corpus_bleu(hyps, refs).score
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainOutcome:
     best_step: int
     best_bleu: float
+
+
+NO_BEST = TrainOutcome(-1, -1.0)
+
+
+def logged_best(log_path, last_step: int) -> TrainOutcome:
+    """The best save point a ``train.log`` records up to ``last_step``:
+    the highest logged dev BLEU, the earliest step on ties.  Lines that do
+    not parse (a run cut mid-write) are skipped; no log, no best."""
+    best = NO_BEST
+    if not os.path.exists(log_path):
+        return best
+    with open(log_path, encoding="utf-8") as fh:
+        for line in fh:
+            fields = line.rstrip("\n").split("\t")
+            try:
+                step, bleu = int(fields[0]), float(fields[3])
+            except (IndexError, ValueError):  # "-" outside save points
+                continue
+            if step <= last_step and (bleu, -step) > (best.best_bleu, -best.best_step):
+                best = TrainOutcome(step, bleu)
+    return best
 
 
 def train_loop(
@@ -55,11 +77,14 @@ def train_loop(
     dev_corpus: Optional[ParallelCorpus],
     save_dir: str,
     log_line: Callable[[str], None],
+    best: TrainOutcome = NO_BEST,
 ) -> TrainOutcome:
     """Runs from the store's current step up to ``config.steps``.
 
     Checkpoints go to ``save_dir`` as ``ckpt-<step>.ckpt`` plus
-    ``best.ckpt`` ranked by dev BLEU.
+    ``best.ckpt``, ranked by the dev BLEU the log records (two decimals;
+    the earliest save point wins ties).  ``best`` is the ranking so far,
+    which a resumed run recovers with :func:`logged_best`.
     """
     from .checkpoint import save_checkpoint
 
@@ -67,7 +92,6 @@ def train_loop(
     config = model.config
     batches: list = []
     batches_per_epoch = max(1, -(-len(train_corpus) // config.batch_size))
-    best_bleu, best_step = -1.0, -1
     best_path = os.path.join(save_dir, "best.ckpt")
 
     step = model.store.step
@@ -81,15 +105,13 @@ def train_loop(
 
         dev_loss_text = dev_bleu_text = "-"
         at_save_point = step % config.save_every == 0 or step == config.steps
-        latest_bleu = None
         if at_save_point:
             if dev_corpus is not None:
                 d_loss = dev_loss(model, dev_corpus)
-                latest_bleu = dev_greedy_bleu(model, dev_corpus)
-                dev_loss_text, dev_bleu_text = repr(d_loss), f"{latest_bleu:.2f}"
+                dev_loss_text, dev_bleu_text = repr(d_loss), f"{dev_greedy_bleu(model, dev_corpus):.2f}"
             save_checkpoint(os.path.join(save_dir, f"ckpt-{step}.ckpt"), model)
-            if latest_bleu is not None and latest_bleu > best_bleu:
-                best_bleu, best_step = latest_bleu, step
+            if dev_bleu_text != "-" and float(dev_bleu_text) > best.best_bleu:
+                best = TrainOutcome(step, float(dev_bleu_text))
                 save_checkpoint(best_path, model)
         log_line(f"{step}\t{loss!r}\t{dev_loss_text}\t{dev_bleu_text}")
-    return TrainOutcome(best_step, best_bleu)
+    return best

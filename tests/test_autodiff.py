@@ -70,14 +70,14 @@ def test_conv_rejects_even_filter():
 
 def test_matmul_hand_example():
     a = t([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
-    b = t([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
+    b = t([[1.0, 3.0, 5.0], [2.0, 4.0, 6.0]])  # [out, in]
     out = apply_primitive("matmul", (a, b))
     np.testing.assert_array_equal(out.data, [[22.0, 28.0], [49.0, 64.0]])
 
 
 def test_matmul_shape_error_names_primitive():
     with pytest.raises(ShapeMismatch, match="matmul"):
-        apply_primitive("matmul", (t(np.ones((2, 3))), t(np.ones((2, 3)))))
+        apply_primitive("matmul", (t(np.ones((2, 3))), t(np.ones((3, 2)))))
 
 
 def test_unknown_primitive():
@@ -289,7 +289,7 @@ def test_tape_replay_is_exact():
     tape = Tape()
     with tape:
         a = t(rng.normal(size=(4, 3)))
-        b = t(rng.normal(size=(3, 2)))
+        b = t(rng.normal(size=(3, 2)).T)
         out = apply_primitive("matmul", (a, b))
         out = ad.tanh(out)
         ad.tsum(out)
@@ -302,7 +302,7 @@ def test_forward_determinism_bit_identical():
     w = rng.normal(size=(4, 3))
 
     def run():
-        h = apply_primitive("matmul", (Tensor(x), Tensor(w)))
+        h = apply_primitive("matmul", (Tensor(x), Tensor(w.T)))
         return apply_primitive("softmax", (ad.tanh(h),)).data
 
     first, second = run(), run()
@@ -329,17 +329,17 @@ def _case_scale(rng):
 
 def _case_matmul_22(rng):
     a, b = rng.normal(size=(3, 4)), rng.normal(size=(4, 2))
-    return {"a": Tensor(a), "b": Tensor(b)}, lambda p: ad.tsum(p["a"] @ p["b"])
+    return {"a": Tensor(a), "b": Tensor(b.T)}, lambda p: ad.tsum(ad.linear(p["a"], p["b"]))
 
 
 def _case_matmul_32(rng):
     a, b = rng.normal(size=(2, 3, 4)), rng.normal(size=(4, 2))
-    return {"a": Tensor(a), "b": Tensor(b)}, lambda p: ad.tsum(p["a"] @ p["b"])
+    return {"a": Tensor(a), "b": Tensor(b.T)}, lambda p: ad.tsum(ad.linear(p["a"], p["b"]))
 
 
 def _case_matmul_vec(rng):
     a, v = rng.normal(size=(2, 3, 4)), rng.normal(size=(4,))
-    return {"a": Tensor(a), "v": Tensor(v)}, lambda p: ad.tsum(p["a"] @ p["v"])
+    return {"a": Tensor(a), "v": Tensor(v)}, lambda p: ad.tsum(ad.linear(p["a"], p["v"]))
 
 
 def _case_transpose(rng):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -95,6 +97,31 @@ def test_train_resume_reproduces_log(tmp_path, capsys):
     assert part_lines[5:] == full_lines[5:]
 
 
+def test_resume_keeps_the_best_checkpoint(tmp_path, capsys):
+    """best.ckpt ranks save points by the dev BLEU train.log records,
+    earliest on ties, so a run resumed from its first save point keeps the
+    best.ckpt an uninterrupted run picks."""
+    src, tgt = write_toy_text(tmp_path)
+    data = ["--train-src", str(src), "--train-tgt", str(tgt), "--dev-src", str(src),
+            "--dev-tgt", str(tgt)]
+    full, part = tmp_path / "full", tmp_path / "part"
+    for save, steps in ((full, "15"), (part, "5")):
+        flags = list(TRAIN_FLAGS)
+        flags[flags.index("--steps") + 1] = steps
+        run(capsys, "train", "--task", "text", *data, "--save-dir", str(save), *flags)
+    code, _, err = run(capsys, "train", *data, "--save-dir", str(part),
+                       "--resume", str(part / "ckpt-5.ckpt"), "--steps", "15", "--quiet")
+    assert code == 0, err
+
+    def best_of(save):
+        best = (save / "best.ckpt").read_bytes()
+        return [path.name for path in sorted(save.glob("ckpt-*.ckpt")) if path.read_bytes() == best]
+
+    logged = [line.split("\t") for line in (full / "train.log").read_text().splitlines()]
+    scored = [(-float(bleu), int(step)) for step, _, _, bleu in logged if bleu != "-"]
+    assert best_of(full) == best_of(part) == [f"ckpt-{min(scored)[1]}.ckpt"]
+
+
 def _save_random_model(tmp_path, seed=1, task="text"):
     model = randomize(build_tiny_model(task=task, m=3, n=3, src_words=5, tgt_words=5), seed=seed)
     path = tmp_path / f"model{seed}.ckpt"
@@ -167,6 +194,23 @@ def test_translate_rejects_vocabulary_mismatch(tmp_path, capsys):
                        "--checkpoint", str(path_b), "--input", str(inp))
     assert code == 2
     assert "vocabulary" in err
+
+
+def test_translate_rejects_feature_stats_mismatch(tmp_path, capsys):
+    """Every input is normalized with the first member's stats, so a speech
+    member trained with other stats is refused, not decoded mis-normalized."""
+    path_a, model = _save_random_model(tmp_path, seed=32, task="speech")
+    model.feat_stats = replace(model.feat_stats, std=model.feat_stats.std * 2.0)
+    path_b = tmp_path / "other.ckpt"
+    save_checkpoint(path_b, model)
+    archive = tmp_path / "feats.bin"
+    write_feature_archive(archive, [("u0", np.zeros((8, FEATURE_DIM), dtype=np.float32))])
+    args = ["translate", "--input", str(archive), "--checkpoint", str(path_a)]
+    code, _, err = run(capsys, *args, "--checkpoint", str(path_a))
+    assert code == 0, err
+    code, _, err = run(capsys, *args, "--checkpoint", str(path_b))
+    assert code == 2
+    assert "feature statistics" in err
 
 
 def test_translate_with_lm_weight_zero_matches_plain(tmp_path, capsys):
