@@ -46,10 +46,6 @@ class FrameBlock:
     windowed: np.ndarray      # [T, W]
     raw_energy: np.ndarray    # [T] sum of squares before windowing
 
-    @property
-    def frame_count(self) -> int:
-        return self.windowed.shape[0]
-
 
 @dataclass
 class FeatureSequence:
@@ -62,10 +58,6 @@ class FeatureSequence:
         self.frames = np.asarray(self.frames, dtype=np.float64)
         if self.frames.ndim != 2 or self.frames.shape[1] != FEATURE_DIM:
             raise ValueError(f"feature matrix must be T x {FEATURE_DIM}, got {self.frames.shape}")
-
-    @property
-    def frame_count(self) -> int:
-        return self.frames.shape[0]
 
 
 def load_pcm_wav(path) -> AudioBuffer:

@@ -173,19 +173,6 @@ class Tape:
         """Register a named leaf whose gradient backprop should report."""
         self._watched[name] = self._bind(tensor)
 
-    def replay(self) -> bool:
-        """Recompute every entry from its recorded inputs.
-
-        Returns True when each recomputed output is bit-identical to the
-        recorded one (the tape-consistency invariant).
-        """
-        for entry in self.entries:
-            prim = _PRIMITIVES[entry.kind]
-            out = prim.forward([self.values[i] for i in entry.inputs], entry.attrs)
-            if not np.array_equal(out, self.values[entry.output]):
-                return False
-        return True
-
 
 @dataclass(frozen=True)
 class Primitive:
@@ -714,13 +701,22 @@ def adam_update(
     for name, grad in grads.items():
         g = grad.data if isinstance(grad, Tensor) else np.asarray(grad, dtype=np.float64)
         m, v = store.moments(name)
+        # value - lr * (m / c1) / (sqrt(v / c2) + eps), operation by operation
+        # as written, through one scratch buffer and the new value's array
+        scratch = np.multiply(g, 1.0 - beta1, out=np.empty_like(m))
         m *= beta1
-        m += (1.0 - beta1) * g
-        gg = g * g
-        gg *= 1.0 - beta2
+        m += scratch
+        np.multiply(g, g, out=scratch)
+        scratch *= 1.0 - beta2
         v *= beta2
-        v += gg
-        store._values[name] = store._values[name] - learning_rate * (m / c1) / (np.sqrt(v / c2) + eps)
+        v += scratch
+        np.divide(v, c2, out=scratch)
+        np.sqrt(scratch, out=scratch)
+        scratch += eps
+        update = np.divide(m, c1, out=np.empty_like(m))
+        update *= learning_rate
+        update /= scratch
+        store._values[name] = np.subtract(store._values[name], update, out=update)
     return store
 
 

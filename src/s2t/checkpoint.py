@@ -5,15 +5,18 @@ Layout: magic ``S2TCKPT1``, a version word, a key=value text header
 feature-stat sections, then named parameter records with float32 values
 and Adam moments, sorted by name.
 
-Saving quantizes the live parameter store to float32 first, so the file is
-the canonical state: a run that keeps training after a save and a run that
-reloads the file continue from bit-identical parameters, which makes
-training resumable with exact loss trajectories.
+Saving rounds the live parameter store to float32 record by record, so
+the file is the canonical state: a run that keeps training after a save and
+a run that reloads the file continue from bit-identical parameters, which
+makes training resumable with exact loss trajectories.  Loading maps the
+file and converts only the values; the moments stay float32 views of the
+mapping until training reads them.
 """
 
 from __future__ import annotations
 
 import contextlib
+import mmap
 import os
 import struct
 from typing import Optional
@@ -34,14 +37,13 @@ class CheckpointError(ValueError):
     pass
 
 
-def quantize_store(store: ParameterStore) -> None:
-    """Round parameters and Adam moments to float32 in place."""
-    for name in store.names():
-        store.set_value(name, store.value(name).astype(np.float32).astype(np.float64))
-        m1, m2 = store.moments(name)
-        store.set_moments(name,
-                          m1.astype(np.float32).astype(np.float64),
-                          m2.astype(np.float32).astype(np.float64))
+def _quantize(store: ParameterStore, name: str) -> tuple[np.ndarray, ...]:
+    """Round one parameter and its Adam moments to float32 in place; returns
+    the float32 (value, m1, m2) that its checkpoint record holds."""
+    value, m1, m2 = (arr.astype("<f4") for arr in (store.value(name),) + store.moments(name))
+    store.set_value(name, value.astype(np.float64))
+    store.set_moments(name, m1.astype(np.float64), m2.astype(np.float64))
+    return value, m1, m2
 
 
 def _text_block(text: str) -> bytes:
@@ -52,7 +54,6 @@ def _text_block(text: str) -> bytes:
 def save_checkpoint(path, model: Seq2SeqModel) -> None:
     """Write ``model`` to a temporary file beside ``path``, then rename it
     over ``path``: a crash mid-write leaves the previous file intact."""
-    quantize_store(model.store)
     tmp = os.fspath(path) + ".tmp"
     try:
         with open(tmp, "wb") as fh:
@@ -89,16 +90,15 @@ def _write_checkpoint(fh, model: Seq2SeqModel) -> None:
         encoded = name.encode("utf-8")
         fh.write(struct.pack("<H", len(encoded)))
         fh.write(encoded)
-        value = store.value(name)
+        value, m1, m2 = _quantize(store, name)
         fh.write(struct.pack("<B", value.ndim))
         fh.write(struct.pack(f"<{value.ndim}I", *value.shape))
-        m1, m2 = store.moments(name)
         for arr in (value, m1, m2):
-            fh.write(arr.astype("<f4").tobytes())
+            fh.write(arr.tobytes())
 
 
 class _Reader:
-    def __init__(self, blob: bytes, path):
+    def __init__(self, blob, path):
         self.blob = memoryview(blob)
         self.pos = 0
         self.path = path
@@ -125,8 +125,15 @@ class _Reader:
 
 
 def load_checkpoint(path) -> Seq2SeqModel:
+    """Map the file read-only and convert only the parameter values; the
+    moments stay float32 views of the mapping, which lives as long as they
+    do.  ``save_checkpoint`` renames a new file over the old one, so a saved
+    model never changes under a loaded one."""
     with open(path, "rb") as fh:
-        blob = fh.read()
+        try:
+            blob = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+        except ValueError:  # an empty file cannot be mapped
+            raise CheckpointError(f"{path}: truncated checkpoint") from None
     reader = _Reader(blob, path)
     if bytes(reader.take(8)) != MAGIC:
         raise CheckpointError(f"{path}: not a checkpoint file (bad magic)")
@@ -166,7 +173,6 @@ def load_checkpoint(path) -> Seq2SeqModel:
         value, m1, m2 = (np.frombuffer(reader.take(4 * count), dtype="<f4").reshape(shape)
                          for _ in range(3))
         store.add(name, value)
-        # the moments stay float32 views of the file until training reads them
         store.set_moments(name, m1, m2)
     store.step = step
     if reader.pos != len(blob):

@@ -30,7 +30,7 @@ from .corpus import ParallelCorpus, Vocabulary, read_lines, tokenize
 from .lm import DEFAULT_LAMBDAS, load_lm, save_lm, train_trigram
 from .model import DivergenceError, Seq2SeqModel, encoder_config
 from .search import FusionWeights, beam_search, check_limits, decode_batch
-from .training import logged_best, train_loop
+from .training import logged_best, rewind_log, train_loop
 
 
 class UsageError(Exception):
@@ -142,6 +142,8 @@ def cmd_train(args) -> int:
 
     os.makedirs(args.save_dir, exist_ok=True)
     log_path = os.path.join(args.save_dir, "train.log")
+    if args.resume:
+        rewind_log(log_path, model.store.step)
     best = logged_best(log_path, model.store.step)  # none before a fresh run's step 0
     with open(log_path, "a" if args.resume else "w", encoding="utf-8") as log_fh:
 

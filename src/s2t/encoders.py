@@ -146,13 +146,6 @@ def speech_prenet(layers: Sequence[tuple[Tensor, Tensor]], frames: Tensor) -> Te
     return out
 
 
-def subsampled_length(length: int, subsample_count: int = 2) -> int:
-    """Length after ``subsample_count`` rounds of keeping indices 0, 2, 4, ..."""
-    for _ in range(subsample_count):
-        length = (length + 1) // 2
-    return length
-
-
 def pyramidal_encode(
     config: EncoderConfig,
     layers: Sequence[tuple[LstmCellParams, LstmCellParams]],

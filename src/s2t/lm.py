@@ -39,7 +39,7 @@ class TrigramModel:
         if not (abs(l1 + l2 + l3 - 1.0) <= 1e-12 and min(l1, l2, l3) > 0):  # NaN fails too
             raise ValueError("interpolation weights must be positive and sum to 1")
         self.unigram_counts = np.asarray(self.unigram_counts, dtype=np.int64)
-        self._unigram_probs = self._smoothed_unigrams()
+        self.unigram_probs = self._smoothed_unigrams()
         size = len(self.vocab)
         self._successors = (_successors(self.bigrams, size, l2), _successors(self.trigrams, size, l3))
 
@@ -54,14 +54,10 @@ class TrigramModel:
         probs[self.unigram_counts == 0] = floor
         return probs
 
-    @property
-    def unigram_probs(self) -> np.ndarray:
-        return self._unigram_probs
-
     def context_distribution(self, u: int, v: int) -> np.ndarray:
         """p(. | u, v) as a new dense vector over the model's vocabulary: the
         unigram term, then one indexed add per seen higher-order context."""
-        probs = self.lambdas[0] * self._unigram_probs
+        probs = self.lambdas[0] * self.unigram_probs
         for (spans, words, shares), context in zip(self._successors, (v, u * len(self.vocab) + v)):
             span = spans.get(context)
             if span is not None:
@@ -71,9 +67,6 @@ class TrigramModel:
 
     def logprob(self, u: int, v: int, w: int) -> float:
         return float(log(self.context_distribution(u, v)[w]))
-
-    def observed_contexts(self) -> list[tuple[int, int]]:
-        return [divmod(context, len(self.vocab)) for context in self._successors[1][0]]
 
 
 def _successors(records: np.ndarray, size: int, weight: float):

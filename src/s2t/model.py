@@ -20,7 +20,6 @@ from . import autodiff as ad
 from .attention import AttentionParams, additive_scores, attend, convolutional_scores, project_encoder
 from .autodiff import ParameterStore, Tape, Tensor, adam_update, backprop
 from .config import RunConfig
-from .corpus import make_batch
 from .encoders import (
     EncoderConfig,
     LstmCellParams,
@@ -196,13 +195,6 @@ class Seq2SeqModel:
         picked = ad.pick(core.output(rows), batch.dec_out.T.reshape(-1)[real])
         loss = ad.tsum(ad.log(picked)).scaled(-1.0 / batch.real_token_count)
         return (loss, attn_rows) if collect_attention else loss
-
-    def sequence_nll(self, source, target) -> float:
-        """Loss for a single (source, target) pair, dropout off."""
-        if len(target) == 0:
-            raise ValueError("empty target")
-        batch = make_batch([source], [list(target)])
-        return self.batch_nll(self.store.as_tensors(), batch).item()
 
     def train_step(self, batch, step_index: int) -> float:
         """One optimizer step; returns the pre-update loss.

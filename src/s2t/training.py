@@ -71,6 +71,24 @@ def logged_best(log_path, last_step: int) -> TrainOutcome:
     return best
 
 
+def rewind_log(log_path, last_step: int) -> None:
+    """Rewrite ``train.log`` with only its whole lines up to ``last_step``,
+    so that a run resumed from that step appends one line per step.  The
+    new log is written beside the old one and renamed over it."""
+    if not os.path.exists(log_path):
+        return
+    kept = []
+    with open(log_path, encoding="utf-8") as fh:
+        for line in fh:
+            step = line.split("\t", 1)[0]
+            if line.endswith("\n") and step.isdecimal() and int(step) <= last_step:
+                kept.append(line)
+    tmp = os.fspath(log_path) + ".tmp"
+    with open(tmp, "w", encoding="utf-8") as fh:
+        fh.writelines(kept)
+    os.replace(tmp, log_path)
+
+
 def train_loop(
     model: Seq2SeqModel,
     train_corpus: ParallelCorpus,

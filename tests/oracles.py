@@ -1,11 +1,13 @@
 """Independent reference implementations used only to derive expected test
 values.  Deliberately written with different machinery than the package
 (explicit loops, Fractions, scalar arithmetic) so they cannot share bugs
-with the code under test."""
+with the code under test.  The last few helpers (tape replay, one-pair
+loss, subsampled length, observed LM contexts) serve only the tests, so
+they live here rather than in the package."""
 
 from collections import Counter
 from fractions import Fraction
-from math import exp, log, tanh
+from math import exp, log, sqrt, tanh
 
 
 def bleu_oracle(hypotheses, reference_sets, max_order=4):
@@ -200,3 +202,53 @@ def trigram_oracle(sentences, size, lambdas, bos):
         return probs
 
     return distribution
+
+
+def adam_oracle(value, m, v, grad, step, learning_rate, beta1=0.9, beta2=0.999, eps=1e-8):
+    """One bias-corrected Adam step over flat lists of Python floats,
+    element by element in the textbook order; returns new (value, m, v)."""
+    c1 = 1.0 - beta1 ** step
+    c2 = 1.0 - beta2 ** step
+    new_value, new_m, new_v = [], [], []
+    for p, m_i, v_i, g in zip(value, m, v, grad):
+        m_i = beta1 * m_i + (1.0 - beta1) * g
+        v_i = beta2 * v_i + (1.0 - beta2) * (g * g)
+        new_value.append(p - learning_rate * (m_i / c1) / (sqrt(v_i / c2) + eps))
+        new_m.append(m_i)
+        new_v.append(v_i)
+    return new_value, new_m, new_v
+
+
+def tape_replays_exactly(tape):
+    """Recompute every tape entry from its recorded inputs: True when each
+    output is bit-identical to the recorded one (the tape-consistency
+    invariant)."""
+    import numpy as np
+    from s2t.autodiff import _PRIMITIVES
+
+    for entry in tape.entries:
+        out = _PRIMITIVES[entry.kind].forward([tape.values[i] for i in entry.inputs], entry.attrs)
+        if not np.array_equal(out, tape.values[entry.output]):
+            return False
+    return True
+
+
+def subsampled_length(length, subsample_count=2):
+    """Length after ``subsample_count`` rounds of halving, rounding up."""
+    for _ in range(subsample_count):
+        length = (length + 1) // 2
+    return length
+
+
+def sequence_nll(model, source, target):
+    """batch_nll of one (source, target) pair, dropout off."""
+    from s2t.corpus import make_batch
+
+    if len(target) == 0:
+        raise ValueError("empty target")
+    return model.batch_nll(model.store.as_tensors(), make_batch([source], [list(target)])).item()
+
+
+def observed_contexts(model):
+    """The (u, v) contexts a trigram model's trigram records name, sorted."""
+    return sorted({(u, v) for u, v in model.trigrams[:, :2].tolist()})

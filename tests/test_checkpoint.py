@@ -1,6 +1,9 @@
+import io
+
 import numpy as np
 import pytest
 
+import s2t.checkpoint as checkpoint
 from s2t.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from s2t.corpus import ParallelCorpus
 from s2t.training import train_loop
@@ -55,6 +58,72 @@ def test_loaded_moments_continue_training_bit_exactly(tmp_path):
             assert got.dtype == np.float64 and got.flags.writeable
             assert np.abs(want).max() > 0
             np.testing.assert_array_equal(got, want)
+
+
+def _trained_tiny_model(seed=4):
+    """A tiny text model after two Adam steps, so its moments are nonzero."""
+    from s2t.corpus import make_batch
+
+    model = build_tiny_model(task="text", m=3, n=3, seed=seed, learning_rate=0.05)
+    batch = make_batch([[4, 5, 6], [7, 4]], [[5, 6], [4, 7, 8]])
+    for step in (1, 2):
+        model.train_step(batch, step)
+    return model
+
+
+def _assert_same_store(got, want):
+    assert got.step == want.step and got.names() == want.names()
+    for name in want.names():
+        assert got.value(name).tobytes() == want.value(name).tobytes()
+        for a, b in zip(got.moments(name), want.moments(name)):
+            assert a.tobytes() == b.tobytes()
+
+
+def test_loaded_model_outlives_its_file(tmp_path):
+    """A loaded model keeps its values and its lazy moments, bit for bit,
+    after save_checkpoint renames a different model over the same path (as
+    train_loop does with best.ckpt) and after the file is deleted."""
+    model = _trained_tiny_model()
+    path = tmp_path / "best.ckpt"
+    save_checkpoint(path, model)
+    first, second = load_checkpoint(path), load_checkpoint(path)
+    other = _trained_tiny_model(seed=9)
+    other.store.step = 40
+    save_checkpoint(path, other)
+    _assert_same_store(first.store, model.store)
+    path.unlink()
+    _assert_same_store(second.store, model.store)
+    assert any(np.abs(m1).max() > 0 for m1, _ in map(second.store.moments, second.store.names()))
+
+
+def test_cut_at_every_field_boundary_is_truncated(tmp_path, capsys):
+    """A checkpoint cut where any of its fields ends, the 0-byte file among
+    them, raises CheckpointError, and translate exits 2."""
+    from s2t.cli import main
+
+    model = build_tiny_model(task="text", m=3, n=3, seed=2)
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, model)
+    blob = path.read_bytes()
+
+    class Recording(io.BytesIO):
+        def write(self, data):
+            starts.append(self.tell())
+            return super().write(data)
+
+    starts = []
+    recorded = Recording()
+    checkpoint._write_checkpoint(recorded, model)
+    assert recorded.getvalue() == blob and starts[0] == 0
+    inp = tmp_path / "in.txt"
+    inp.write_text("t0 t1 t2\n")
+    cut = tmp_path / "cut.ckpt"
+    for end in starts:
+        cut.write_bytes(blob[:end])
+        with pytest.raises(CheckpointError, match="truncated"):
+            load_checkpoint(cut)
+        assert main(["translate", "--checkpoint", str(cut), "--input", str(inp)]) == 2
+        assert "truncated" in capsys.readouterr().err
 
 
 def test_save_quantizes_live_store_to_float32(tmp_path):

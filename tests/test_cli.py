@@ -97,6 +97,25 @@ def test_train_resume_reproduces_log(tmp_path, capsys):
     assert part_lines[5:] == full_lines[5:]
 
 
+def test_resume_from_an_earlier_save_point_rewrites_the_log(tmp_path, capsys):
+    """A 10-step run resumed from its step-5 checkpoint, with a line cut
+    mid-write at the end of its log, leaves a train.log byte-identical to
+    an uninterrupted 10-step run's: one whole line per step."""
+    src, tgt = write_toy_text(tmp_path)
+    data = ["--train-src", str(src), "--train-tgt", str(tgt), "--dev-src", str(src),
+            "--dev-tgt", str(tgt)]
+    full, part = tmp_path / "full", tmp_path / "part"
+    for save in (full, part):
+        run(capsys, "train", "--task", "text", *data, "--save-dir", str(save), *TRAIN_FLAGS)
+    with open(part / "train.log", "a", encoding="utf-8") as fh:
+        fh.write("11\t2.5")
+    code, _, err = run(capsys, "train", *data, "--save-dir", str(part),
+                       "--resume", str(part / "ckpt-5.ckpt"), "--steps", "10", "--quiet")
+    assert code == 0, err
+    assert (part / "train.log").read_bytes() == (full / "train.log").read_bytes()
+    assert sorted(p.name for p in part.iterdir() if p.suffix != ".ckpt") == ["train.log"]
+
+
 def test_resume_keeps_the_best_checkpoint(tmp_path, capsys):
     """best.ckpt ranks save points by the dev BLEU train.log records,
     earliest on ties, so a run resumed from its first save point keeps the

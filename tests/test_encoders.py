@@ -11,11 +11,10 @@ from s2t.encoders import (
     pyramidal_encode,
     speech_encoder_config,
     speech_prenet,
-    subsampled_length,
     text_encoder_config,
 )
 
-from oracles import lstm_step_oracle, pyramid_length_oracle
+from oracles import lstm_step_oracle, pyramid_length_oracle, subsampled_length
 
 
 def make_cell(rng, input_dim, m, scale=0.5):

@@ -14,7 +14,7 @@ from s2t.lm import (
     vocabulary_id_map,
 )
 
-from oracles import trigram_oracle
+from oracles import observed_contexts, trigram_oracle
 
 
 def test_single_sentence_hand_count_case():
@@ -56,7 +56,7 @@ def test_observed_contexts_sum_to_one():
     words = [f"w{i}" for i in range(12)]
     corpus = [[words[i] for i in rng.integers(0, 12, rng.integers(1, 9))] for _ in range(50)]
     model = train_trigram(corpus)
-    contexts = model.observed_contexts()
+    contexts = observed_contexts(model)
     assert contexts
     for u, v in contexts:
         total = model.context_distribution(u, v).sum()
