@@ -37,6 +37,8 @@ def project_encoder(params: AttentionParams, h: Tensor) -> Tensor:
 
 
 def _scores(params, h, state, conv_term, enc_proj):
+    if h.ndim != 3:
+        raise ad.ShapeMismatch(f"attention: encoder block must be [A, B, m], got {h.shape}")
     if enc_proj is None:
         enc_proj = project_encoder(params, h)
     inner = enc_proj + (ad.linear(state, params.state_w) + params.bias)
@@ -48,8 +50,6 @@ def _scores(params, h, state, conv_term, enc_proj):
 def additive_scores(params: AttentionParams, h: Tensor, state: Tensor,
                     enc_proj: Optional[Tensor] = None) -> Tensor:
     """score_i = v . tanh(enc_w h_i + state_w s + bias), returned as [B, A]."""
-    if h.ndim != 3:
-        raise ad.ShapeMismatch(f"attention: encoder block must be [A, B, m], got {h.shape}")
     return _scores(params, h, state, None, enc_proj)
 
 
@@ -63,8 +63,6 @@ def convolutional_scores(params: AttentionParams, h: Tensor, state: Tensor,
     """
     if params.conv_gate is None or params.conv_filter is None:
         raise ValueError("convolutional attention needs conv_gate and conv_filter parameters")
-    if h.ndim != 3:
-        raise ad.ShapeMismatch(f"attention: encoder block must be [A, B, m], got {h.shape}")
     conv_term = None
     if prev_weights is not None:
         positions = h.shape[0]

@@ -232,8 +232,8 @@ def _archive_field(fmt: str, blob: bytes, pos: int, path) -> int:
 
 def read_feature_archive(path) -> list[tuple[str, np.ndarray]]:
     """Every (utterance_id, T x 41 float64 array) record of an archive.
-    Raises ``ValueError`` on a bad magic, a dimension other than 41 and
-    any truncation."""
+    Raises ``ValueError`` on a bad magic, a dimension other than 41, any
+    truncation and a NaN or infinite feature value."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:8] != ARCHIVE_MAGIC:
@@ -252,6 +252,8 @@ def read_feature_archive(path) -> list[tuple[str, np.ndarray]]:
         if pos + nbytes > len(blob):
             raise ValueError(f"{path}: truncated archive in record {utt_id!r}")
         frames = np.frombuffer(blob, dtype="<f4", count=t * dim, offset=pos).reshape(t, dim)
+        if not np.isfinite(frames).all():
+            raise ValueError(f"{path}: non-finite feature value in record {utt_id!r}")
         pos += nbytes
         items.append((utt_id, frames.astype(np.float64)))
     return items

@@ -315,15 +315,14 @@ def _matmul_fwd(d, a):
         raise ShapeMismatch(f"matmul: unsupported operand ranks {x.shape} by weight {w.shape}")
     if x.shape[-1] != w.shape[-1]:
         raise ShapeMismatch(f"matmul: input width differs from the weight's, {x.shape} by {w.shape}")
-    return x @ w.T
+    return (x.reshape(-1, x.shape[-1]) @ w.T).reshape(x.shape[:-1] + w.shape[:-1])
 
 
 def _matmul_bwd(g, d, out, a):
     x, w = d
-    x2 = x.reshape(-1, x.shape[-1])
-    if w.ndim == 2:
-        return [g @ w, (x2.T @ g.reshape(-1, w.shape[0])).T]
-    return [g[..., None] * w, x2.T @ g.reshape(-1)]
+    w2 = w.reshape(-1, w.shape[-1])  # an [in] vector as [1, in]
+    g2 = g.reshape(-1, len(w2))
+    return [(g2 @ w2).reshape(x.shape), (x.reshape(-1, x.shape[-1]).T @ g2).T.reshape(w.shape)]
 
 
 def _transpose_fwd(d, a):
@@ -549,8 +548,8 @@ register_primitive("pick", _pick_fwd, _pick_bwd)
 
 
 def linear(x: Tensor, w: Tensor) -> Tensor:
-    """``x`` times the weight as stored: ``x @ w.T`` for an [out, in] matrix,
-    ``x @ w`` for an [in] vector; ``x`` is [..., in]."""
+    """``x`` [..., in], its leading axes the rows of one GEMM, times the weight
+    as stored: ``x @ w.T`` for an [out, in] matrix, ``x @ w`` for an [in] vector."""
     return apply_primitive("matmul", (x, w))
 
 
@@ -658,6 +657,10 @@ class ParameterStore:
             held = buffers[name]
             buffers[name] = (np.zeros_like(self._values[name]) if held is None
                              else np.require(held, np.float64, "W"))
+        return self._m1[name], self._m2[name]
+
+    def held_moments(self, name: str) -> tuple[Optional[np.ndarray], Optional[np.ndarray]]:
+        """The two moments as held, without building them: None until built or set."""
         return self._m1[name], self._m2[name]
 
     def set_moments(self, name: str, m1: np.ndarray, m2: np.ndarray) -> None:

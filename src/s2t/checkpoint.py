@@ -38,11 +38,13 @@ class CheckpointError(ValueError):
 
 
 def _quantize(store: ParameterStore, name: str) -> tuple[np.ndarray, ...]:
-    """Round one parameter and its Adam moments to float32 in place; returns
-    the float32 (value, m1, m2) that its checkpoint record holds."""
-    value, m1, m2 = (arr.astype("<f4") for arr in (store.value(name),) + store.moments(name))
+    """Round one parameter and its Adam moments to float32 in place; returns the
+    float32 (value, m1, m2) of its record, None for moments never built (left so)."""
+    value = store.value(name).astype("<f4")
     store.set_value(name, value.astype(np.float64))
-    store.set_moments(name, m1.astype(np.float64), m2.astype(np.float64))
+    m1, m2 = (None if m is None else m.astype("<f4") for m in store.held_moments(name))
+    if m1 is not None:
+        store.set_moments(name, m1, m2)  # float64 again on first use, as after a load
     return value, m1, m2
 
 
@@ -94,7 +96,7 @@ def _write_checkpoint(fh, model: Seq2SeqModel) -> None:
         fh.write(struct.pack("<B", value.ndim))
         fh.write(struct.pack(f"<{value.ndim}I", *value.shape))
         for arr in (value, m1, m2):
-            fh.write(arr.tobytes())
+            fh.write(bytes(value.nbytes) if arr is None else arr.tobytes())
 
 
 class _Reader:

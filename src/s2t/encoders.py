@@ -1,4 +1,4 @@
-"""LSTM cell, bidirectional layers, and the text / speech encoder stacks.
+"""The model's one LSTM recurrence, bidirectional layers, and the encoder stacks.
 
 The text encoder is two stacked bidirectional layers.  The speech encoder
 adds a two-layer tanh prenet over the 41-dim feature frames and a third
@@ -30,9 +30,9 @@ class LstmCellParams:
     wh: Tensor  # [4m, m]
     b: Tensor   # [4m]
 
-    def gate_weights(self) -> tuple[Tensor, Tensor]:
-        """Per-pass [4m, input_dim + m] weight of the [x|h] gate GEMM, and the bias."""
-        return ad.concat([self.wx, self.wh]), self.b
+    def input_weights(self) -> Tensor:
+        """Per-pass [4m, input_dim + 1] ``wx`` with the bias as its last column."""
+        return ad.concat([self.wx, ad.reshape(self.b, (self.b.shape[0], 1))])
 
 
 @dataclass
@@ -56,6 +56,11 @@ def speech_encoder_config(layer_count: int = 3, dropout: float = 0.0) -> Encoder
     return EncoderConfig(layer_count, True, dropout)
 
 
+def with_ones(x: Tensor) -> Tensor:
+    """``x`` [..., d] with a trailing column of ones, [..., d + 1]."""
+    return ad.concat([x, Tensor(np.ones(x.shape[:-1] + (1,)))])
+
+
 def _cell_update(gates: Tensor, c: Optional[Tensor]):
     """(c', h') from the [B, 4m] gate pre-activations: one sigmoid for the
     whole block, tanh on its candidate slice.  ``c`` None is the zero
@@ -68,30 +73,20 @@ def _cell_update(gates: Tensor, c: Optional[Tensor]):
     return c_new, o * ad.tanh(c_new)
 
 
-def lstm_step(weights: tuple[Tensor, Tensor], x: Tensor, state: tuple[Tensor, Tensor]):
-    """One LSTM transition from :meth:`LstmCellParams.gate_weights`: one [x|h]
-    GEMM for the whole gate block."""
-    (w, b), (c, h) = weights, state
-    return _cell_update(ad.linear(ad.concat([x, h]), w) + b, c)
-
-
-def _run_direction(params: LstmCellParams, x1: Tensor, batch: int, order, restart=None):
-    """One direction over the stacked [T*B, d+1] block ``x1`` (inputs with
-    a column of ones): one GEMM projects every step, and each step adds
-    wh . h to its rows.  Rows whose ``restart`` is the step enter it from
-    the zero state.  Returns per-step lists of [B, m] cell and hidden states."""
-    m = params.wh.shape[1]
-    bias_col = ad.reshape(params.b, (4 * m, 1))
-    projected = ad.linear(x1, ad.concat([params.wx, bias_col]))  # [T*B, 4m]
-    c = h = None  # the zero state
+def run_lstm(projected: Tensor, wh: Tensor, order, start=None, restart=None):
+    """The LSTM over the [T, B, 4m] projection ``linear(with_ones(x), input_weights)``:
+    steps in ``order`` from the (c, h) ``start`` (None: the zero state), step ``t``
+    adding wh . h to ``projected[t]``; rows whose ``restart`` is ``t`` enter it from
+    zero.  Returns per-step lists of [B, m] cell and hidden states, indexed by step."""
+    c, h = (None, None) if start is None else start
     cells, outputs = [None] * len(order), [None] * len(order)
     for t in order:
-        gates = ad.slice_axis(projected, 0, t * batch, (t + 1) * batch)
+        gates = projected[t]
         if h is not None:
             if restart is not None and (restart == t).any():
                 keep = Tensor((restart != t).astype(np.float64)[:, None])
                 c, h = c * keep, h * keep
-            gates = gates + ad.linear(h, params.wh)
+            gates = gates + ad.linear(h, wh)
         c, h = _cell_update(gates, c)
         cells[t], outputs[t] = c, h
     return cells, outputs
@@ -109,11 +104,11 @@ def bidirectional_layer(
     hidden states, for :func:`final_state`)."""
     if len(inputs) == 0:
         raise ValueError("bidirectional layer needs a nonempty input sequence")
-    steps, batch, width = inputs.shape
+    steps, batch, _ = inputs.shape
     last = np.full(batch, steps - 1) if lengths is None else np.asarray(lengths) - 1
-    x1 = ad.concat([ad.reshape(inputs, (steps * batch, width)), Tensor(np.ones((steps * batch, 1)))])
-    fwd_c, fwd_h = _run_direction(fwd, x1, batch, range(steps))
-    _, bwd_h = _run_direction(bwd, x1, batch, range(steps - 1, -1, -1), last)
+    x1 = with_ones(inputs)
+    fwd_c, fwd_h = run_lstm(ad.linear(x1, fwd.input_weights()), fwd.wh, range(steps))
+    _, bwd_h = run_lstm(ad.linear(x1, bwd.input_weights()), bwd.wh, range(steps)[::-1], restart=last)
     return ad.stack(fwd_h) + ad.stack(bwd_h), (fwd_c, fwd_h)
 
 

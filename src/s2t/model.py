@@ -1,11 +1,11 @@
 """The attention decoder and the full sequence-to-sequence model.
 
-A decoder step embeds the previous target token, advances the two LSTM
-layers, attends over the encoder outputs with the new top-layer state
-(the cell/hidden concatenation), projects the LSTM output joined with the
-attention context, and emits a softmax distribution over the target
-vocabulary.  Training is teacher-forced cross entropy normalized per real
-target token.
+With no input feeding the decoder LSTMs never read attention, so a decoder
+pass embeds a [T, B] block of previous target tokens, runs each LSTM layer
+over it, attends step by step over the encoder outputs with the top-layer
+state (the cell/hidden concatenation) and merges each LSTM output with its
+context.  Training is teacher-forced cross entropy over the whole target
+block, normalized per real target token; search advances one position.
 """
 
 from __future__ import annotations
@@ -23,11 +23,12 @@ from .config import RunConfig
 from .encoders import (
     EncoderConfig,
     LstmCellParams,
-    lstm_step,
     pyramidal_encode,
+    run_lstm,
     speech_encoder_config,
     speech_prenet,
     text_encoder_config,
+    with_ones,
 )
 
 
@@ -61,18 +62,12 @@ def parameter_shapes(config: RunConfig, src_vocab_size: Optional[int], tgt_vocab
         shapes["prenet.1.b"] = (p,)
         enc_input = p
     for layer in range(cfg.enc_layers):
-        d = enc_input if layer == 0 else m
         for direction in ("fwd", "bwd"):
-            shapes[f"enc.{layer}.{direction}.wx"] = (4 * m, d)
-            shapes[f"enc.{layer}.{direction}.wh"] = (4 * m, m)
-            shapes[f"enc.{layer}.{direction}.b"] = (4 * m,)
+            _lstm_shapes(shapes, f"enc.{layer}.{direction}", enc_input if layer == 0 else m, m)
     shapes["dec.embed"] = (n, tgt_vocab_size)
     shapes["dec.init_w"] = (2 * m, 2 * m)
     for layer in range(cfg.dec_layers):
-        d = n if layer == 0 else m
-        shapes[f"dec.{layer}.wx"] = (4 * m, d)
-        shapes[f"dec.{layer}.wh"] = (4 * m, m)
-        shapes[f"dec.{layer}.b"] = (4 * m,)
+        _lstm_shapes(shapes, f"dec.{layer}", n if layer == 0 else m, m)
     shapes["dec.merge_w"] = (m, 2 * m)
     shapes["dec.merge_b"] = (m,)
     shapes["dec.vocab_w"] = (tgt_vocab_size, m)
@@ -85,6 +80,10 @@ def parameter_shapes(config: RunConfig, src_vocab_size: Optional[int], tgt_vocab
         shapes["attn.conv_gate"] = (m,)
         shapes["attn.conv_filter"] = (cfg.conv_filter_size,)
     return shapes
+
+
+def _lstm_shapes(shapes: dict, prefix: str, d: int, m: int) -> None:
+    shapes.update({f"{prefix}.wx": (4 * m, d), f"{prefix}.wh": (4 * m, m), f"{prefix}.b": (4 * m,)})
 
 
 def encoder_config(config: RunConfig) -> EncoderConfig:
@@ -182,16 +181,10 @@ class Seq2SeqModel:
             raise ValueError("empty target")
         h, enc_mask, final = self.encode(tensors, batch.src, batch.src_lengths, rng)
         core = self.decoder(tensors, h, enc_mask, rng)
-        state = core.init_state(final)
-        merged, attn_rows = [], []
-        for t in range(batch.dec_in.shape[1]):
-            state, out, weights = core.advance(state, batch.dec_in[:, t])
-            attn_rows.append(weights)
-            merged.append(out)
+        _, merged, attn_rows = core.advance(core.init_state(final), batch.dec_in.T)
         # the output layer runs once, over the real rows of the time-major [T*B] block
-        rows = ad.stack(merged)
         real = np.flatnonzero(batch.tgt_mask.T.reshape(-1))
-        rows = ad.apply_primitive("slice", (ad.reshape(rows, (-1, rows.shape[2])),), axis=0, index=real)
+        rows = ad.apply_primitive("slice", (ad.reshape(merged, (-1, merged.shape[2])),), axis=0, index=real)
         picked = ad.pick(core.output(rows), batch.dec_out.T.reshape(-1)[real])
         loss = ad.tsum(ad.log(picked)).scaled(-1.0 / batch.real_token_count)
         return (loss, attn_rows) if collect_attention else loss
@@ -237,7 +230,8 @@ class DecoderCore:
         self.rng = rng
         self.embed = tensors["dec.embed"]
         self.init_w = tensors["dec.init_w"]
-        self.cells = [_cell(tensors, f"dec.{i}").gate_weights() for i in range(cfg.dec_layers)]
+        cells = [_cell(tensors, f"dec.{i}") for i in range(cfg.dec_layers)]
+        self.cells = [(cell.input_weights(), cell.wh) for cell in cells]  # per pass, not per step
         self.merge_w = tensors["dec.merge_w"]
         self.merge_b = tensors["dec.merge_b"]
         self.vocab_w = tensors["dec.vocab_w"]
@@ -266,27 +260,32 @@ class DecoderCore:
         return DecoderState(layers=layers, attn_weights=None)
 
     def advance(self, state: DecoderState, prev_ids: np.ndarray):
-        """Advance one target position up to the output layer; returns
-        (state', merge output [B, m], attention weights [B, A'])."""
+        """Advance over a [T, B] block of previous target ids up to the output
+        layer; returns (state', merge outputs [T, B, m], the T attention
+        weights [B, A'])."""
         cfg = self.config
         x = ad.embedding(self.embed, prev_ids)
-        new_layers = []
-        for layer, weights in enumerate(self.cells):
-            c_new, h_new = lstm_step(weights, x, state.layers[layer])
-            new_layers.append((c_new, h_new))
-            x = h_new
-            if layer < len(self.cells) - 1 and self.rng is not None and cfg.dropout > 0.0:
+        layers = []
+        for layer, (w, wh) in enumerate(self.cells):
+            if layer > 0 and self.rng is not None and cfg.dropout > 0.0:
                 scale = 1.0 / (1.0 - cfg.dropout)
                 x = ad.dropout(x, (self.rng.random(x.shape) >= cfg.dropout) * scale)
-        top_c, top_h = new_layers[-1]
-        s_t = ad.concat([top_c, top_h])
-        if cfg.attention == "conv":
-            scores = convolutional_scores(self.attn, self.h, s_t, state.attn_weights, self.enc_proj)
-        else:
-            scores = additive_scores(self.attn, self.h, s_t, self.enc_proj)
-        weights, context = attend(scores, self.h, self.enc_mask)
-        merged = ad.linear(ad.concat([top_h, context]), self.merge_w) + self.merge_b
-        return DecoderState(layers=new_layers, attn_weights=weights), merged, weights
+            cells, hidden = run_lstm(ad.linear(with_ones(x), w), wh, range(len(prev_ids)), state.layers[layer])
+            layers.append((cells[-1], hidden[-1]))
+            x = ad.stack(hidden)
+        # attention reads each step's top-layer state, conv also the weights before it
+        weights, rows, contexts = state.attn_weights, [], []
+        for c_t, h_t in zip(cells, hidden):
+            s_t = ad.concat([c_t, h_t])
+            if cfg.attention == "conv":
+                scores = convolutional_scores(self.attn, self.h, s_t, weights, self.enc_proj)
+            else:
+                scores = additive_scores(self.attn, self.h, s_t, self.enc_proj)
+            weights, context = attend(scores, self.h, self.enc_mask)
+            rows.append(weights)
+            contexts.append(context)
+        merged = ad.linear(ad.concat([x, ad.stack(contexts)]), self.merge_w) + self.merge_b
+        return DecoderState(layers=layers, attn_weights=weights), merged, rows
 
     def output(self, merged: Tensor) -> Tensor:
         """Softmax over the target vocabulary of merge outputs [rows, m]."""
@@ -295,8 +294,8 @@ class DecoderCore:
     def step(self, state: DecoderState, prev_ids: np.ndarray):
         """Advance one target position; returns (state', distribution [B, V],
         attention weights [B, A'])."""
-        state, merged, weights = self.advance(state, prev_ids)
-        return state, self.output(merged), weights
+        state, merged, rows = self.advance(state, np.asarray(prev_ids)[None])
+        return state, self.output(merged[0]), rows[0]
 
 
 def gather_state(state: DecoderState, index: np.ndarray) -> DecoderState:

@@ -74,6 +74,25 @@ def test_matmul_hand_example():
     b = t([[1.0, 3.0, 5.0], [2.0, 4.0, 6.0]])  # [out, in]
     out = apply_primitive("matmul", (a, b))
     np.testing.assert_array_equal(out.data, [[22.0, 28.0], [49.0, 64.0]])
+    # 3-D and 1-D inputs, by an [out, in] matrix and by an [in] vector
+    rng = np.random.default_rng(12)
+    for x_shape, w_shape in [((4, 2, 3), (5, 3)), ((3,), (5, 3)), ((4, 2, 3), (3,)), ((3,), (3,))]:
+        x, w = rng.normal(size=x_shape), rng.normal(size=w_shape)
+        g = rng.normal(size=x_shape[:-1] + w_shape[:-1])
+        tape = Tape()
+        with tape:
+            xt, wt = t(x), t(w)
+            tape.watch("x", xt)
+            tape.watch("w", wt)
+            out = apply_primitive("matmul", (xt, wt))
+            loss = ad.tsum(out * t(g))
+        grads = ad.backprop(tape, loss)
+        wm, gm = w.reshape(-1, 3), g.reshape(x_shape[:-1] + (-1,))  # a vector weight as [1, in]
+        np.testing.assert_allclose(out.data, np.einsum("...i,oi->...o", x, wm).reshape(g.shape),
+                                   rtol=1e-12)
+        np.testing.assert_allclose(grads["x"].data, np.einsum("...o,oi->...i", gm, wm), rtol=1e-12)
+        dw = np.einsum("ro,ri->oi", gm.reshape(-1, len(wm)), x.reshape(-1, 3))
+        np.testing.assert_allclose(grads["w"].data, dw.reshape(w_shape), rtol=1e-12)
 
 
 def test_matmul_shape_error_names_primitive():

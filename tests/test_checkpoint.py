@@ -134,6 +134,24 @@ def test_save_quantizes_live_store_to_float32(tmp_path):
         np.testing.assert_array_equal(value, value.astype(np.float32).astype(np.float64))
 
 
+def test_saving_an_untrained_model_leaves_its_moments_unbuilt(tmp_path):
+    """Moments a store never built are written as zero records without
+    being built; the file is byte-identical to one saved after building
+    them, and loads as zero moments."""
+    model = build_tiny_model(task="speech", m=3, n=3, seed=8)
+    lazy, built = tmp_path / "lazy.ckpt", tmp_path / "built.ckpt"
+    save_checkpoint(lazy, model)
+    assert all(model.store.held_moments(name) == (None, None) for name in model.store.names())
+    for name in model.store.names():
+        model.store.moments(name)
+    save_checkpoint(built, model)
+    assert lazy.read_bytes() == built.read_bytes()
+    loaded = load_checkpoint(lazy)
+    for name in loaded.store.names():
+        for moment in loaded.store.moments(name):
+            np.testing.assert_array_equal(moment, 0.0)
+
+
 def test_rejects_unknown_version(tmp_path):
     model = build_tiny_model()
     path = tmp_path / "m.ckpt"

@@ -7,11 +7,12 @@ from s2t.encoders import (
     LstmCellParams,
     bidirectional_layer,
     final_state,
-    lstm_step,
     pyramidal_encode,
+    run_lstm,
     speech_encoder_config,
     speech_prenet,
     text_encoder_config,
+    with_ones,
 )
 
 from oracles import lstm_step_oracle, pyramid_length_oracle, subsampled_length
@@ -29,11 +30,19 @@ def zero_cell(input_dim, m):
     return LstmCellParams(Tensor(np.zeros((4 * m, input_dim))), Tensor(np.zeros((4 * m, m))), Tensor(np.zeros(4 * m)))
 
 
+def lstm_steps(params, xs, start=None):
+    """run_lstm over the [T, B, d] block ``xs``, projected as the model
+    projects it; returns the last step's (c, h)."""
+    projected = ad.linear(with_ones(xs), params.input_weights())
+    cells, hidden = run_lstm(projected, params.wh, range(len(xs)), start)
+    return cells[-1], hidden[-1]
+
+
 def test_lstm_zero_weights_halves_cell_state():
     params = zero_cell(3, 2)
     c = Tensor(np.ones((1, 2)))
     h = Tensor(np.zeros((1, 2)))
-    c2, h2 = lstm_step(params.gate_weights(), Tensor(np.array([[0.3, -0.5, 2.0]])), (c, h))
+    c2, h2 = lstm_steps(params, Tensor(np.array([[[0.3, -0.5, 2.0]]])), (c, h))
     np.testing.assert_allclose(c2.data, 0.5)
     np.testing.assert_allclose(h2.data, 0.5 * np.tanh(0.5))
 
@@ -44,12 +53,10 @@ def test_lstm_matches_scalar_oracle_over_two_steps():
     xs = rng.normal(size=(2, 2))
     c = [0.0, 0.0]
     h = [0.0, 0.0]
-    ct = Tensor(np.zeros((1, 2)))
-    ht = Tensor(np.zeros((1, 2)))
     for step in range(2):
         c, h = lstm_step_oracle(params.wx.data.tolist(), params.wh.data.tolist(),
                                 params.b.data.tolist(), xs[step].tolist(), c, h)
-        ct, ht = lstm_step(params.gate_weights(), Tensor(xs[step][None, :]), (ct, ht))
+    ct, ht = lstm_steps(params, Tensor(xs[:, None, :]))
     np.testing.assert_allclose(ct.data[0], c, atol=1e-12)
     np.testing.assert_allclose(ht.data[0], h, atol=1e-12)
 
@@ -64,14 +71,14 @@ def test_lstm_saturated_gates_hold_memory():
     params = LstmCellParams(params.wx, params.wh, Tensor(b))
     c = Tensor(np.array([[0.4, -0.2, 0.9]]))
     h = Tensor(np.zeros((1, m)))
-    c2, _ = lstm_step(params.gate_weights(), Tensor(np.zeros((1, 2))), (c, h))
+    c2, _ = lstm_steps(params, Tensor(np.zeros((1, 1, 2))), (c, h))
     np.testing.assert_allclose(c2.data, c.data, atol=1e-4)
 
 
 def test_lstm_rejects_dimension_mismatch():
     params = zero_cell(3, 2)
     with pytest.raises(ad.ShapeMismatch):
-        lstm_step(params.gate_weights(), Tensor(np.zeros((1, 4))), (Tensor(np.zeros((1, 2))), Tensor(np.zeros((1, 2)))))
+        lstm_steps(params, Tensor(np.zeros((1, 1, 4))), (Tensor(np.zeros((1, 2))), Tensor(np.zeros((1, 2)))))
 
 
 def test_lstm_gradients_match_finite_differences():
@@ -81,13 +88,13 @@ def test_lstm_gradients_match_finite_differences():
         wx = rng.normal(size=(8, 3)) * 0.6
         wh = rng.normal(size=(8, 2)) * 0.6
         b = rng.normal(size=8) * 0.6
-        x = rng.normal(size=(1, 3))
+        x = rng.normal(size=(1, 1, 3))
         c0 = rng.normal(size=(1, 2))
         h0 = rng.normal(size=(1, 2))
 
         def f(p):
             cell = LstmCellParams(p["wx"], p["wh"], p["b"])
-            c, h = lstm_step(cell.gate_weights(), p["x"], (p["c"], p["h"]))
+            c, h = lstm_steps(cell, p["x"], start=(p["c"], p["h"]))
             return ad.tsum(c) + ad.tsum(h)
 
         point = {"wx": Tensor(wx), "wh": Tensor(wh), "b": Tensor(b),
@@ -104,8 +111,8 @@ def test_bidirectional_single_element():
     outputs, forward = bidirectional_layer(fwd, bwd, ad.stack([x]))
     final = final_state(forward, [1])
     zeros = (Tensor(np.zeros((1, 2))), Tensor(np.zeros((1, 2))))
-    _, hf = lstm_step(fwd.gate_weights(), x, zeros)
-    _, hb = lstm_step(bwd.gate_weights(), x, zeros)
+    _, hf = lstm_steps(fwd, ad.stack([x]), zeros)
+    _, hb = lstm_steps(bwd, ad.stack([x]), zeros)
     np.testing.assert_allclose(outputs[0].data, hf.data + hb.data, atol=1e-12)
     assert final.shape == (1, 4)
 

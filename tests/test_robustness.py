@@ -39,6 +39,17 @@ def _speech_checkpoint(tmp_path):
     return path
 
 
+def _archive_command(tmp_path, command, archive):
+    """argv of ``train`` on ``archive`` with one target line, or of
+    ``translate`` of it with a tiny speech checkpoint."""
+    if command == "train":
+        tgt = tmp_path / "train.tgt"
+        tgt.write_text("t0 t1\n")
+        return ["train", "--task", "speech", "--train-src", str(archive), "--train-tgt", str(tgt),
+                "--save-dir", str(tmp_path / "run"), *TRAIN_FLAGS]
+    return ["translate", "--checkpoint", str(_speech_checkpoint(tmp_path)), "--input", str(archive)]
+
+
 @pytest.mark.parametrize("cut", [8, 10, 16])
 @pytest.mark.parametrize("command", ["train", "translate"])
 def test_truncated_archive_exits_2(tmp_path, capsys, cut, command):
@@ -46,17 +57,26 @@ def test_truncated_archive_exits_2(tmp_path, capsys, cut, command):
     archive.write_bytes(_archive(tmp_path).read_bytes()[:cut])
     with pytest.raises(ValueError, match="truncated"):
         read_feature_archive(archive)
-    if command == "train":
-        tgt = tmp_path / "train.tgt"
-        tgt.write_text("t0 t1\n")
-        argv = ["train", "--task", "speech", "--train-src", str(archive), "--train-tgt", str(tgt),
-                "--save-dir", str(tmp_path / "run"), *TRAIN_FLAGS]
-    else:
-        argv = ["translate", "--checkpoint", str(_speech_checkpoint(tmp_path)),
-                "--input", str(archive)]
-    code, _, err = run(capsys, *argv)
+    code, _, err = run(capsys, *_archive_command(tmp_path, command, archive))
     assert code == 2
     assert "truncated archive" in err
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("command", ["train", "translate"])
+def test_non_finite_archive_exits_2(tmp_path, capsys, value, command):
+    """A NaN or infinite feature value is an input error naming its record,
+    before any model reads it."""
+    archive = tmp_path / "bad.bin"
+    rows = np.random.default_rng(1).normal(size=(6, FEATURE_DIM)).astype(np.float32)
+    rows[3, 7] = value
+    write_feature_archive(archive, [("u0", np.zeros((4, FEATURE_DIM), np.float32)), ("u1", rows)])
+    with pytest.raises(ValueError, match="non-finite feature value in record 'u1'"):
+        read_feature_archive(archive)
+    code, out, err = run(capsys, *_archive_command(tmp_path, command, archive))
+    assert code == 2
+    assert "non-finite feature value in record 'u1'" in err
+    assert out == ""
 
 
 def test_archive_with_wrong_dimension_is_rejected(tmp_path):
@@ -419,9 +439,9 @@ def archive_blob(tmp_path_factory):
 @given(mutations=st.lists(_MUTATION, min_size=1, max_size=3))
 def test_mutated_archive_fails_typed_or_round_trips(tmp_path_factory, archive_blob, mutations):
     """Truncation, byte flips and trailing bytes either fail with
-    ValueError, and ``translate`` exits 2, or read records of 41-dim frames
-    that write back and read again unchanged; ``translate`` then exits 0,
-    or 3 when a flipped float32 is no longer finite (no checksum)."""
+    ValueError, and ``translate`` exits 2, or read records of finite 41-dim
+    frames that write back and read again unchanged; ``translate`` then
+    exits 0.  A flip that makes a float32 non-finite is one such error."""
     blob, ckpt = archive_blob
     work = tmp_path_factory.mktemp("mutated")
     path = work / "mutated.feats"
@@ -439,10 +459,10 @@ def test_mutated_archive_fails_typed_or_round_trips(tmp_path_factory, archive_bl
     write_feature_archive(work / "again.feats", items)
     again = read_feature_archive(work / "again.feats")
     assert [u for u, _ in again] == [u for u, _ in items]
-    assert all(np.array_equal(a, b, equal_nan=True) for (_, a), (_, b) in zip(again, items))
+    assert all(np.array_equal(a, b) for (_, a), (_, b) in zip(again, items))
     assert all(f.ndim == 2 and f.shape[1] == FEATURE_DIM for _, f in items)
-    finite = all(np.isfinite(f).all() for _, f in items)
-    assert code == 0 if finite else code in (0, 3)
+    assert all(np.isfinite(f).all() for _, f in items)
+    assert code == 0
 
 
 CONFIG_TEXT = "\n".join(RunConfig(task="speech", hidden_size=8, embed_size=8, dropout=0.25,
