@@ -41,7 +41,7 @@ def _scores(params, h, state, conv_term, enc_proj):
         raise ad.ShapeMismatch(f"attention: encoder block must be [A, B, m], got {h.shape}")
     if enc_proj is None:
         enc_proj = project_encoder(params, h)
-    inner = enc_proj + (ad.linear(state, params.state_w) + params.bias)
+    inner = enc_proj + ad.linear(state, params.state_w, params.bias)
     if conv_term is not None:
         inner = inner + conv_term
     return ad.transpose(ad.linear(ad.tanh(inner), params.score_v))  # [A, B] -> [B, A]

@@ -310,19 +310,25 @@ def _scale_bwd(g, d, out, a):
 
 
 def _matmul_fwd(d, a):
-    x, w = d
+    x, w, *bias = d
     if x.ndim == 0 or w.ndim == 0 or w.ndim > 2:
         raise ShapeMismatch(f"matmul: unsupported operand ranks {x.shape} by weight {w.shape}")
     if x.shape[-1] != w.shape[-1]:
         raise ShapeMismatch(f"matmul: input width differs from the weight's, {x.shape} by {w.shape}")
-    return (x.reshape(-1, x.shape[-1]) @ w.T).reshape(x.shape[:-1] + w.shape[:-1])
+    if bias and bias[0].shape != w.shape[:-1]:
+        raise ShapeMismatch(f"matmul: bias {bias[0].shape} does not match weight {w.shape}")
+    out = (x.reshape(-1, x.shape[-1]) @ w.T).reshape(x.shape[:-1] + w.shape[:-1])
+    if bias:
+        out += bias[0]  # the GEMM's fresh output: the entry keeps one array
+    return out
 
 
 def _matmul_bwd(g, d, out, a):
-    x, w = d
+    x, w, *bias = d
     w2 = w.reshape(-1, w.shape[-1])  # an [in] vector as [1, in]
     g2 = g.reshape(-1, len(w2))
-    return [(g2 @ w2).reshape(x.shape), (x.reshape(-1, x.shape[-1]).T @ g2).T.reshape(w.shape)]
+    return [(g2 @ w2).reshape(x.shape), (x.reshape(-1, x.shape[-1]).T @ g2).T.reshape(w.shape),
+            *(_unbroadcast(g, b.shape) for b in bias)]
 
 
 def _transpose_fwd(d, a):
@@ -547,10 +553,11 @@ register_primitive("pick", _pick_fwd, _pick_bwd)
 # thin wrappers so model code reads naturally
 
 
-def linear(x: Tensor, w: Tensor) -> Tensor:
+def linear(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
     """``x`` [..., in], its leading axes the rows of one GEMM, times the weight
-    as stored: ``x @ w.T`` for an [out, in] matrix, ``x @ w`` for an [in] vector."""
-    return apply_primitive("matmul", (x, w))
+    as stored: ``x @ w.T`` for an [out, in] matrix, ``x @ w`` for an [in] vector;
+    plus the bias ``b`` [out], if given, inside the same tape entry."""
+    return apply_primitive("matmul", (x, w) if b is None else (x, w, b))
 
 
 def tanh(x: Tensor) -> Tensor:

@@ -258,7 +258,7 @@ def _teacher_forced_attention(model, source, target_ids):
 def cmd_dump_attention(args) -> int:
     model = load_checkpoint(args.checkpoint)
     raw = _read_sources(args.input, model.config.task)
-    if args.line >= len(raw):
+    if not 0 <= args.line < len(raw):
         raise DataError(f"{args.input}: item {args.line} out of range")
     source = _model_inputs(model, raw[args.line : args.line + 1])[0]
 
@@ -267,6 +267,8 @@ def cmd_dump_attention(args) -> int:
         if args.line >= len(ref_lines):
             raise DataError(f"{args.reference}: line {args.line} out of range")
         target_tokens = tokenize(ref_lines[args.line])
+        if not target_tokens:
+            raise DataError(f"{args.reference}: line {args.line} is empty")
         target_ids = model.tgt_vocab.encode_sequence(target_tokens)
         matrix = _teacher_forced_attention(model, source, target_ids)
         row_labels = target_tokens

@@ -30,10 +30,6 @@ class LstmCellParams:
     wh: Tensor  # [4m, m]
     b: Tensor   # [4m]
 
-    def input_weights(self) -> Tensor:
-        """Per-pass [4m, input_dim + 1] ``wx`` with the bias as its last column."""
-        return ad.concat([self.wx, ad.reshape(self.b, (self.b.shape[0], 1))])
-
 
 @dataclass
 class EncoderConfig:
@@ -56,11 +52,6 @@ def speech_encoder_config(layer_count: int = 3, dropout: float = 0.0) -> Encoder
     return EncoderConfig(layer_count, True, dropout)
 
 
-def with_ones(x: Tensor) -> Tensor:
-    """``x`` [..., d] with a trailing column of ones, [..., d + 1]."""
-    return ad.concat([x, Tensor(np.ones(x.shape[:-1] + (1,)))])
-
-
 def _cell_update(gates: Tensor, c: Optional[Tensor]):
     """(c', h') from the [B, 4m] gate pre-activations: one sigmoid for the
     whole block, tanh on its candidate slice.  ``c`` None is the zero
@@ -74,7 +65,7 @@ def _cell_update(gates: Tensor, c: Optional[Tensor]):
 
 
 def run_lstm(projected: Tensor, wh: Tensor, order, start=None, restart=None):
-    """The LSTM over the [T, B, 4m] projection ``linear(with_ones(x), input_weights)``:
+    """The LSTM over the [T, B, 4m] input projection ``linear(x, wx, b)``:
     steps in ``order`` from the (c, h) ``start`` (None: the zero state), step ``t``
     adding wh . h to ``projected[t]``; rows whose ``restart`` is ``t`` enter it from
     zero.  Returns per-step lists of [B, m] cell and hidden states, indexed by step."""
@@ -106,9 +97,8 @@ def bidirectional_layer(
         raise ValueError("bidirectional layer needs a nonempty input sequence")
     steps, batch, _ = inputs.shape
     last = np.full(batch, steps - 1) if lengths is None else np.asarray(lengths) - 1
-    x1 = with_ones(inputs)
-    fwd_c, fwd_h = run_lstm(ad.linear(x1, fwd.input_weights()), fwd.wh, range(steps))
-    _, bwd_h = run_lstm(ad.linear(x1, bwd.input_weights()), bwd.wh, range(steps)[::-1], restart=last)
+    fwd_c, fwd_h = run_lstm(ad.linear(inputs, fwd.wx, fwd.b), fwd.wh, range(steps))
+    _, bwd_h = run_lstm(ad.linear(inputs, bwd.wx, bwd.b), bwd.wh, range(steps)[::-1], restart=last)
     return ad.stack(fwd_h) + ad.stack(bwd_h), (fwd_c, fwd_h)
 
 
@@ -137,7 +127,7 @@ def speech_prenet(layers: Sequence[tuple[Tensor, Tensor]], frames: Tensor) -> Te
     for w, b in layers:
         if out.shape[-1] != w.shape[1]:
             raise ad.ShapeMismatch(f"prenet: input dim {out.shape[-1]} != expected {w.shape[1]}")
-        out = ad.tanh(ad.linear(out, w) + b)
+        out = ad.tanh(ad.linear(out, w, b))
     return out
 
 

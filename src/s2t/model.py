@@ -28,7 +28,6 @@ from .encoders import (
     speech_encoder_config,
     speech_prenet,
     text_encoder_config,
-    with_ones,
 )
 
 
@@ -230,8 +229,7 @@ class DecoderCore:
         self.rng = rng
         self.embed = tensors["dec.embed"]
         self.init_w = tensors["dec.init_w"]
-        cells = [_cell(tensors, f"dec.{i}") for i in range(cfg.dec_layers)]
-        self.cells = [(cell.input_weights(), cell.wh) for cell in cells]  # per pass, not per step
+        self.cells = [_cell(tensors, f"dec.{i}") for i in range(cfg.dec_layers)]
         self.merge_w = tensors["dec.merge_w"]
         self.merge_b = tensors["dec.merge_b"]
         self.vocab_w = tensors["dec.vocab_w"]
@@ -266,11 +264,11 @@ class DecoderCore:
         cfg = self.config
         x = ad.embedding(self.embed, prev_ids)
         layers = []
-        for layer, (w, wh) in enumerate(self.cells):
+        for layer, (cell, start) in enumerate(zip(self.cells, state.layers)):
             if layer > 0 and self.rng is not None and cfg.dropout > 0.0:
                 scale = 1.0 / (1.0 - cfg.dropout)
                 x = ad.dropout(x, (self.rng.random(x.shape) >= cfg.dropout) * scale)
-            cells, hidden = run_lstm(ad.linear(with_ones(x), w), wh, range(len(prev_ids)), state.layers[layer])
+            cells, hidden = run_lstm(ad.linear(x, cell.wx, cell.b), cell.wh, range(len(prev_ids)), start)
             layers.append((cells[-1], hidden[-1]))
             x = ad.stack(hidden)
         # attention reads each step's top-layer state, conv also the weights before it
@@ -284,12 +282,12 @@ class DecoderCore:
             weights, context = attend(scores, self.h, self.enc_mask)
             rows.append(weights)
             contexts.append(context)
-        merged = ad.linear(ad.concat([x, ad.stack(contexts)]), self.merge_w) + self.merge_b
+        merged = ad.linear(ad.concat([x, ad.stack(contexts)]), self.merge_w, self.merge_b)
         return DecoderState(layers=layers, attn_weights=weights), merged, rows
 
     def output(self, merged: Tensor) -> Tensor:
         """Softmax over the target vocabulary of merge outputs [rows, m]."""
-        return ad.softmax(ad.linear(merged, self.vocab_w) + self.vocab_b)
+        return ad.softmax(ad.linear(merged, self.vocab_w, self.vocab_b))
 
     def step(self, state: DecoderState, prev_ids: np.ndarray):
         """Advance one target position; returns (state', distribution [B, V],

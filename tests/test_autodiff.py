@@ -74,30 +74,45 @@ def test_matmul_hand_example():
     b = t([[1.0, 3.0, 5.0], [2.0, 4.0, 6.0]])  # [out, in]
     out = apply_primitive("matmul", (a, b))
     np.testing.assert_array_equal(out.data, [[22.0, 28.0], [49.0, 64.0]])
-    # 3-D and 1-D inputs, by an [out, in] matrix and by an [in] vector
+    out = apply_primitive("matmul", (a, b, t([1.0, -1.0])))
+    np.testing.assert_array_equal(out.data, [[23.0, 27.0], [50.0, 63.0]])
+    # 3-D, 2-D and 1-D inputs, by an [out, in] matrix and by an [in] vector, each
+    # without and with a bias of the weight's output shape
     rng = np.random.default_rng(12)
-    for x_shape, w_shape in [((4, 2, 3), (5, 3)), ((3,), (5, 3)), ((4, 2, 3), (3,)), ((3,), (3,))]:
-        x, w = rng.normal(size=x_shape), rng.normal(size=w_shape)
-        g = rng.normal(size=x_shape[:-1] + w_shape[:-1])
-        tape = Tape()
-        with tape:
-            xt, wt = t(x), t(w)
-            tape.watch("x", xt)
-            tape.watch("w", wt)
-            out = apply_primitive("matmul", (xt, wt))
-            loss = ad.tsum(out * t(g))
-        grads = ad.backprop(tape, loss)
-        wm, gm = w.reshape(-1, 3), g.reshape(x_shape[:-1] + (-1,))  # a vector weight as [1, in]
-        np.testing.assert_allclose(out.data, np.einsum("...i,oi->...o", x, wm).reshape(g.shape),
-                                   rtol=1e-12)
-        np.testing.assert_allclose(grads["x"].data, np.einsum("...o,oi->...i", gm, wm), rtol=1e-12)
-        dw = np.einsum("ro,ri->oi", gm.reshape(-1, len(wm)), x.reshape(-1, 3))
-        np.testing.assert_allclose(grads["w"].data, dw.reshape(w_shape), rtol=1e-12)
+    for x_shape, w_shape in [((4, 2, 3), (5, 3)), ((3,), (5, 3)), ((4, 2, 3), (3,)), ((3,), (3,)),
+                             ((4, 3), (5, 3))]:
+        for with_bias in (False, True):
+            x, w, bias = rng.normal(size=x_shape), rng.normal(size=w_shape), rng.normal(size=w_shape[:-1])
+            g = rng.normal(size=x_shape[:-1] + w_shape[:-1])
+            tape = Tape()
+            with tape:
+                xt, wt, bt = t(x), t(w), t(bias)
+                tape.watch("x", xt)
+                tape.watch("w", wt)
+                tape.watch("b", bt)
+                out = apply_primitive("matmul", (xt, wt, bt) if with_bias else (xt, wt))
+                loss = ad.tsum(out * t(g))
+            grads = ad.backprop(tape, loss)
+            wm, gm = w.reshape(-1, 3), g.reshape(x_shape[:-1] + (-1,))  # a vector weight as [1, in]
+            want = np.einsum("...i,oi->...o", x, wm).reshape(g.shape) + (bias if with_bias else 0.0)
+            np.testing.assert_allclose(out.data, want, rtol=1e-12)
+            np.testing.assert_allclose(grads["x"].data, np.einsum("...o,oi->...i", gm, wm), rtol=1e-12)
+            dw = np.einsum("ro,ri->oi", gm.reshape(-1, len(wm)), x.reshape(-1, 3))
+            np.testing.assert_allclose(grads["w"].data, dw.reshape(w_shape), rtol=1e-12)
+            db = np.einsum("ro->o", gm.reshape(-1, len(wm))).reshape(bias.shape) if with_bias else 0.0
+            np.testing.assert_allclose(grads["b"].data, db, rtol=1e-12)
 
 
 def test_matmul_shape_error_names_primitive():
     with pytest.raises(ShapeMismatch, match="matmul"):
         apply_primitive("matmul", (t(np.ones((2, 3))), t(np.ones((3, 2)))))
+
+
+@pytest.mark.parametrize("bias_shape", [(3,), (2, 1), (1,), ()])
+def test_matmul_bias_shape_error_names_primitive(bias_shape):
+    """A bias must have the weight's output shape exactly: no broadcasting."""
+    with pytest.raises(ShapeMismatch, match="matmul"):
+        ad.linear(t(np.ones((4, 3))), t(np.ones((2, 3))), t(np.ones(bias_shape)))
 
 
 def test_unknown_primitive():
@@ -362,6 +377,12 @@ def _case_matmul_vec(rng):
     return {"a": Tensor(a), "v": Tensor(v)}, lambda p: ad.tsum(ad.linear(p["a"], p["v"]))
 
 
+def _case_matmul_bias(rng):
+    a, w, b = rng.normal(size=(2, 3, 4)), rng.normal(size=(5, 4)), rng.normal(size=(5,))
+    point = {"a": Tensor(a), "w": Tensor(w), "b": Tensor(b)}
+    return point, lambda p: ad.tsum(ad.tanh(ad.linear(p["a"], p["w"], p["b"])))
+
+
 def _case_transpose(rng):
     a = rng.normal(size=(3, 4))
     return {"a": Tensor(a)}, lambda p: ad.tsum(ad.tanh(ad.transpose(p["a"])))
@@ -465,6 +486,7 @@ ALL_CASES = [
     _case_softmax, _case_log, _case_sum_axis, _case_concat, _case_stack,
     _case_slice, _case_conv, _case_embedding, _case_dropout, _case_pick,
     _case_slice_index, _case_slice_step, _case_embedding_2d, _case_slice_rows,
+    _case_matmul_bias,
 ]
 
 

@@ -312,6 +312,29 @@ def test_dump_attention_text(tmp_path, capsys):
         assert abs(weights.sum() - 1.0) < 1e-6
 
 
+@pytest.mark.parametrize("line", [-1, 2])
+def test_dump_attention_line_out_of_range_exits_2(tmp_path, capsys, line):
+    path, _ = _save_random_model(tmp_path, seed=31)
+    inp = tmp_path / "in.txt"
+    inp.write_text("t0 t1\nt2 t3\n")
+    code, out, err = run(capsys, "dump-attention", "--checkpoint", str(path), "--input", str(inp),
+                         "--line", str(line))
+    assert code == 2 and out == ""
+    assert "in.txt" in err and f"item {line}" in err
+
+
+def test_dump_attention_empty_reference_line_exits_2(tmp_path, capsys):
+    path, _ = _save_random_model(tmp_path, seed=32)
+    inp = tmp_path / "in.txt"
+    inp.write_text("t0 t1\nt2 t3\n")
+    ref = tmp_path / "ref.txt"
+    ref.write_text("t0\n   \n")
+    code, out, err = run(capsys, "dump-attention", "--checkpoint", str(path), "--input", str(inp),
+                         "--reference", str(ref), "--line", "1")
+    assert code == 2 and out == ""
+    assert "ref.txt" in err and "line 1" in err and "empty" in err
+
+
 def test_dump_attention_teacher_forced_speech_shape(tmp_path, capsys):
     model = randomize(build_tiny_model(task="speech", m=3, n=3, tgt_words=5), seed=29)
     path = tmp_path / "speech.ckpt"

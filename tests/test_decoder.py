@@ -251,9 +251,9 @@ def test_advance_over_a_block_equals_step_by_step(attention):
 
 
 @pytest.mark.parametrize("task, src_lens, limit", [
-    pytest.param("text", (5,), 431, id="text"),
-    pytest.param("speech", (6,), 476, id="speech"),
-    pytest.param("speech", (9, 7, 8), 658, id="speech-ragged"),
+    pytest.param("text", (5,), 410, id="text"),
+    pytest.param("speech", (6,), 448, id="speech"),
+    pytest.param("speech", (9, 7, 8), 630, id="speech-ragged"),
 ])
 def test_tiny_loss_tape_size(task, src_lens, limit):
     """Criterion 1's tiny models (same sizes, seed and batch) record one
@@ -294,6 +294,28 @@ def test_loss_forward_never_transposes_weights(task, attention):
     transposes = [entry for entry in tape.entries if entry.kind == "transpose"]
     assert transposes
     assert not [entry for entry in transposes if entry.inputs[0] in from_params]
+
+
+@pytest.mark.parametrize("attention", ["additive", "conv"])
+@pytest.mark.parametrize("task", ["text", "speech"])
+def test_loss_forward_adds_no_bias_outside_matmul(task, attention):
+    """Every bias enters its affine map inside the ``matmul`` entry: no taped
+    ``add`` reads a parameter."""
+    rng = np.random.default_rng(48)
+    model = randomize(build_tiny_model(task=task, m=4, n=3, src_words=7, tgt_words=7,
+                                       attention=attention), seed=49)
+    sources = ([random_text_source(rng, 7) for _ in range(3)] if task == "text"
+               else [random_speech_source(rng) for _ in range(3)])
+    tape = ad.Tape()
+    with tape:
+        params = model.store.watch(tape)
+        model.batch_nll(params, make_batch(sources, [[4, 5, 6], [5], [6, 4]]))
+    param_nodes = {tape.node_of(tensor) for tensor in params.values()}
+    adds = [entry for entry in tape.entries if entry.kind == "add"]
+    assert adds
+    assert not [entry for entry in adds if param_nodes.intersection(entry.inputs)]
+    biased = [entry for entry in tape.entries if entry.kind == "matmul" and len(entry.inputs) == 3]
+    assert biased
 
 
 @pytest.mark.parametrize("task", ["text", "speech"])

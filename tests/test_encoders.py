@@ -12,7 +12,6 @@ from s2t.encoders import (
     speech_encoder_config,
     speech_prenet,
     text_encoder_config,
-    with_ones,
 )
 
 from oracles import lstm_step_oracle, pyramid_length_oracle, subsampled_length
@@ -33,7 +32,7 @@ def zero_cell(input_dim, m):
 def lstm_steps(params, xs, start=None):
     """run_lstm over the [T, B, d] block ``xs``, projected as the model
     projects it; returns the last step's (c, h)."""
-    projected = ad.linear(with_ones(xs), params.input_weights())
+    projected = ad.linear(xs, params.wx, params.b)
     cells, hidden = run_lstm(projected, params.wh, range(len(xs)), start)
     return cells[-1], hidden[-1]
 
