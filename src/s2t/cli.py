@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -28,7 +29,7 @@ from .checkpoint import CheckpointError, load_checkpoint
 from .config import ConfigError, RunConfig, load_config
 from .corpus import ParallelCorpus, Vocabulary, read_lines, tokenize
 from .lm import DEFAULT_LAMBDAS, load_lm, save_lm, train_trigram
-from .model import DivergenceError, Seq2SeqModel, encoder_config
+from .model import DivergenceError, Seq2SeqModel
 from .search import FusionWeights, beam_search, check_limits, decode_batch
 from .training import logged_best, rewind_log, train_loop
 
@@ -83,7 +84,7 @@ def _load_pairs(config: RunConfig, src_path, tgt_path) -> list:
             f"item counts differ: {src_path} has {len(sources)}, {tgt_path} has {len(targets)}"
         )
     pairs = [(s, tokenize(t)) for s, t in zip(sources, targets)]
-    min_len = encoder_config(config).stride
+    min_len = config.stride
     kept = [(s, t) for s, t in pairs if len(s) >= min_len and t]
     if len(kept) < len(pairs):
         print(f"dropped {len(pairs) - len(kept)} unusable pair(s)", file=sys.stderr)
@@ -107,15 +108,14 @@ def cmd_train(args) -> int:
                      "batch_size", "steps", "save_every", "seed", "max_vocab")
         if getattr(args, name) is not None
     }
+    if (args.dev_src is None) != (args.dev_tgt is None):
+        raise UsageError("--dev-src and --dev-tgt must be given together")
     if args.resume:
         model = load_checkpoint(args.resume)
-        config = model.config
         # schedule may be extended; everything else is pinned by the checkpoint
-        if args.steps is not None:
-            config.steps = args.steps
-        if args.save_every is not None:
-            config.save_every = args.save_every
-        ignored = sorted(set(overrides) - {"steps", "save_every"})
+        schedule = {name: overrides[name] for name in ("steps", "save_every") if name in overrides}
+        config = model.config = replace(model.config, **schedule).resolved()
+        ignored = sorted(set(overrides) - set(schedule))
         if ignored:
             print(f"resuming: ignoring {', '.join(ignored)} (the checkpoint config wins)",
                   file=sys.stderr)
@@ -194,7 +194,7 @@ def cmd_translate(args) -> int:
     options = dict(beam_size=args.beam_size, lm=lm, weights=weights, max_len=args.max_len,
                    length_norm=args.length_norm, rescore_only=args.rescore_only)
     lines = [""] * len(sources)  # empty and too-short inputs stay empty lines
-    min_len = max(encoder_config(model.config).stride for model in models)
+    min_len = max(model.config.stride for model in models)
     todo = []
     for index, source in enumerate(sources):
         if 0 < len(source) < min_len:
@@ -278,9 +278,8 @@ def cmd_dump_attention(args) -> int:
         row_labels = model.tgt_vocab.decode_sequence(result.tokens)
 
     # a speech position covers ``stride`` frames: label it with its first frame
-    stride = encoder_config(model.config).stride
     source_labels = (raw[args.line] if model.config.task == "text"
-                     else [str(stride * i) for i in range(matrix.shape[1])])
+                     else [str(model.config.stride * i) for i in range(matrix.shape[1])])
     out = ["token\t" + "\t".join(source_labels)]
     for label, row in zip(row_labels, matrix):
         out.append(label + "\t" + "\t".join(repr(float(v)) for v in row))

@@ -42,7 +42,7 @@ class RunConfig:
             raise ConfigError(f"unknown attention kind {cfg.attention!r}")
         if cfg.conv_filter_size % 2 != 1:
             raise ConfigError("conv_filter_size must be odd")
-        for name in ("hidden_size", "embed_size", "enc_layers", "dec_layers",
+        for name in ("hidden_size", "embed_size", "enc_layers", "dec_layers", "conv_filter_size",
                      "prenet_size", "feature_dim", "batch_size", "steps", "save_every"):
             if getattr(cfg, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
@@ -53,6 +53,13 @@ class RunConfig:
         if cfg.max_vocab is not None and cfg.max_vocab < 1:
             raise ConfigError("max_vocab must be positive")
         return cfg
+
+    @property
+    def stride(self) -> int:
+        """Source steps per encoder position of a resolved configuration,
+        which is also the shortest source it accepts: the speech encoder's
+        2nd and later layers read every other output of the layer below."""
+        return 2 ** (self.enc_layers - 1) if self.task == "speech" else 1
 
     def to_lines(self) -> list[str]:
         out = []

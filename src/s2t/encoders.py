@@ -3,7 +3,8 @@
 The text encoder is two stacked bidirectional layers.  The speech encoder
 adds a two-layer tanh prenet over the 41-dim feature frames and a third
 bidirectional layer; its 2nd and 3rd layers read every other output of the
-layer below, shortening the sequence by 4x overall.
+layer below, shortening the sequence by 4x overall.  Both stacks read the
+resolved ``RunConfig``: its ``enc_layers``, ``dropout`` and ``stride``.
 
 Sequences travel as one time-major [T, B, dim] block with a per-row length
 vector.  Padded steps are computed and never read: the forward direction
@@ -20,6 +21,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .config import RunConfig
 
 
 @dataclass
@@ -29,27 +31,6 @@ class LstmCellParams:
     wx: Tensor  # [4m, input_dim]
     wh: Tensor  # [4m, m]
     b: Tensor   # [4m]
-
-
-@dataclass
-class EncoderConfig:
-    layer_count: int
-    subsample: bool  # the 2nd and later layers read every other output of the layer below
-    dropout: float = 0.0
-
-    @property
-    def stride(self) -> int:
-        """Input frames per encoder position, which is also the shortest
-        input the encoder accepts."""
-        return 2 ** (self.layer_count - 1) if self.subsample else 1
-
-
-def text_encoder_config(layer_count: int = 2, dropout: float = 0.0) -> EncoderConfig:
-    return EncoderConfig(layer_count, False, dropout)
-
-
-def speech_encoder_config(layer_count: int = 3, dropout: float = 0.0) -> EncoderConfig:
-    return EncoderConfig(layer_count, True, dropout)
 
 
 def _cell_update(gates: Tensor, c: Optional[Tensor]):
@@ -131,19 +112,29 @@ def speech_prenet(layers: Sequence[tuple[Tensor, Tensor]], frames: Tensor) -> Te
     return out
 
 
+def dropout_between_layers(x: Tensor, rate: float, rng: Optional[np.random.Generator]) -> Tensor:
+    """Inverted dropout of a stacked layer's input, drawn as one block from
+    ``rng``; ``x`` itself when ``rng`` is None or ``rate`` is 0."""
+    if rng is None or rate == 0.0:
+        return x
+    return ad.dropout(x, (rng.random(x.shape) >= rate) * (1.0 / (1.0 - rate)))
+
+
 def pyramidal_encode(
-    config: EncoderConfig,
+    config: RunConfig,
     layers: Sequence[tuple[LstmCellParams, LstmCellParams]],
     inputs: Tensor,
     lengths: Optional[np.ndarray] = None,
     rng: Optional[np.random.Generator] = None,
 ):
-    """Stacks bidirectional layers over a [T, B, d] block whose rows are real
-    up to ``lengths`` (default: all); subsampling layers read ``[0::2]``.
-    Rejects inputs shorter than ``config.stride``; dropout between layers
-    when ``rng`` is given.  Returns (outputs [T', B, m], final [B, 2m], out_lengths)."""
-    if len(layers) != config.layer_count:
-        raise ValueError(f"expected {config.layer_count} layers, got {len(layers)}")
+    """Stacks the ``config.enc_layers`` bidirectional layers of a resolved
+    configuration over a [T, B, d] block whose rows are real up to
+    ``lengths`` (default: all); with ``config.stride`` above 1 the 2nd and
+    later layers read ``[0::2]``.  Rejects inputs shorter than
+    ``config.stride``; dropout between layers when ``rng`` is given.
+    Returns (outputs [T', B, m], final [B, 2m], out_lengths)."""
+    if len(layers) != config.enc_layers:
+        raise ValueError(f"expected {config.enc_layers} layers, got {len(layers)}")
     lengths = np.full(inputs.shape[1], len(inputs)) if lengths is None else np.asarray(lengths)
     shortest = int(np.min(lengths))
     if shortest < config.stride:  # every row of a padded batch must be long enough
@@ -151,10 +142,9 @@ def pyramidal_encode(
 
     seq = inputs
     for index, (fwd, bwd) in enumerate(layers):
-        if index > 0 and config.subsample:
-            seq, lengths = seq[0::2], (lengths + 1) // 2
-        if index > 0 and rng is not None and config.dropout > 0.0:
-            scale = 1.0 / (1.0 - config.dropout)
-            seq = ad.dropout(seq, (rng.random(seq.shape) >= config.dropout) * scale)
+        if index > 0:
+            if config.stride > 1:
+                seq, lengths = seq[0::2], (lengths + 1) // 2
+            seq = dropout_between_layers(seq, config.dropout, rng)
         seq, forward = bidirectional_layer(fwd, bwd, seq, lengths)
     return seq, final_state(forward, lengths), lengths

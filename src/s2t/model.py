@@ -4,8 +4,10 @@ With no input feeding the decoder LSTMs never read attention, so a decoder
 pass embeds a [T, B] block of previous target tokens, runs each LSTM layer
 over it, attends step by step over the encoder outputs with the top-layer
 state (the cell/hidden concatenation) and merges each LSTM output with its
-context.  Training is teacher-forced cross entropy over the whole target
-block, normalized per real target token; search advances one position.
+context.  Dropout between the LSTM layers is drawn as in the encoder, by
+``encoders.dropout_between_layers``.  Training is teacher-forced cross
+entropy over the whole target block, normalized per real target token;
+search advances one position.
 """
 
 from __future__ import annotations
@@ -20,15 +22,7 @@ from . import autodiff as ad
 from .attention import AttentionParams, additive_scores, attend, convolutional_scores, project_encoder
 from .autodiff import ParameterStore, Tape, Tensor, adam_update, backprop
 from .config import RunConfig
-from .encoders import (
-    EncoderConfig,
-    LstmCellParams,
-    pyramidal_encode,
-    run_lstm,
-    speech_encoder_config,
-    speech_prenet,
-    text_encoder_config,
-)
+from .encoders import LstmCellParams, dropout_between_layers, pyramidal_encode, run_lstm, speech_prenet
 
 
 class DivergenceError(ArithmeticError):
@@ -83,14 +77,6 @@ def parameter_shapes(config: RunConfig, src_vocab_size: Optional[int], tgt_vocab
 
 def _lstm_shapes(shapes: dict, prefix: str, d: int, m: int) -> None:
     shapes.update({f"{prefix}.wx": (4 * m, d), f"{prefix}.wh": (4 * m, m), f"{prefix}.b": (4 * m,)})
-
-
-def encoder_config(config: RunConfig) -> EncoderConfig:
-    """The encoder stack of a resolved configuration; its ``stride`` is the
-    shortest source the model accepts."""
-    if config.task == "text":
-        return text_encoder_config(config.enc_layers, config.dropout)
-    return speech_encoder_config(config.enc_layers, config.dropout)
 
 
 def init_parameters(store: ParameterStore, shapes: dict, hidden_size: int, seed: int) -> None:
@@ -164,9 +150,7 @@ class Seq2SeqModel:
                       (tensors["prenet.1.w"], tensors["prenet.1.b"])]
             inputs = speech_prenet(layers, frames)
         h, final, out_lengths = pyramidal_encode(
-            encoder_config(self.config), self._encoder_cells(tensors), inputs,
-            np.asarray(lengths), rng,
-        )
+            self.config, self._encoder_cells(tensors), inputs, np.asarray(lengths), rng)
         enc_mask = np.arange(len(h))[None, :] < out_lengths[:, None]
         return h, enc_mask, final
 
@@ -265,9 +249,8 @@ class DecoderCore:
         x = ad.embedding(self.embed, prev_ids)
         layers = []
         for layer, (cell, start) in enumerate(zip(self.cells, state.layers)):
-            if layer > 0 and self.rng is not None and cfg.dropout > 0.0:
-                scale = 1.0 / (1.0 - cfg.dropout)
-                x = ad.dropout(x, (self.rng.random(x.shape) >= cfg.dropout) * scale)
+            if layer > 0:
+                x = dropout_between_layers(x, cfg.dropout, self.rng)
             cells, hidden = run_lstm(ad.linear(x, cell.wx, cell.b), cell.wh, range(len(prev_ids)), start)
             layers.append((cells[-1], hidden[-1]))
             x = ad.stack(hidden)

@@ -35,16 +35,16 @@ class FusionWeights:
     lm_weight: float = 0.2
 
     def resolve(self, n_models: int) -> list[float]:
-        if self.lm_weight < 0:
-            raise ValueError("lm weight must be nonnegative")
+        if not 0.0 <= self.lm_weight < float("inf"):  # NaN fails every comparison
+            raise ValueError("lm weight must be finite and nonnegative")
         if self.model_weights is None:
             return [1.0 / n_models] * n_models
         if len(self.model_weights) != n_models:
             raise ValueError(
                 f"{len(self.model_weights)} model weights for {n_models} models"
             )
-        if any(w <= 0 for w in self.model_weights):
-            raise ValueError("model weights must be positive")
+        if not all(0.0 < w < float("inf") for w in self.model_weights):
+            raise ValueError("model weights must be finite and positive")
         return list(self.model_weights)
 
 

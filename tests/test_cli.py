@@ -446,6 +446,43 @@ def test_bad_numeric_config_is_rejected_before_reading_data(tmp_path, capsys, fl
     assert not (tmp_path / "run").exists()
 
 
+def test_bad_config_file_value_is_rejected_before_reading_data(tmp_path, capsys):
+    # -1 is odd (-1 % 2 == 1), so only the positivity check catches it
+    config = tmp_path / "bad.cfg"
+    config.write_text("attention=conv\nconv_filter_size=-1\n")
+    code, _, err = run(capsys, "train", "--config", str(config),
+                       "--train-src", str(tmp_path / "none.src"), "--train-tgt", str(tmp_path / "none.tgt"),
+                       "--save-dir", str(tmp_path / "run"), "--quiet")
+    assert code == 2
+    assert "conv_filter_size" in err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("flag, key", [
+    ("--save-every=0", "save_every"), ("--save-every=-1", "save_every"), ("--steps=-3", "steps"),
+])
+def test_bad_resume_schedule_is_rejected_before_reading_data(tmp_path, capsys, flag, key):
+    path = tmp_path / "text.ckpt"
+    save_checkpoint(path, build_tiny_model(m=3, n=3, src_words=5, tgt_words=5))
+    code, _, err = run(capsys, "train", "--train-src", str(tmp_path / "none.src"),
+                       "--train-tgt", str(tmp_path / "none.tgt"), "--save-dir", str(tmp_path / "run"),
+                       "--resume", str(path), flag, "--quiet")
+    assert code == 2
+    assert key in err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("given", ["--dev-src", "--dev-tgt"])
+def test_dev_files_must_come_together(tmp_path, capsys, given):
+    src, tgt = write_toy_text(tmp_path)
+    code, _, err = run(capsys, "train", "--task", "text", "--train-src", str(src),
+                       "--train-tgt", str(tgt), given, str(src if given == "--dev-src" else tgt),
+                       "--save-dir", str(tmp_path / "run"), *TRAIN_FLAGS)
+    assert code == 1
+    assert "usage error" in err and "--dev-src and --dev-tgt" in err
+    assert not (tmp_path / "run").exists()
+
+
 def test_divergence_exit_code(tmp_path, capsys):
     model = build_tiny_model(m=3, n=3, src_words=5, tgt_words=5)
     model.store.set_value("dec.vocab_b", np.full(len(model.tgt_vocab), np.nan))

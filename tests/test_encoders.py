@@ -3,15 +3,14 @@ import pytest
 
 from s2t import autodiff as ad
 from s2t.autodiff import Tensor, gradient_check
+from s2t.config import RunConfig
 from s2t.encoders import (
     LstmCellParams,
     bidirectional_layer,
     final_state,
     pyramidal_encode,
     run_lstm,
-    speech_encoder_config,
     speech_prenet,
-    text_encoder_config,
 )
 
 from oracles import lstm_step_oracle, pyramid_length_oracle, subsampled_length
@@ -163,12 +162,19 @@ def test_bidirectional_rejects_empty_sequence():
 
 
 def _stack(rng, kind, input_dim, m, layers):
-    cfg = speech_encoder_config(layers) if kind == "speech" else text_encoder_config(layers)
+    cfg = RunConfig(task=kind, enc_layers=layers, dropout=0.0).resolved()
     cells = []
     for i in range(layers):
         d = input_dim if i == 0 else m
         cells.append((make_cell(rng, d, m), make_cell(rng, d, m)))
     return cfg, cells
+
+
+def test_stride_is_frames_per_speech_encoder_position():
+    for layers in (1, 2, 3):
+        assert RunConfig(task="text", enc_layers=layers).resolved().stride == 1
+    for layers, stride in zip((1, 2, 3, 4), (1, 2, 4, 8)):
+        assert RunConfig(task="speech", enc_layers=layers).resolved().stride == stride
 
 
 def test_pyramidal_output_lengths():

@@ -126,7 +126,13 @@ def test_failed_save_keeps_previous_checkpoint(tmp_path, monkeypatch):
     load_checkpoint(path)
 
 
-def test_negative_lm_weight_exits_2(tmp_path, capsys):
+@pytest.mark.parametrize("flag, value, message", [
+    ("--lm-weight", "-1", "nonnegative"), ("--lm-weight", "nan", "nonnegative"),
+    ("--lm-weight", "inf", "nonnegative"), ("--model-weight", "nan", "model weights"),
+    ("--model-weight", "inf", "model weights"),
+], ids=["lm-negative", "lm-nan", "lm-inf", "model-nan", "model-inf"])
+def test_negative_lm_weight_exits_2(tmp_path, capsys, flag, value, message):
+    """Negative or non-finite fusion weights fail the run before decoding."""
     model = tmp_path / "text.ckpt"
     save_checkpoint(model, randomize(build_tiny_model(m=3, n=3, src_words=5, tgt_words=5), seed=7))
     lm_path = tmp_path / "toy.lm"
@@ -134,9 +140,9 @@ def test_negative_lm_weight_exits_2(tmp_path, capsys):
     inp = tmp_path / "in.txt"
     inp.write_text("t0 t1\n")
     code, out, err = run(capsys, "translate", "--checkpoint", str(model), "--input", str(inp),
-                         "--lm", str(lm_path), "--lm-weight", "-1")
+                         "--lm", str(lm_path), flag, value)
     assert code == 2
-    assert "nonnegative" in err
+    assert message in err
     assert out == ""
 
 
