@@ -315,9 +315,11 @@ def _matmul_fwd(d, a):
         raise ShapeMismatch(f"matmul: unsupported operand ranks {x.shape} by weight {w.shape}")
     if x.shape[-1] != w.shape[-1]:
         raise ShapeMismatch(f"matmul: input width differs from the weight's, {x.shape} by {w.shape}")
-    if bias and bias[0].shape != w.shape[:-1]:
-        raise ShapeMismatch(f"matmul: bias {bias[0].shape} does not match weight {w.shape}")
-    out = (x.reshape(-1, x.shape[-1]) @ w.T).reshape(x.shape[:-1] + w.shape[:-1])
+    shape = x.shape[:-1] + w.shape[:-1]
+    if bias and bias[0].shape not in (w.shape[:-1], shape):
+        raise ShapeMismatch(f"matmul: bias {bias[0].shape} is neither the weight's output shape "
+                            f"{w.shape[:-1]} nor the output's {shape}")
+    out = (x.reshape(-1, x.shape[-1]) @ w.T).reshape(shape)
     if bias:
         out += bias[0]  # the GEMM's fresh output: the entry keeps one array
     return out
@@ -556,7 +558,9 @@ register_primitive("pick", _pick_fwd, _pick_bwd)
 def linear(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
     """``x`` [..., in], its leading axes the rows of one GEMM, times the weight
     as stored: ``x @ w.T`` for an [out, in] matrix, ``x @ w`` for an [in] vector;
-    plus the bias ``b`` [out], if given, inside the same tape entry."""
+    plus the bias ``b``, if given, inside the same tape entry, added in place to
+    the GEMM's fresh output.  ``b`` has the weight's output shape [out] or the
+    whole output's shape [..., out]; nothing else broadcasts."""
     return apply_primitive("matmul", (x, w) if b is None else (x, w, b))
 
 

@@ -47,9 +47,12 @@ def _cell_update(gates: Tensor, c: Optional[Tensor]):
 
 def run_lstm(projected: Tensor, wh: Tensor, order, start=None, restart=None):
     """The LSTM over the [T, B, 4m] input projection ``linear(x, wx, b)``:
-    steps in ``order`` from the (c, h) ``start`` (None: the zero state), step ``t``
-    adding wh . h to ``projected[t]``; rows whose ``restart`` is ``t`` enter it from
-    zero.  Returns per-step lists of [B, m] cell and hidden states, indexed by step."""
+    steps in ``order`` from the (c, h) ``start`` (None: the zero state); rows
+    whose ``restart`` is ``t`` enter step ``t`` from zero.  A step from a
+    nonzero state is one ``linear(h, wh, projected[t])`` entry: the projection
+    rides in as the GEMM's output-shaped bias, so the step keeps one [B, 4m]
+    gate array.  Returns per-step lists of [B, m] cell and hidden states,
+    indexed by step."""
     c, h = (None, None) if start is None else start
     cells, outputs = [None] * len(order), [None] * len(order)
     for t in order:
@@ -58,7 +61,7 @@ def run_lstm(projected: Tensor, wh: Tensor, order, start=None, restart=None):
             if restart is not None and (restart == t).any():
                 keep = Tensor((restart != t).astype(np.float64)[:, None])
                 c, h = c * keep, h * keep
-            gates = gates + ad.linear(h, wh)
+            gates = ad.linear(h, wh, gates)
         c, h = _cell_update(gates, c)
         cells[t], outputs[t] = c, h
     return cells, outputs

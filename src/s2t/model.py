@@ -176,7 +176,9 @@ class Seq2SeqModel:
         """One optimizer step; returns the pre-update loss.
 
         Dropout masks are seeded from (seed, step_index) so an interrupted
-        run can resume bit-exactly.
+        run can resume bit-exactly.  The order is backprop, drop the tape,
+        then Adam: the tape and every activation it holds are freed before
+        Adam builds the new parameter arrays.
         """
         rng = np.random.default_rng(np.random.SeedSequence([self.config.seed, step_index]))
         tape = Tape()
@@ -187,6 +189,7 @@ class Seq2SeqModel:
         if not np.isfinite(value):
             raise DivergenceError(f"non-finite loss at step {step_index}")
         grads = backprop(tape, loss)
+        del tape, tensors, loss
         adam_update(self.store, grads, self.config.learning_rate)
         return value
 
