@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .corpus import BOS_ID, EOS_ID, pad_sources
+from .corpus import BOS_ID, EOS_ID, PAD_ID, pad_sources
 from .lm import TrigramModel, fused_log_rows, lm_logprob, vocabulary_id_map
 from .model import DivergenceError, Seq2SeqModel, gather_state
 
@@ -117,7 +117,9 @@ def decode_batch(
 ) -> list[DecodeResult]:
     """Breadth-limited search over the fused per-step distribution
     sum_j w_j ln p_j(w|.) + lm_weight * ln p_lm(w | last two tokens),
-    one result per source.
+    one result per source.  The reserved ``<pad>`` and ``<bos>`` ids score
+    -inf, and a candidate whose total is not finite enters no beam and no
+    pool, so neither is ever decoded, at any beam width.
 
     The sources are encoded as one padded batch, and the live rows of
     every source (at most ``beam_size`` each) share one row block per
@@ -174,6 +176,7 @@ def decode_batch(
             keys, inverse = np.unique(context, axis=0, return_inverse=True)
             lm_rows = np.array([fused_log_rows(lm, id_map, u, v) for u, v in keys.tolist()])
             fused += weights.lm_weight * lm_rows[inverse.reshape(-1)]
+        fused[:, [PAD_ID, BOS_ID]] = -np.inf  # reserved ids are never decoded
 
         totals = scores[:, None] + fused
         if np.isnan(totals).any():
@@ -185,6 +188,7 @@ def decode_batch(
             if not size:
                 continue
             best = first * vocab + _top_k(flat[first * vocab:(first + size) * vocab], beam_size)
+            best = best[np.isfinite(flat[best])]  # a masked or impossible candidate goes nowhere
             first += size
             retire = (best % vocab == EOS_ID) | (step + 1 >= caps[s])
             for index in best[retire].tolist():
@@ -209,6 +213,8 @@ def decode_batch(
 
     results = []
     for s, width in enumerate(positions):
+        if not completed[s] and not overlong[s]:
+            raise DivergenceError(f"source {s}: no candidate has a finite score")
         entries = []
         for score, step, row, token in completed[s] or overlong[s]:
             tokens, path = _trace(trail, step, row, token)

@@ -77,29 +77,38 @@ def test_matmul_hand_example():
     out = apply_primitive("matmul", (a, b, t([1.0, -1.0])))
     np.testing.assert_array_equal(out.data, [[23.0, 27.0], [50.0, 63.0]])
     # 3-D, 2-D and 1-D inputs, by an [out, in] matrix and by an [in] vector, each
-    # without and with a bias of the weight's output shape
+    # without a bias, with one of the weight's output shape and with one of the
+    # whole output's shape
     rng = np.random.default_rng(12)
     for x_shape, w_shape in [((4, 2, 3), (5, 3)), ((3,), (5, 3)), ((4, 2, 3), (3,)), ((3,), (3,)),
                              ((4, 3), (5, 3))]:
-        for with_bias in (False, True):
-            x, w, bias = rng.normal(size=x_shape), rng.normal(size=w_shape), rng.normal(size=w_shape[:-1])
-            g = rng.normal(size=x_shape[:-1] + w_shape[:-1])
+        out_shape = x_shape[:-1] + w_shape[:-1]
+        for bias_shape in (None, w_shape[:-1], out_shape):
+            x, w, g = rng.normal(size=x_shape), rng.normal(size=w_shape), rng.normal(size=out_shape)
+            bias = rng.normal(size=bias_shape or ())
             tape = Tape()
             with tape:
                 xt, wt, bt = t(x), t(w), t(bias)
                 tape.watch("x", xt)
                 tape.watch("w", wt)
                 tape.watch("b", bt)
-                out = apply_primitive("matmul", (xt, wt, bt) if with_bias else (xt, wt))
+                out = apply_primitive("matmul", (xt, wt) if bias_shape is None else (xt, wt, bt))
                 loss = ad.tsum(out * t(g))
             grads = ad.backprop(tape, loss)
             wm, gm = w.reshape(-1, 3), g.reshape(x_shape[:-1] + (-1,))  # a vector weight as [1, in]
-            want = np.einsum("...i,oi->...o", x, wm).reshape(g.shape) + (bias if with_bias else 0.0)
+            want = np.einsum("...i,oi->...o", x, wm).reshape(out_shape)
+            if bias_shape is not None:
+                want = want + bias
             np.testing.assert_allclose(out.data, want, rtol=1e-12)
             np.testing.assert_allclose(grads["x"].data, np.einsum("...o,oi->...i", gm, wm), rtol=1e-12)
             dw = np.einsum("ro,ri->oi", gm.reshape(-1, len(wm)), x.reshape(-1, 3))
             np.testing.assert_allclose(grads["w"].data, dw.reshape(w_shape), rtol=1e-12)
-            db = np.einsum("ro->o", gm.reshape(-1, len(wm))).reshape(bias.shape) if with_bias else 0.0
+            if bias_shape is None:
+                db = 0.0
+            elif bias_shape == out_shape:
+                db = np.einsum("...->...", g)
+            else:
+                db = np.einsum("ro->o", gm.reshape(-1, len(wm))).reshape(bias_shape)
             np.testing.assert_allclose(grads["b"].data, db, rtol=1e-12)
 
 
@@ -108,11 +117,13 @@ def test_matmul_shape_error_names_primitive():
         apply_primitive("matmul", (t(np.ones((2, 3))), t(np.ones((3, 2)))))
 
 
-@pytest.mark.parametrize("bias_shape", [(3,), (2, 1), (1,), ()])
+@pytest.mark.parametrize("bias_shape", [(3,), (2, 1), (1,), (), (2, 4, 5), (4, 2)])
 def test_matmul_bias_shape_error_names_primitive(bias_shape):
-    """A bias must have the weight's output shape exactly: no broadcasting."""
+    """A bias must have the weight's output shape [2] or the whole output's
+    [5, 4, 2] exactly: no broadcasting, so neither the output shape reversed
+    nor one with a leading axis dropped."""
     with pytest.raises(ShapeMismatch, match="matmul"):
-        ad.linear(t(np.ones((4, 3))), t(np.ones((2, 3))), t(np.ones(bias_shape)))
+        ad.linear(t(np.ones((5, 4, 3))), t(np.ones((2, 3))), t(np.ones(bias_shape)))
 
 
 def test_unknown_primitive():
@@ -383,6 +394,14 @@ def _case_matmul_bias(rng):
     return point, lambda p: ad.tsum(ad.tanh(ad.linear(p["a"], p["w"], p["b"])))
 
 
+def _case_matmul_out_bias(rng):
+    # half scale: none of the 30 tanh outputs saturates, where the finite
+    # difference would lose its digits
+    a, w, b = (rng.normal(size=shape) * 0.5 for shape in [(2, 3, 4), (5, 4), (2, 3, 5)])
+    point = {"a": Tensor(a), "w": Tensor(w), "b": Tensor(b)}
+    return point, lambda p: ad.tsum(ad.tanh(ad.linear(p["a"], p["w"], p["b"])))
+
+
 def _case_transpose(rng):
     a = rng.normal(size=(3, 4))
     return {"a": Tensor(a)}, lambda p: ad.tsum(ad.tanh(ad.transpose(p["a"])))
@@ -486,7 +505,7 @@ ALL_CASES = [
     _case_softmax, _case_log, _case_sum_axis, _case_concat, _case_stack,
     _case_slice, _case_conv, _case_embedding, _case_dropout, _case_pick,
     _case_slice_index, _case_slice_step, _case_embedding_2d, _case_slice_rows,
-    _case_matmul_bias,
+    _case_matmul_bias, _case_matmul_out_bias,
 ]
 
 

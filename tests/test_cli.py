@@ -312,6 +312,35 @@ def test_dump_attention_text(tmp_path, capsys):
         assert abs(weights.sum() - 1.0) < 1e-6
 
 
+def test_reserved_ids_are_never_decoded(tmp_path, capsys):
+    """A 2-step toy checkpoint whose decoder still favours <bos> and <pad>:
+    neither ``translate`` at beam 1, 2 and 40 nor ``dump-attention``'s
+    greedy rows print a reserved token."""
+    src, tgt = tmp_path / "train.src", tmp_path / "train.tgt"
+    src.write_text("a b c d\nb c d a\nc d a b\nd a b c\n")
+    tgt.write_text("w x y z\nx y z w\ny z w x\nz w x y\n")
+    save = tmp_path / "run"
+    code, _, _ = run(capsys, "train", "--task", "text", "--train-src", str(src), "--train-tgt", str(tgt),
+                     "--save-dir", str(save), "--steps", "2", "--hidden-size", "8", "--embed-size", "8",
+                     "--batch-size", "2", "--seed", "7", "--quiet")
+    assert code == 0
+    ckpt = str(save / "ckpt-2.ckpt")
+    printed, rows = [], 0
+    for beam in ("1", "2", "40"):
+        code, out, _ = run(capsys, "translate", "--checkpoint", ckpt, "--input", str(src), "--beam-size", beam)
+        assert code == 0 and len(out.splitlines()) == 4
+        printed.append(out)
+    for line in range(4):
+        code, out, _ = run(capsys, "dump-attention", "--checkpoint", ckpt, "--input", str(src),
+                           "--line", str(line))
+        assert code == 0
+        printed.append(out)
+        rows += len(out.splitlines()) - 1
+    tokens = " ".join(printed).split()
+    assert rows and "x" in tokens
+    assert "<pad>" not in tokens and "<bos>" not in tokens
+
+
 @pytest.mark.parametrize("line", [-1, 2])
 def test_dump_attention_line_out_of_range_exits_2(tmp_path, capsys, line):
     path, _ = _save_random_model(tmp_path, seed=31)

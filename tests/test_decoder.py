@@ -251,9 +251,9 @@ def test_advance_over_a_block_equals_step_by_step(attention):
 
 
 @pytest.mark.parametrize("task, src_lens, limit", [
-    pytest.param("text", (5,), 410, id="text"),
-    pytest.param("speech", (6,), 448, id="speech"),
-    pytest.param("speech", (9, 7, 8), 630, id="speech-ragged"),
+    pytest.param("text", (5,), 388, id="text"),
+    pytest.param("speech", (6,), 426, id="speech"),
+    pytest.param("speech", (9, 7, 8), 596, id="speech-ragged"),
 ])
 def test_tiny_loss_tape_size(task, src_lens, limit):
     """Criterion 1's tiny models (same sizes, seed and batch) record one
@@ -374,6 +374,33 @@ def test_zero_learning_rate_keeps_parameters():
     model.train_step(batch, 1)
     for name, value in before.items():
         np.testing.assert_array_equal(model.store.value(name), value)
+
+
+def test_train_step_frees_tape_before_adam(monkeypatch):
+    """backprop, drop the tape, then Adam: no tape is alive while
+    ``adam_update`` runs, so its activations are freed before Adam builds
+    the new parameter arrays."""
+    import weakref
+
+    from s2t import model as model_module
+
+    tapes, alive = [], []
+    backprop, adam_update = model_module.backprop, model_module.adam_update
+
+    def tracking_backprop(tape, loss):
+        tapes.append(weakref.ref(tape))
+        return backprop(tape, loss)
+
+    def checking_adam_update(*args, **kwargs):
+        alive.append(sum(ref() is not None for ref in tapes))
+        return adam_update(*args, **kwargs)
+
+    monkeypatch.setattr(model_module, "backprop", tracking_backprop)
+    monkeypatch.setattr(model_module, "adam_update", checking_adam_update)
+    model = build_tiny_model(dropout=0.3)
+    for step in (1, 2):
+        model.train_step(make_batch([[4, 5, 6], [5]], [[5, 4], [6]]), step)
+    assert len(tapes) == 2 and alive == [0, 0]
 
 
 def test_divergence_raises():

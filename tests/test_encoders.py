@@ -101,6 +101,29 @@ def test_lstm_gradients_match_finite_differences():
     assert worst < 1e-6
 
 
+@pytest.mark.parametrize("steps", [1, 2, 5])
+def test_recurrent_step_adds_projection_inside_matmul(steps):
+    """From a nonzero state a step is one ``linear(h, wh, projected[t])``:
+    a T-step direction records T - 1 three-input ``matmul`` entries whose
+    bias is that step's slice of the projection, and no ``add`` reads a
+    projection slice or a recurrent product."""
+    rng = np.random.default_rng(25)
+    params = make_cell(rng, 3, 2)
+    order = range(steps)[::-1]
+    tape = ad.Tape()
+    with tape:
+        projected = ad.linear(Tensor(rng.normal(size=(steps, 2, 3))), params.wx, params.b)
+        run_lstm(projected, params.wh, order)
+    slices = {entry.output: entry.attrs["index"] for entry in tape.entries
+              if entry.kind == "slice" and entry.inputs == (tape.node_of(projected),)}
+    recurrent = [entry for entry in tape.entries
+                 if entry.kind == "matmul" and entry.inputs[1] == tape.node_of(params.wh)]
+    assert [len(entry.inputs) for entry in recurrent] == [3] * (steps - 1)
+    assert [slices.get(entry.inputs[2]) for entry in recurrent] == list(order)[1:]
+    read = set(slices) | {entry.output for entry in recurrent}
+    assert not [entry for entry in tape.entries if entry.kind == "add" and read.intersection(entry.inputs)]
+
+
 def test_bidirectional_single_element():
     rng = np.random.default_rng(23)
     fwd = make_cell(rng, 2, 2)

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from s2t.corpus import BOS_ID, EOS_ID, make_batch
+from s2t.corpus import BOS_ID, EOS_ID, PAD_ID, UNK_ID, make_batch
 from s2t.lm import train_trigram, vocabulary_id_map, lm_logprob
-from s2t.search import DecodeResult, FusionWeights, beam_search, greedy_decode
+from s2t.model import DivergenceError
+from s2t.search import DecodeResult, FusionWeights, beam_search, decode_batch, greedy_decode
 
 from util import build_tiny_model, random_speech_source, random_text_source, randomize
 
@@ -100,7 +101,7 @@ def _exhaustive_winner(model, source, max_len):
     h, enc_mask, final = model.encode(tensors, src, np.array([src.shape[1]]))
     core = model.decoder(tensors, h, enc_mask)
     vocab = len(model.tgt_vocab)
-    non_eos = [t for t in range(vocab) if t != EOS_ID]
+    non_eos = [t for t in range(vocab) if t not in (PAD_ID, BOS_ID, EOS_ID)]  # reserved ids never decode
 
     best = None
     for k in range(max_len):
@@ -209,9 +210,13 @@ def test_greedy_ties_break_to_lowest_token_id():
     model = build_tiny_model(m=3, n=3)
     for name in model.store.names():
         model.store.set_value(name, np.zeros_like(model.store.value(name)))
-    # uniform distributions everywhere: argmax must pick token id 0
+    bias = np.zeros(len(model.tgt_vocab))
+    bias[EOS_ID] = -1.0
+    model.store.set_value("dec.vocab_b", bias)
+    # uniform over every id but EOS: argmax must pick the lowest id that can be
+    # decoded, UNK, since <pad> (0) and <bos> (1) never are
     result = greedy_decode(model, [4, 5], max_len=4)
-    assert result.tokens == [0, 0, 0, 0]
+    assert result.tokens == [UNK_ID] * 4
     assert not result.finished
 
 
@@ -219,3 +224,30 @@ def test_length_normalization_flag_runs():
     model = randomize(build_tiny_model(m=3, n=3), seed=83)
     result = beam_search([model], [4, 5, 6], beam_size=3, length_norm=True)
     assert isinstance(result.tokens, list)
+
+
+def test_beam_wider_than_vocabulary_keeps_finite_scores():
+    """Beam 40 over a 7-word target vocabulary (11 ids, <pad> and <bos>
+    masked), with and without an LM: every result has a finite score and
+    no reserved id."""
+    lm = train_trigram([["t0", "t1", "t2"], ["t3", "t4"], ["t5", "t6", "t0"]])
+    rng = np.random.default_rng(86)
+    for trial in range(10):
+        model = randomize(build_tiny_model(m=3, n=3, tgt_words=7), seed=8600 + trial)
+        sources = [random_text_source(rng, len(model.src_vocab)) for _ in range(3)]
+        for options in ({}, dict(lm=lm, weights=FusionWeights(lm_weight=0.5))):
+            for result in decode_batch([model], sources, beam_size=40, max_len=4, **options):
+                assert np.isfinite(result.score)
+                assert not {PAD_ID, BOS_ID}.intersection(result.tokens)
+
+
+def test_no_finite_candidate_raises_divergence():
+    """A model that gives every decodable id probability 0 (all its mass on
+    <pad> and <bos>) has no candidate to rank: DivergenceError, not a
+    decode of reserved ids."""
+    model = build_tiny_model(m=3, n=3)
+    bias = np.full(len(model.tgt_vocab), -1e4)
+    bias[[PAD_ID, BOS_ID]] = 0.0
+    model.store.set_value("dec.vocab_b", bias)
+    with np.errstate(divide="ignore"), pytest.raises(DivergenceError, match="finite"):
+        beam_search([model], [4, 5], beam_size=2)
