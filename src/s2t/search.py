@@ -213,10 +213,11 @@ def decode_batch(
 
     results = []
     for s, width in enumerate(positions):
-        if not completed[s] and not overlong[s]:
+        retired = completed[s] or overlong[s]
+        if not retired:
             raise DivergenceError(f"source {s}: no candidate has a finite score")
         entries = []
-        for score, step, row, token in completed[s] or overlong[s]:
+        for score, step, row, token in retired:
             tokens, path = _trace(trail, step, row, token)
             finished = token == EOS_ID
             content = tokens[:-1] if finished else tokens
