@@ -27,7 +27,7 @@ from .audio import (
 from .bleu import corpus_bleu
 from .checkpoint import CheckpointError, load_checkpoint
 from .config import ConfigError, RunConfig, load_config
-from .corpus import ParallelCorpus, Vocabulary, read_lines, tokenize
+from .corpus import ParallelCorpus, Vocabulary, make_batch, read_lines, tokenize
 from .lm import DEFAULT_LAMBDAS, load_lm, save_lm, train_trigram
 from .model import DivergenceError, Seq2SeqModel
 from .search import FusionWeights, beam_search, check_limits, decode_batch
@@ -248,10 +248,9 @@ def cmd_lm_train(args) -> int:
 
 
 def _teacher_forced_attention(model, source, target_ids):
-    from .corpus import make_batch
-
     batch = make_batch([source], [target_ids])
-    _, rows = model.batch_nll(model.store.as_tensors(), batch, collect_attention=True)
+    core, state = model.start(model.store.as_tensors(), batch.src, batch.src_lengths)
+    _, _, rows = core.advance(state, batch.dec_in.T)
     return np.vstack([row.data[0] for row in rows[:-1]])  # drop the EOS step
 
 

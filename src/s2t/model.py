@@ -121,10 +121,6 @@ class Seq2SeqModel:
 
     # --- assembly helpers ---
 
-    def _encoder_cells(self, tensors) -> list:
-        return [(_cell(tensors, f"enc.{layer}.fwd"), _cell(tensors, f"enc.{layer}.bwd"))
-                for layer in range(self.config.enc_layers)]
-
     def attention_params(self, tensors) -> AttentionParams:
         conv = self.config.attention == "conv"
         return AttentionParams(
@@ -149,28 +145,31 @@ class Seq2SeqModel:
             layers = [(tensors["prenet.0.w"], tensors["prenet.0.b"]),
                       (tensors["prenet.1.w"], tensors["prenet.1.b"])]
             inputs = speech_prenet(layers, frames)
-        h, final, out_lengths = pyramidal_encode(
-            self.config, self._encoder_cells(tensors), inputs, np.asarray(lengths), rng)
+        cells = [(_cell(tensors, f"enc.{layer}.fwd"), _cell(tensors, f"enc.{layer}.bwd"))
+                 for layer in range(self.config.enc_layers)]
+        h, final, out_lengths = pyramidal_encode(self.config, cells, inputs, np.asarray(lengths), rng)
         enc_mask = np.arange(len(h))[None, :] < out_lengths[:, None]
         return h, enc_mask, final
 
-    def decoder(self, tensors, h: Tensor, enc_mask: np.ndarray, rng=None) -> "DecoderCore":
-        return DecoderCore(self, tensors, h, enc_mask, rng)
+    def start(self, tensors, src_block: np.ndarray, lengths: np.ndarray, rng=None):
+        """``encode``, then the decoder over its outputs, with dropout when ``rng``
+        is given; returns (decoder core, initial state).  Every pass starts here."""
+        h, enc_mask, final = self.encode(tensors, src_block, lengths, rng)
+        core = DecoderCore(self, tensors, h, enc_mask, rng)
+        return core, core.init_state(final)
 
-    def batch_nll(self, tensors, batch, rng=None, collect_attention: bool = False):
+    def batch_nll(self, tensors, batch, rng=None):
         """Teacher-forced negative log likelihood, averaged over the real
         target tokens in the batch; dropout runs when ``rng`` is given."""
         if batch.dec_in.shape[1] == 0:
             raise ValueError("empty target")
-        h, enc_mask, final = self.encode(tensors, batch.src, batch.src_lengths, rng)
-        core = self.decoder(tensors, h, enc_mask, rng)
-        _, merged, attn_rows = core.advance(core.init_state(final), batch.dec_in.T)
+        core, state = self.start(tensors, batch.src, batch.src_lengths, rng)
+        _, merged, _ = core.advance(state, batch.dec_in.T)
         # the output layer runs once, over the real rows of the time-major [T*B] block
         real = np.flatnonzero(batch.tgt_mask.T.reshape(-1))
         rows = ad.apply_primitive("slice", (ad.reshape(merged, (-1, merged.shape[2])),), axis=0, index=real)
         picked = ad.pick(core.output(rows), batch.dec_out.T.reshape(-1)[real])
-        loss = ad.tsum(ad.log(picked)).scaled(-1.0 / batch.real_token_count)
-        return (loss, attn_rows) if collect_attention else loss
+        return ad.tsum(ad.log(picked)).scaled(-1.0 / batch.real_token_count)
 
     def train_step(self, batch, step_index: int) -> float:
         """One optimizer step; returns the pre-update loss.
@@ -192,11 +191,6 @@ class Seq2SeqModel:
         del tape, tensors, loss
         adam_update(self.store, grads, self.config.learning_rate)
         return value
-
-    def max_decode_length(self, encoder_positions: int) -> int:
-        """Length cap of a decode; text never subsamples, so its positions
-        are its source tokens."""
-        return 2 * encoder_positions + 10
 
 
 def _cell(tensors, prefix: str) -> LstmCellParams:

@@ -96,15 +96,6 @@ def beam_search(
                         length_norm, rescore_only)[0]
 
 
-def _encode(model: Seq2SeqModel, sources: Sequence):
-    """Encode ``sources`` as one padded batch; returns the decoder core
-    (one source per row) and the encoder final states [S, 2m]."""
-    block, lengths = pad_sources(sources)
-    tensors = model.store.as_tensors()
-    h, enc_mask, final = model.encode(tensors, block, lengths)
-    return model.decoder(tensors, h, enc_mask), final
-
-
 def decode_batch(
     models: Sequence[Seq2SeqModel],
     sources: Sequence,
@@ -123,7 +114,8 @@ def decode_batch(
 
     The sources are encoded as one padded batch, and the live rows of
     every source (at most ``beam_size`` each) share one row block per
-    model, grouped by source.  The beam is arrays: each row's cumulative
+    model, grouped by source.  A source's length cap is ``max_len``, else
+    2 x its encoder positions + 10.  The beam is arrays: each row's cumulative
     score and LM context (its last two tokens, BOS-padded), and a trail
     with one entry per step: that step's attention rows and, for each row
     that survives the step, its parent row and token.  A candidate that
@@ -145,13 +137,14 @@ def decode_batch(
     fuse_lm = lm is not None and weights.lm_weight > 0.0 and not rescore_only
     id_map = vocabulary_id_map(lm, models[0].tgt_vocab) if lm is not None else None
 
+    block, lengths = pad_sources(sources)
     cores, states = [], []
     for model in models:
-        core, final = _encode(model, sources)
+        core, state = model.start(model.store.as_tensors(), block, lengths)
         cores.append(core)
-        states.append(core.init_state(final))
+        states.append(state)
     positions = [int(n) for n in cores[0].enc_mask.sum(axis=1)]  # per source
-    caps = [max_len or models[0].max_decode_length(n) for n in positions]
+    caps = [max_len or 2 * n + 10 for n in positions]
 
     sizes = [1] * len(sources)  # live rows per source, in row order
     scores = np.zeros(len(sources))

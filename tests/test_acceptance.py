@@ -214,15 +214,13 @@ def test_criterion_4_decoding_ladder_laws():
 
 
 def _exhaustive_winner(model, source, max_len):
-    tensors = model.store.as_tensors()
     src = np.asarray(source)[None, :]
-    h, enc_mask, final = model.encode(tensors, src, np.array([src.shape[1]]))
-    core = model.decoder(tensors, h, enc_mask)
+    core, start = model.start(model.store.as_tensors(), src, np.array([src.shape[1]]))
     non_eos = [t for t in range(len(model.tgt_vocab)) if t != EOS_ID]
     best = None
     for k in range(max_len):
         for content in itertools.product(non_eos, repeat=k):
-            state = core.init_state(final)
+            state = start
             score = 0.0
             for prev, target in zip((BOS_ID,) + content, content + (EOS_ID,)):
                 state, dist, _ = core.step(state, np.array([prev]))
@@ -251,7 +249,8 @@ def test_criterion_5_attention_normalization(text_toy):
     sources = [text_toy["sources"][0], text_toy["sources"][1][:3]]
     targets = [text_toy["targets"][0], text_toy["targets"][1][:3]]
     batch = make_batch(sources, targets)
-    _, attn = model.batch_nll(model.store.as_tensors(), batch, collect_attention=True)
+    core, state = model.start(model.store.as_tensors(), batch.src, batch.src_lengths)
+    _, _, attn = core.advance(state, batch.dec_in.T)
     short = int(np.argmin(batch.src_lengths))
     limit = int(batch.src_lengths[short])
     masked_rows = 0

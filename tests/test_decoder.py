@@ -6,7 +6,7 @@ import pytest
 from s2t import autodiff as ad
 from s2t.autodiff import ShapeMismatch, Tensor, gradient_check
 from s2t.corpus import BOS_ID, EOS_ID, PAD_ID, Batch, make_batch
-from s2t.model import DivergenceError
+from s2t.model import DecoderCore, DivergenceError
 
 from oracles import sequence_nll, text_forward_oracle
 from util import build_tiny_model, random_speech_source, random_text_source, randomize
@@ -18,16 +18,14 @@ def zeroed(model):
     return model
 
 
-def encode_and_core(model, src, lengths=None):
-    tensors = model.store.as_tensors()
+def start_decoder(model, src, lengths=None):
     src = np.asarray(src)
     if src.ndim == 1:
         src = src[None, :]
     elif model.config.task == "speech" and src.ndim == 2:
         src = src[None, :, :]
     lengths = np.array([src.shape[1]] * src.shape[0]) if lengths is None else lengths
-    h, enc_mask, final = model.encode(tensors, src, lengths)
-    return model.decoder(tensors, h, enc_mask), final
+    return model.start(model.store.as_tensors(), src, lengths)
 
 
 # --- decoder state initialization ---
@@ -36,8 +34,7 @@ def encode_and_core(model, src, lengths=None):
 def test_init_state_zero_weight_matrix():
     model = build_tiny_model(m=3)
     zeroed(model)
-    core, final = encode_and_core(model, [4, 5])
-    state = core.init_state(final)
+    _, state = start_decoder(model, [4, 5])
     for c, h in state.layers:
         np.testing.assert_array_equal(c.data, 0.0)
         np.testing.assert_array_equal(h.data, 0.0)
@@ -48,7 +45,7 @@ def test_init_state_identity_on_zero_final_state():
     model = build_tiny_model(m=2)
     model.store.set_value("dec.init_w", np.eye(4))
     tensors = model.store.as_tensors()
-    core = model.decoder(tensors, Tensor(np.zeros((2, 1, 2))), np.ones((1, 2), dtype=bool))
+    core = DecoderCore(model, tensors, Tensor(np.zeros((2, 1, 2))), np.ones((1, 2), dtype=bool))
     state = core.init_state(Tensor(np.zeros((1, 4))))
     np.testing.assert_array_equal(state.layers[-1][0].data, 0.0)
     np.testing.assert_array_equal(state.layers[-1][1].data, 0.0)
@@ -59,7 +56,7 @@ def test_init_state_matches_scalar_tanh():
     w = model.store.value("dec.init_w")
     final = np.array([[0.3, -0.8, 1.4, 0.1]])
     tensors = model.store.as_tensors()
-    core = model.decoder(tensors, Tensor(np.zeros((2, 1, 2))), np.ones((1, 2), dtype=bool))
+    core = DecoderCore(model, tensors, Tensor(np.zeros((2, 1, 2))), np.ones((1, 2), dtype=bool))
     state = core.init_state(Tensor(final))
     expected = np.tanh(w @ final[0])
     np.testing.assert_allclose(state.layers[-1][0].data[0], expected[:2], atol=1e-12)
@@ -73,8 +70,7 @@ def test_init_state_matches_scalar_tanh():
 
 def test_step_distribution_is_normalized_and_positive():
     model = build_tiny_model(m=3, tgt_words=5)
-    core, final = encode_and_core(model, [4, 5, 4])
-    state = core.init_state(final)
+    core, state = start_decoder(model, [4, 5, 4])
     state, dist, weights = core.step(state, np.array([BOS_ID]))
     assert dist.data.shape == (1, 9)
     assert (dist.data > 0).all()
@@ -84,16 +80,16 @@ def test_step_distribution_is_normalized_and_positive():
 
 def test_step_all_zero_parameters_give_uniform_distribution():
     model = zeroed(build_tiny_model(m=3, tgt_words=4))
-    core, final = encode_and_core(model, [4, 5])
-    state, dist, _ = core.step(core.init_state(final), np.array([BOS_ID]))
+    core, state = start_decoder(model, [4, 5])
+    state, dist, _ = core.step(state, np.array([BOS_ID]))
     np.testing.assert_allclose(dist.data, 1.0 / 8, atol=1e-12)
 
 
 def test_step_rejects_out_of_range_token():
     model = build_tiny_model()
-    core, final = encode_and_core(model, [4, 5])
+    core, state = start_decoder(model, [4, 5])
     with pytest.raises(ShapeMismatch, match="token id"):
-        core.step(core.init_state(final), np.array([len(model.tgt_vocab)]))
+        core.step(state, np.array([len(model.tgt_vocab)]))
 
 
 def test_tiny_instance_matches_end_to_end_scalar_oracle():
@@ -104,8 +100,7 @@ def test_tiny_instance_matches_end_to_end_scalar_oracle():
     values = {name: model.store.value(name) for name in model.store.names()}
     expected = text_forward_oracle(values, 2, src, dec_in)
 
-    core, final = encode_and_core(model, src)
-    state = core.init_state(final)
+    core, state = start_decoder(model, src)
     for step, prev in enumerate(dec_in):
         state, dist, _ = core.step(state, np.array([prev]))
         np.testing.assert_allclose(dist.data[0], expected[step], atol=1e-10)
@@ -115,17 +110,17 @@ def test_step_deterministic_without_dropout():
     model = build_tiny_model(m=3)
     outs = []
     for _ in range(2):
-        core, final = encode_and_core(model, [4, 5, 6])
-        _, dist, _ = core.step(core.init_state(final), np.array([BOS_ID]))
+        core, state = start_decoder(model, [4, 5, 6])
+        _, dist, _ = core.step(state, np.array([BOS_ID]))
         outs.append(dist.data.tobytes())
     assert outs[0] == outs[1]
 
 
 def test_teacher_forcing_matches_free_running_on_same_prefix():
     model = build_tiny_model(m=4, seed=3)
-    core, final = encode_and_core(model, [4, 6, 5])
+    core, start = start_decoder(model, [4, 6, 5])
     # free-running greedy picks
-    state = core.init_state(final)
+    state = start
     prev = BOS_ID
     picks, free_dists = [], []
     for _ in range(4):
@@ -134,7 +129,7 @@ def test_teacher_forcing_matches_free_running_on_same_prefix():
         picks.append(prev)
         free_dists.append(dist.data.copy())
     # teacher forcing with the same prefix reproduces the distributions
-    state = core.init_state(final)
+    state = start
     for step, token in enumerate([BOS_ID] + picks[:-1]):
         state, dist, _ = core.step(state, np.array([token]))
         assert dist.data.tobytes() == free_dists[step].tobytes()
@@ -208,9 +203,8 @@ def test_batched_output_layer_matches_per_step(task, attention):
     tensors = model.store.as_tensors()
     got = model.batch_nll(tensors, batch).item()
 
-    h, enc_mask, final = model.encode(tensors, batch.src, batch.src_lengths)
-    core = model.decoder(tensors, h, enc_mask)
-    state, total = core.init_state(final), 0.0
+    core, state = model.start(tensors, batch.src, batch.src_lengths)
+    total = 0.0
     for t in range(batch.dec_in.shape[1]):
         state, dist, _ = core.step(state, batch.dec_in[:, t])
         picked = ad.pick(dist, batch.dec_out[:, t]).data
@@ -228,15 +222,14 @@ def test_advance_over_a_block_equals_step_by_step(attention):
                                        attention=attention, conv_filter_size=3), seed=49)
     batch = make_batch([random_text_source(rng, 9, 2, 7) for _ in range(3)], [[4], [5], [6]])
     tensors = model.store.as_tensors()
-    h, enc_mask, final = model.encode(tensors, batch.src, batch.src_lengths)
-    core = model.decoder(tensors, h, enc_mask)
+    core, start = model.start(tensors, batch.src, batch.src_lengths)
     prev = rng.integers(0, len(model.tgt_vocab), size=(3, 3))  # [T, B]
-    block, merged, rows = core.advance(core.init_state(final), prev)
+    block, merged, rows = core.advance(start, prev)
 
     def close(got, want):
         np.testing.assert_allclose(got.data, want.data, rtol=1e-12, atol=0)
 
-    state = stepped = core.init_state(final)
+    state = stepped = start
     for t in range(3):
         state, merged_t, [weights] = core.advance(state, prev[t:t + 1])
         stepped, dist, step_weights = core.step(stepped, prev[t])
@@ -437,7 +430,10 @@ def test_full_speech_model_gradient():
 def test_batched_attention_masks_padded_positions():
     model = build_tiny_model(seed=6)
     batch = make_batch([[4, 5, 6, 7], [4, 5]], [[6, 7], [7]])
-    loss, rows = model.batch_nll(model.store.as_tensors(), batch, collect_attention=True)
+    tensors = model.store.as_tensors()
+    loss = model.batch_nll(tensors, batch)
+    core, state = model.start(tensors, batch.src, batch.src_lengths)
+    _, _, rows = core.advance(state, batch.dec_in.T)
     assert np.isfinite(loss.item())
     for weights in rows:
         np.testing.assert_allclose(weights.data.sum(axis=1), 1.0, atol=1e-9)

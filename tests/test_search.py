@@ -96,17 +96,15 @@ def _exhaustive_winner(model, source, max_len):
     length < max_len, scored by chaining decoder steps."""
     import itertools
 
-    tensors = model.store.as_tensors()
     src = np.asarray(source)[None, :]
-    h, enc_mask, final = model.encode(tensors, src, np.array([src.shape[1]]))
-    core = model.decoder(tensors, h, enc_mask)
+    core, start = model.start(model.store.as_tensors(), src, np.array([src.shape[1]]))
     vocab = len(model.tgt_vocab)
     non_eos = [t for t in range(vocab) if t not in (PAD_ID, BOS_ID, EOS_ID)]  # reserved ids never decode
 
     best = None
     for k in range(max_len):
         for content in itertools.product(non_eos, repeat=k):
-            state = core.init_state(final)
+            state = start
             score = 0.0
             for prev, target in zip((BOS_ID,) + content, content + (EOS_ID,)):
                 state, dist, _ = core.step(state, np.array([prev]))
@@ -160,11 +158,8 @@ def test_lm_fusion_changes_scores_consistently():
     id_map = vocabulary_id_map(lm, model.tgt_vocab)
 
     def replay(tokens, finished):
-        tensors = model.store.as_tensors()
         src = np.asarray(source)[None, :]
-        h, enc_mask, final = model.encode(tensors, src, np.array([2]))
-        core = model.decoder(tensors, h, enc_mask)
-        state = core.init_state(final)
+        core, state = model.start(model.store.as_tensors(), src, np.array([2]))
         total = 0.0
         targets = tokens + [EOS_ID] if finished else tokens
         for prev, tgt in zip([BOS_ID] + tokens, targets):
