@@ -5,6 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass, fields, replace
 from typing import Optional
 
+from .audio import FEATURE_DIM
+
 
 class ConfigError(ValueError):
     pass
@@ -20,7 +22,7 @@ class RunConfig:
     attention: Optional[str] = None    # defaults: "additive" text, "conv" speech
     conv_filter_size: int = 25
     prenet_size: int = 256
-    feature_dim: int = 41
+    feature_dim: int = FEATURE_DIM     # the width of every feature archive
     dropout: float = 0.5
     learning_rate: float = 0.001
     batch_size: int = 64
@@ -43,9 +45,13 @@ class RunConfig:
         if cfg.conv_filter_size % 2 != 1:
             raise ConfigError("conv_filter_size must be odd")
         for name in ("hidden_size", "embed_size", "enc_layers", "dec_layers", "conv_filter_size",
-                     "prenet_size", "feature_dim", "batch_size", "steps", "save_every"):
+                     "prenet_size", "batch_size", "steps", "save_every"):
             if getattr(cfg, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
+        if cfg.feature_dim != FEATURE_DIM:
+            raise ConfigError(f"feature_dim must be {FEATURE_DIM}, the width of every feature archive")
+        if cfg.seed < 0:
+            raise ConfigError("seed must be nonnegative")
         if not 0.0 <= cfg.dropout < 1.0:
             raise ConfigError("dropout must lie in [0, 1)")
         if not 0.0 <= cfg.learning_rate < float("inf"):  # NaN fails every comparison

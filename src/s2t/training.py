@@ -20,7 +20,7 @@ from .search import decode_batch
 
 
 def _epoch_shuffle_seed(seed: int, epoch: int) -> int:
-    return abs(seed) * 1_000_003 + epoch
+    return seed * 1_000_003 + epoch
 
 
 def dev_loss(model: Seq2SeqModel, corpus: ParallelCorpus) -> float:

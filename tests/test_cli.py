@@ -487,6 +487,31 @@ def test_bad_config_file_value_is_rejected_before_reading_data(tmp_path, capsys)
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("setting, flags, key", [
+    ("feature_dim=40", [], "feature_dim"), ("", ["--seed=-1"], "seed"),
+], ids=["feature-dim", "negative-seed"])
+def test_config_that_cannot_run_fails_before_touching_the_log(tmp_path, capsys, setting, flags, key):
+    """A feature width no archive holds and a negative seed fail the config
+    check: exit 2 naming the key, and the save directory's train.log is
+    left as it was."""
+    rng = np.random.default_rng(6)
+    archive, tgt = tmp_path / "train.feats", tmp_path / "train.tgt"
+    write_feature_archive(archive, [(f"u{i}", rng.normal(size=(8, FEATURE_DIM)).astype(np.float32))
+                                    for i in range(3)])
+    tgt.write_text("a b\nb\na\n")
+    config = tmp_path / "run.cfg"
+    config.write_text(f"task=speech\nprenet_size=4\n{setting}\n")
+    log = tmp_path / "run" / "train.log"
+    log.parent.mkdir()
+    log.write_text("1\t2.5\t-\t-\n")
+    before = log.read_bytes()
+    code, _, err = run(capsys, "train", "--config", str(config), "--train-src", str(archive),
+                       "--train-tgt", str(tgt), "--save-dir", str(log.parent), *TRAIN_FLAGS, *flags)
+    assert code == 2
+    assert key in err
+    assert log.read_bytes() == before
+
+
 @pytest.mark.parametrize("flag, key", [
     ("--save-every=0", "save_every"), ("--save-every=-1", "save_every"), ("--steps=-3", "steps"),
 ])
