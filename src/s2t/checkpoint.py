@@ -148,11 +148,13 @@ def load_checkpoint(path) -> Seq2SeqModel:
     config_lines = []
     for line in header_lines:
         if line.startswith("step="):
-            step = int(line[5:])
+            step = line[5:]
         else:
             config_lines.append(line)
     if step is None:
         raise CheckpointError(f"{path}: header is missing the step counter")
+    if not (step.isascii() and step.isdigit()):
+        raise CheckpointError(f"{path}: step counter {step!r} is not a nonnegative integer")
     config = config_from_lines(config_lines).resolved()
 
     src_vocab = None
@@ -176,7 +178,7 @@ def load_checkpoint(path) -> Seq2SeqModel:
                          for _ in range(3))
         store.add(name, value)
         store.set_moments(name, m1, m2)
-    store.step = step
+    store.step = int(step)
     if reader.pos != len(blob):
         raise CheckpointError(f"{path}: trailing bytes after checkpoint payload")
 

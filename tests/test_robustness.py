@@ -373,6 +373,27 @@ def test_mutated_checkpoint_fails_typed_or_loads_sane(tmp_path_factory, text_che
     assert code == 0 if finite else code in (0, 3)
 
 
+def _with_step(blob: bytes, step: str) -> bytes:
+    """``blob`` with its header's step counter rewritten, length prefix included."""
+    (size,) = struct.unpack_from("<I", blob, 12)
+    header = re.sub("(?m)^step=.*$", f"step={step}", blob[16:16 + size].decode("utf-8")).encode("utf-8")
+    return blob[:12] + struct.pack("<I", len(header)) + header + blob[16 + size:]
+
+
+@pytest.mark.parametrize("step", ["-7", "x0"])
+def test_checkpoint_step_counter_must_be_a_nonnegative_integer(tmp_path, capsys, text_checkpoint, step):
+    blob, inp = text_checkpoint
+    assert _with_step(blob, "0") == blob  # the saved model never trained
+    path = tmp_path / "step.ckpt"
+    path.write_bytes(_with_step(blob, step))
+    with pytest.raises(checkpoint.CheckpointError, match=re.escape(str(path))):
+        load_checkpoint(path)
+    code, out, err = run(capsys, "translate", "--checkpoint", str(path), "--input", str(inp))
+    assert code == 2
+    assert str(path) in err
+    assert out == ""
+
+
 @pytest.mark.parametrize("flag, value", [("--beam-size", "0"), ("--max-len", "0"),
                                          ("--max-len", "-3")])
 def test_translate_rejects_bad_search_limits_up_front(tmp_path, capsys, flag, value):
