@@ -74,8 +74,7 @@ def _top_k(flat: np.ndarray, k: int) -> np.ndarray:
     index: the head of a stable descending sort, without sorting it all."""
     if k == 1:
         return np.argmax(flat, keepdims=True)
-    if k >= flat.size:
-        return np.argsort(-flat, kind="stable")
+    k = min(k, flat.size)
     kth = np.partition(flat, flat.size - k)[flat.size - k]
     candidates = np.flatnonzero(flat >= kth)  # ties with the k-th all stay
     return candidates[np.argsort(-flat[candidates], kind="stable")[:k]]
@@ -115,17 +114,17 @@ def decode_batch(
     The sources are encoded as one padded batch, and the live rows of
     every source (at most ``beam_size`` each) share one row block per
     model, grouped by source.  A source's length cap is ``max_len``, else
-    2 x its encoder positions + 10.  The beam is arrays: each row's cumulative
-    score and LM context (its last two tokens, BOS-padded), and a trail
-    with one entry per step: that step's attention rows and, for each row
-    that survives the step, its parent row and token.  A candidate that
-    emits EOS retires to its source's completed pool, and one that reaches
-    the length cap to its overlong pool, as (score, step, row, token).
-    Only the pool entries are traced back through the trail, once, at the
-    end.  The winner is the completed entry with the highest cumulative
-    score (per-token normalized when ``length_norm``; ties to the lowest
-    token ids), else the best overlong entry.  With ``rescore_only`` the
-    language model scores the pool instead of every expansion.
+    2 x its encoder positions + 10.  The beam is arrays: each row's
+    cumulative score and LM context (its last two tokens, BOS-padded), and
+    a trail with one entry per step: that step's attention rows and, for
+    each row that survives the step, its parent row and token.  A
+    candidate that emits EOS or reaches the length cap retires to its
+    source's pool as (score, step, row, token).  Only the pool entries are
+    traced back through the trail, once, at the end.  The winner ranks
+    highest by (finished, cumulative score, lowest token ids): an entry
+    that emitted EOS beats one cut at the cap, and the score is per-token
+    normalized when ``length_norm``.  With ``rescore_only`` the language
+    model scores the pool instead of every expansion.
     """
     if len(models) == 0:
         raise ValueError("beam search needs at least one model")
@@ -150,8 +149,7 @@ def decode_batch(
     scores = np.zeros(len(sources))
     context = np.full((len(sources), 2), BOS_ID)
     prev_ids = np.full(len(sources), BOS_ID)
-    completed = [[] for _ in sources]  # per source: (score, step, row, token)
-    overlong = [[] for _ in sources]
+    retired = [[] for _ in sources]  # per source: (score, step, row, token)
     trail = []  # per step: (attention rows, parent row, token) of the survivors
     row_sources = np.arange(len(sources))  # the source of each row
     views = list(cores)
@@ -160,7 +158,8 @@ def decode_batch(
         step = len(trail)
         for j, view in enumerate(views):
             states[j], dist, attn = view.step(states[j], prev_ids)
-            model_scores = model_weights[j] * np.log(dist.data)
+            with np.errstate(divide="ignore"):  # an underflowed probability scores -inf
+                model_scores = model_weights[j] * np.log(dist.data)
             if j == 0:
                 fused, attn_rows = model_scores, attn.data
             else:
@@ -185,9 +184,7 @@ def decode_batch(
             first += size
             retire = (best % vocab == EOS_ID) | (step + 1 >= caps[s])
             for index in best[retire].tolist():
-                row, token = divmod(index, vocab)
-                pool = completed if token == EOS_ID else overlong
-                pool[s].append((float(flat[index]), step, row, token))
+                retired[s].append((float(flat[index]), step, *divmod(index, vocab)))
             survivors.append(best[~retire])
             sizes[s] = len(survivors[-1])
         keep = np.concatenate(survivors)
@@ -206,16 +203,15 @@ def decode_batch(
 
     results = []
     for s, width in enumerate(positions):
-        retired = completed[s] or overlong[s]
-        if not retired:
+        if not retired[s]:
             raise DivergenceError(f"source {s}: no candidate has a finite score")
         entries = []
-        for score, step, row, token in retired:
+        for score, step, row, token in retired[s]:
             tokens, path = _trace(trail, step, row, token)
             finished = token == EOS_ID
             content = tokens[:-1] if finished else tokens
             rank = _rank_score(score, content, finished, lm, id_map, weights, rescore_only, length_norm)
-            entries.append(((rank, [-t for t in tokens]), score, content, finished, path))  # ties: lowest ids
+            entries.append(((finished, rank, [-t for t in tokens]), score, content, finished, path))
         _, score, content, finished, path = max(entries, key=lambda entry: entry[0])
         rows = [trail[t][0][path[t], :width] for t in range(len(content))]
         attention = np.vstack(rows) if rows else np.zeros((0, width))

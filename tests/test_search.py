@@ -1,6 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 
+from s2t.checkpoint import save_checkpoint
+from s2t.cli import main
 from s2t.corpus import BOS_ID, EOS_ID, PAD_ID, UNK_ID, make_batch
 from s2t.lm import train_trigram, vocabulary_id_map, lm_logprob
 from s2t.model import DivergenceError
@@ -17,6 +21,29 @@ def test_greedy_immediate_eos_gives_empty_translation():
     result = greedy_decode(model, [4, 5])
     assert result.tokens == []
     assert result.attention.shape[0] == 0
+
+
+def test_underflowed_probability_decodes_without_warning(tmp_path, capsys):
+    """A target logit 1e4 below the rest underflows to probability 0, which
+    scores -inf: the decode is the same with warnings raised as errors, and
+    ``translate`` writes nothing to stderr."""
+    model = randomize(build_tiny_model(), seed=71)
+    bias = model.store.value("dec.vocab_b").copy()
+    bias[5] = -1e4
+    model.store.set_value("dec.vocab_b", bias)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        expected = beam_search([model], [4, 5, 6], beam_size=2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert beam_search([model], [4, 5, 6], beam_size=2).tokens == expected.tokens
+    path, inp = tmp_path / "model.ckpt", tmp_path / "in.txt"
+    save_checkpoint(path, model)
+    inp.write_text("t0 t1 t2\n")
+    assert main(["translate", "--checkpoint", str(path), "--input", str(inp), "--beam-size", "2"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == " ".join(model.tgt_vocab.decode_sequence(expected.tokens)) + "\n"
+    assert captured.err == ""
 
 
 def test_greedy_deterministic():
