@@ -1,6 +1,8 @@
 """Additive attention plus the convolutional (location-aware) variant that
 feeds the previous step's attention weights through a one-dimensional
-filter, with masking over padded encoder positions.
+filter.  Padded encoder positions enter once per pass, as the score bias
+``padding_bias`` builds, added inside the score product; ``attend`` takes
+no mask.
 
 Encoder outputs are carried as an [A, B, m] block; decoder-facing scores
 and weights are [B, A].
@@ -36,63 +38,50 @@ def project_encoder(params: AttentionParams, h: Tensor) -> Tensor:
     return ad.linear(h, params.enc_w)
 
 
-def _scores(params, h, state, conv_term, enc_proj):
-    if h.ndim != 3:
-        raise ad.ShapeMismatch(f"attention: encoder block must be [A, B, m], got {h.shape}")
-    if enc_proj is None:
-        enc_proj = project_encoder(params, h)
+def padding_bias(enc_mask: np.ndarray) -> Optional[Tensor]:
+    """The [A, B] score bias of a [B, A] encoder mask, built once per pass:
+    0 on real positions, MASKED_SCORE on padding; None when nothing is padded."""
+    enc_mask = np.asarray(enc_mask, dtype=bool)
+    if not enc_mask.any(axis=1).all():
+        raise ValueError("attention: a row has all positions masked")
+    return None if enc_mask.all() else Tensor(np.where(enc_mask.T, 0.0, MASKED_SCORE))
+
+
+def _scores(params, enc_proj, state, conv_term, pad):
     inner = enc_proj + ad.linear(state, params.state_w, params.bias)
     if conv_term is not None:
         inner = inner + conv_term
-    return ad.transpose(ad.linear(ad.tanh(inner), params.score_v))  # [A, B] -> [B, A]
+    return ad.transpose(ad.linear(ad.tanh(inner), params.score_v, pad))  # [A, B] -> [B, A]
 
 
-def additive_scores(params: AttentionParams, h: Tensor, state: Tensor,
-                    enc_proj: Optional[Tensor] = None) -> Tensor:
-    """score_i = v . tanh(enc_w h_i + state_w s + bias), returned as [B, A]."""
-    return _scores(params, h, state, None, enc_proj)
+def additive_scores(params: AttentionParams, enc_proj: Tensor, state: Tensor,
+                    pad: Optional[Tensor] = None) -> Tensor:
+    """score_i = v . tanh(enc_proj_i + state_w s + bias) + pad_i, returned as [B, A]."""
+    return _scores(params, enc_proj, state, None, pad)
 
 
-def convolutional_scores(params: AttentionParams, h: Tensor, state: Tensor,
-                         prev_weights: Optional[Tensor],
-                         enc_proj: Optional[Tensor] = None) -> Tensor:
+def convolutional_scores(params: AttentionParams, enc_proj: Tensor, state: Tensor,
+                         prev_weights: Optional[Tensor], pad: Optional[Tensor] = None) -> Tensor:
     """Adds the filtered previous attention weights inside the tanh.
 
     With no previous weights (the first step) the previous attention vector
     is taken as zero, which reduces exactly to the additive scores.
     """
-    if params.conv_gate is None or params.conv_filter is None:
-        raise ValueError("convolutional attention needs conv_gate and conv_filter parameters")
     conv_term = None
     if prev_weights is not None:
-        positions = h.shape[0]
-        if prev_weights.ndim != 2 or prev_weights.shape[1] != positions:
-            raise ad.ShapeMismatch(
-                f"attention: previous weights {prev_weights.shape} do not match "
-                f"{positions} positions"
-            )
         filtered = ad.conv1d(prev_weights, params.conv_filter)          # [B, A]
-        per_pos = ad.reshape(ad.transpose(filtered), (positions, prev_weights.shape[0], 1))
+        per_pos = ad.reshape(ad.transpose(filtered), filtered.shape[::-1] + (1,))
         conv_term = per_pos * params.conv_gate                          # [A, B, m]
-    return _scores(params, h, state, conv_term, enc_proj)
+    return _scores(params, enc_proj, state, conv_term, pad)
 
 
-def attend(scores: Tensor, h: Tensor, mask: Optional[np.ndarray] = None):
-    """Masked softmax over positions and the attention-weighted context.
+def attend(scores: Tensor, h: Tensor):
+    """Softmax over positions and the attention-weighted context.
 
-    Returns (weights [B, A], context [B, m]); masked positions get weight
-    exactly zero.
+    Returns (weights [B, A], context [B, m]); a position whose score carries
+    the padding bias gets weight exactly zero.
     """
-    if mask is not None:
-        mask = np.asarray(mask, dtype=bool)
-        if mask.shape != scores.shape:
-            raise ad.ShapeMismatch(f"attention mask {mask.shape} does not match scores {scores.shape}")
-        if not mask.any(axis=1).all():
-            raise ValueError("attention: a row has all positions masked")
-        if not mask.all():
-            scores = scores + Tensor(np.where(mask, 0.0, MASKED_SCORE))
     weights = ad.softmax(scores)                                        # [B, A]
-    positions, batch = weights.shape[1], weights.shape[0]
-    per_pos = ad.reshape(ad.transpose(weights), (positions, batch, 1))
+    per_pos = ad.reshape(ad.transpose(weights), weights.shape[::-1] + (1,))
     context = ad.tsum(per_pos * h, axis=0)                              # [B, m]
     return weights, context

@@ -19,7 +19,8 @@ from typing import Optional
 import numpy as np
 
 from . import autodiff as ad
-from .attention import AttentionParams, additive_scores, attend, convolutional_scores, project_encoder
+from .attention import (AttentionParams, additive_scores, attend, convolutional_scores, padding_bias,
+                        project_encoder)
 from .autodiff import ParameterStore, Tape, Tensor, adam_update, backprop
 from .config import RunConfig
 from .encoders import LstmCellParams, dropout_between_layers, pyramidal_encode, run_lstm, speech_prenet
@@ -217,14 +218,16 @@ class DecoderCore:
         self.vocab_b = tensors["dec.vocab_b"]
         self.attn = model.attention_params(tensors)
         self.enc_proj = project_encoder(self.attn, h)
+        self.pad = padding_bias(self.enc_mask)
 
     def select(self, sources: np.ndarray) -> "DecoderCore":
         """This core with row i attending over batch entry ``sources[i]``:
-        the encoder block, its projection and the mask gathered by row."""
+        the encoder block, its projection, mask and padding bias gathered by row."""
         view = copy.copy(self)
         view.h = Tensor(self.h.data[:, sources])
         view.enc_proj = Tensor(self.enc_proj.data[:, sources])
         view.enc_mask = self.enc_mask[sources]
+        view.pad = None if self.pad is None else Tensor(self.pad.data[:, sources])
         return view
 
     def init_state(self, enc_final: Tensor) -> DecoderState:
@@ -256,10 +259,10 @@ class DecoderCore:
         for c_t, h_t in zip(cells, hidden):
             s_t = ad.concat([c_t, h_t])
             if cfg.attention == "conv":
-                scores = convolutional_scores(self.attn, self.h, s_t, weights, self.enc_proj)
+                scores = convolutional_scores(self.attn, self.enc_proj, s_t, weights, self.pad)
             else:
-                scores = additive_scores(self.attn, self.h, s_t, self.enc_proj)
-            weights, context = attend(scores, self.h, self.enc_mask)
+                scores = additive_scores(self.attn, self.enc_proj, s_t, self.pad)
+            weights, context = attend(scores, self.h)
             rows.append(weights)
             contexts.append(context)
         merged = ad.linear(ad.concat([x, ad.stack(contexts)]), self.merge_w, self.merge_b)

@@ -8,6 +8,8 @@ from s2t.attention import (
     additive_scores,
     attend,
     convolutional_scores,
+    padding_bias,
+    project_encoder,
 )
 
 
@@ -30,7 +32,8 @@ def test_zero_projection_vector_gives_zero_scores():
     rng = np.random.default_rng(40)
     params = make_params(rng, 3)
     params = AttentionParams(params.enc_w, params.state_w, params.bias, Tensor(np.zeros(3)))
-    scores = additive_scores(params, block(rng, 4, 2, 3), Tensor(rng.normal(size=(2, 6))))
+    scores = additive_scores(params, project_encoder(params, block(rng, 4, 2, 3)),
+                             Tensor(rng.normal(size=(2, 6))))
     np.testing.assert_array_equal(scores.data, np.zeros((2, 4)))
 
 
@@ -39,7 +42,7 @@ def test_identical_positions_get_equal_scores():
     params = make_params(rng, 3)
     one = rng.normal(size=(1, 3))
     h = Tensor(np.repeat(one[None, :, :], 5, axis=0))
-    scores = additive_scores(params, h, Tensor(rng.normal(size=(1, 6))))
+    scores = additive_scores(params, project_encoder(params, h), Tensor(rng.normal(size=(1, 6))))
     np.testing.assert_allclose(scores.data, scores.data[0, 0], atol=1e-12)
 
 
@@ -53,7 +56,7 @@ def test_additive_scores_match_scalar_evaluation():
     for i in range(positions):
         inner = params.enc_w.data @ h[i, 0] + params.state_w.data @ s[0] + params.bias.data
         expected.append(float(params.score_v.data @ np.tanh(inner)))
-    scores = additive_scores(params, Tensor(h), Tensor(s))
+    scores = additive_scores(params, project_encoder(params, Tensor(h)), Tensor(s))
     np.testing.assert_allclose(scores.data[0], expected, atol=1e-12)
 
 
@@ -66,8 +69,9 @@ def test_conv_scores_with_zero_filter_equal_additive_bitwise():
     h = block(rng, 4, 2, m)
     s = Tensor(rng.normal(size=(2, 2 * m)))
     prev = Tensor(rng.dirichlet(np.ones(4), size=2))
-    add = additive_scores(zero_filter, h, s)
-    conv = convolutional_scores(zero_filter, h, s, prev)
+    enc_proj = project_encoder(zero_filter, h)
+    add = additive_scores(zero_filter, enc_proj, s)
+    conv = convolutional_scores(zero_filter, enc_proj, s, prev)
     assert add.data.tobytes() == conv.data.tobytes()
 
 
@@ -76,8 +80,9 @@ def test_conv_scores_first_step_equal_additive_bitwise():
     params = make_params(rng, 3, conv=True)
     h = block(rng, 4, 2, 3)
     s = Tensor(rng.normal(size=(2, 6)))
-    add = additive_scores(params, h, s)
-    conv = convolutional_scores(params, h, s, None)
+    enc_proj = project_encoder(params, h)
+    add = additive_scores(params, enc_proj, s)
+    conv = convolutional_scores(params, enc_proj, s, None)
     assert add.data.tobytes() == conv.data.tobytes()
 
 
@@ -90,8 +95,9 @@ def test_delta_filter_with_one_hot_history_shifts_only_that_position():
     s = Tensor(rng.normal(size=(1, 6)))
     one_hot = np.zeros((1, 5))
     one_hot[0, 2] = 1.0
-    add = additive_scores(delta, h, s).data[0]
-    conv = convolutional_scores(delta, h, s, Tensor(one_hot)).data[0]
+    enc_proj = project_encoder(delta, h)
+    add = additive_scores(delta, enc_proj, s).data[0]
+    conv = convolutional_scores(delta, enc_proj, s, Tensor(one_hot)).data[0]
     differs = np.abs(add - conv) > 1e-15
     assert differs[2] and not differs[[0, 1, 3, 4]].any()
 
@@ -110,7 +116,7 @@ def test_attend_single_unmasked_position():
     scores = Tensor(rng.normal(size=(1, 4)))
     mask = np.zeros((1, 4), dtype=bool)
     mask[0, 2] = True
-    weights, context = attend(scores, h, mask)
+    weights, context = attend(scores + ad.transpose(padding_bias(mask)), h)
     np.testing.assert_array_equal(weights.data[0], [0.0, 0.0, 1.0, 0.0])
     np.testing.assert_allclose(context.data[0], h.data[2, 0], atol=1e-12)
 
@@ -133,10 +139,8 @@ def test_attend_shift_invariance():
 
 
 def test_attend_rejects_fully_masked_row():
-    rng = np.random.default_rng(49)
-    h = block(rng, 3, 1, 2)
     with pytest.raises(ValueError, match="masked"):
-        attend(Tensor(np.zeros((1, 3))), h, np.zeros((1, 3), dtype=bool))
+        padding_bias(np.zeros((1, 3), dtype=bool))
 
 
 def test_attention_weights_normalized_and_zero_on_masked():
@@ -148,7 +152,8 @@ def test_attention_weights_normalized_and_zero_on_masked():
         scores = Tensor(rng.normal(size=(batch, positions)) * 5)
         mask = rng.random((batch, positions)) > 0.3
         mask[:, 0] = True
-        weights, _ = attend(scores, h, mask)
+        pad = padding_bias(mask)
+        weights, _ = attend(scores if pad is None else scores + ad.transpose(pad), h)
         np.testing.assert_allclose(weights.data.sum(axis=1), 1.0, atol=1e-9)
         assert (weights.data[~mask] == 0.0).all()
 
@@ -176,7 +181,7 @@ def test_attention_gradients_match_finite_differences():
         def f(p):
             params = AttentionParams(p["enc_w"], p["state_w"], p["bias"], p["score_v"],
                                      p["conv_gate"], p["conv_filter"])
-            scores = convolutional_scores(params, p["h"], p["s"], Tensor(prev0))
+            scores = convolutional_scores(params, project_encoder(params, p["h"]), p["s"], Tensor(prev0))
             _, context = attend(scores, p["h"])
             return ad.tsum(context * Tensor(weight_vec[None, :]))
 

@@ -5,6 +5,7 @@ import pytest
 
 from s2t import autodiff as ad
 from s2t.autodiff import ShapeMismatch, Tensor, gradient_check
+from s2t.attention import MASKED_SCORE
 from s2t.corpus import BOS_ID, EOS_ID, PAD_ID, Batch, make_batch
 from s2t.model import DecoderCore, DivergenceError
 
@@ -246,7 +247,7 @@ def test_advance_over_a_block_equals_step_by_step(attention):
 @pytest.mark.parametrize("task, src_lens, limit", [
     pytest.param("text", (5,), 388, id="text"),
     pytest.param("speech", (6,), 426, id="speech"),
-    pytest.param("speech", (9, 7, 8), 596, id="speech-ragged"),
+    pytest.param("speech", (9, 7, 8), 593, id="speech-ragged"),
 ])
 def test_tiny_loss_tape_size(task, src_lens, limit):
     """Criterion 1's tiny models (same sizes, seed and batch) record one
@@ -309,6 +310,37 @@ def test_loss_forward_adds_no_bias_outside_matmul(task, attention):
     assert not [entry for entry in adds if param_nodes.intersection(entry.inputs)]
     biased = [entry for entry in tape.entries if entry.kind == "matmul" and len(entry.inputs) == 3]
     assert biased
+
+
+@pytest.mark.parametrize("attention", ["additive", "conv"])
+@pytest.mark.parametrize("task", ["text", "speech"])
+def test_padding_enters_each_score_product_as_its_bias(task, attention):
+    """On a padded batch the pass's one padding bias is the third input of
+    every ``matmul`` with ``score_v``, and no ``add`` reads a score product
+    or its transpose."""
+    rng = np.random.default_rng(50)
+    model = randomize(build_tiny_model(task=task, m=4, n=3, src_words=9, tgt_words=7,
+                                       attention=attention, conv_filter_size=3), seed=51)
+    sources = ([random_text_source(rng, 9, n, n) for n in (7, 3, 5)] if task == "text"
+               else [random_speech_source(rng, min_len=n, max_len=n) for n in (13, 6, 9)])
+    batch = make_batch(sources, [[4, 5, 6], [5], [6, 4]])
+    tape = ad.Tape()
+    with tape:
+        params = model.store.watch(tape)
+        core, state = model.start(params, batch.src, batch.src_lengths)
+        core.advance(state, batch.dec_in.T)
+    assert not core.enc_mask.all()
+    score_v = tape.node_of(params["attn.score_v"])
+    products = [entry for entry in tape.entries if entry.kind == "matmul" and entry.inputs[1] == score_v]
+    assert len(products) == batch.dec_in.shape[1]
+    assert all(len(entry.inputs) == 3 for entry in products)
+    assert len({entry.inputs[2] for entry in products}) == 1  # one bias per pass
+    np.testing.assert_array_equal(tape.values[products[0].inputs[2]],
+                                  np.where(core.enc_mask.T, 0.0, MASKED_SCORE))
+    scores = {entry.output for entry in products}
+    scores |= {entry.output for entry in tape.entries
+               if entry.kind == "transpose" and entry.inputs[0] in scores}
+    assert not [entry for entry in tape.entries if entry.kind == "add" and scores.intersection(entry.inputs)]
 
 
 @pytest.mark.parametrize("task", ["text", "speech"])
