@@ -101,7 +101,10 @@ def load_pcm_wav(path) -> AudioBuffer:
     samples = raw.astype(np.float64) / 32768.0
     if channels > 1:
         samples = samples.reshape(-1, channels).mean(axis=1)
-    return AudioBuffer(samples=samples, sample_rate=rate)
+    try:
+        return AudioBuffer(samples=samples, sample_rate=rate)
+    except AudioFormatError as exc:  # an unsupported sample rate
+        raise AudioFormatError(f"{path}: {exc}") from None
 
 
 def frame_and_window(audio: AudioBuffer, window_ms: int = 40, hop_ms: int = 10) -> FrameBlock:
@@ -232,8 +235,9 @@ def _archive_field(fmt: str, blob: bytes, pos: int, path) -> int:
 
 def read_feature_archive(path) -> list[tuple[str, np.ndarray]]:
     """Every (utterance_id, T x 41 float64 array) record of an archive.
-    Raises ``ValueError`` on a bad magic, a dimension other than 41, any
-    truncation and a NaN or infinite feature value."""
+    Raises ``ValueError`` naming the file on a bad magic, a dimension other
+    than 41, any truncation, an utterance id that is not UTF-8 and a NaN or
+    infinite feature value."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:8] != ARCHIVE_MAGIC:
@@ -246,7 +250,10 @@ def read_feature_archive(path) -> list[tuple[str, np.ndarray]]:
     while pos < len(blob):
         id_len = _archive_field("<H", blob, pos, path)
         t = _archive_field("<I", blob, pos + 2 + id_len, path)
-        utt_id = blob[pos + 2 : pos + 2 + id_len].decode("utf-8")
+        try:
+            utt_id = blob[pos + 2 : pos + 2 + id_len].decode("utf-8")
+        except UnicodeDecodeError:
+            raise ValueError(f"{path}: utterance id of the record at byte {pos} is not UTF-8") from None
         pos += 6 + id_len
         nbytes = t * dim * 4
         if pos + nbytes > len(blob):

@@ -130,7 +130,17 @@ def load_checkpoint(path) -> Seq2SeqModel:
     """Map the file read-only and convert only the parameter values; the
     moments stay float32 views of the mapping, which lives as long as they
     do.  ``save_checkpoint`` renames a new file over the old one, so a saved
-    model never changes under a loaded one."""
+    model never changes under a loaded one.  Every malformed file raises
+    ``CheckpointError`` naming it."""
+    try:
+        return _read_checkpoint(path)
+    except CheckpointError:
+        raise
+    except ValueError as exc:  # a bad header value, vocabulary or UTF-8 text
+        raise CheckpointError(f"{path}: {exc}") from None
+
+
+def _read_checkpoint(path) -> Seq2SeqModel:
     with open(path, "rb") as fh:
         try:
             blob = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)

@@ -79,6 +79,33 @@ def test_non_finite_archive_exits_2(tmp_path, capsys, value, command):
     assert out == ""
 
 
+@pytest.mark.parametrize("command", ["train", "translate"])
+def test_archive_utterance_id_not_utf8_names_the_file(tmp_path, capsys, command):
+    archive = tmp_path / "id.bin"
+    write_feature_archive(archive, [("u0", np.zeros((6, FEATURE_DIM), np.float32))])
+    archive.write_bytes(archive.read_bytes().replace(b"u0", b"\xff0", 1))
+    with pytest.raises(ValueError, match=re.escape(str(archive)) + ".*not UTF-8"):
+        read_feature_archive(archive)
+    code, out, err = run(capsys, *_archive_command(tmp_path, command, archive))
+    assert code == 2
+    assert str(archive) in err
+    assert out == ""
+
+
+def test_unsupported_sample_rate_names_the_wav(tmp_path, capsys):
+    wav_dir = tmp_path / "wavs"
+    wav_dir.mkdir()
+    wav = wav_dir / "odd.wav"
+    write_wav(wav, [0] * 2000, rate=11025)
+    with pytest.raises(AudioFormatError, match=re.escape(str(wav)) + ".*sample rate 11025"):
+        load_pcm_wav(wav)
+    code, out, err = run(capsys, "extract-features", "--wav-dir", str(wav_dir),
+                         "--output", str(tmp_path / "feats.bin"))
+    assert code == 2
+    assert str(wav) in err
+    assert out == ""
+
+
 def test_archive_with_wrong_dimension_is_rejected(tmp_path):
     path = tmp_path / "dim3.bin"
     record = struct.pack("<H", 2) + b"u0" + struct.pack("<I", 2) + np.zeros(6, "<f4").tobytes()
@@ -391,6 +418,30 @@ def test_checkpoint_step_counter_must_be_a_nonnegative_integer(tmp_path, capsys,
     code, out, err = run(capsys, "translate", "--checkpoint", str(path), "--input", str(inp))
     assert code == 2
     assert str(path) in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("old, new", [
+    pytest.param(b"dropout=0.0", b"dropout=2.0", id="header-value"),
+    pytest.param(b"<pad>\n<bos>", b"<bos>\n<pad>", id="vocabulary-reserved"),
+    pytest.param(b"\nt0\n", b"\n\xff0\n", id="text-not-utf8"),
+])
+@pytest.mark.parametrize("ensemble", [False, True])
+def test_malformed_checkpoint_names_its_file(tmp_path, capsys, text_checkpoint, old, new, ensemble):
+    """A bad header value, a vocabulary without the reserved tokens first
+    and invalid UTF-8 in a text section (each rewritten in place at equal
+    length) fail naming the file, alone or as an ensemble's second member."""
+    blob, inp = text_checkpoint
+    good = tmp_path / "good.ckpt"
+    good.write_bytes(blob)
+    path = tmp_path / "bad.ckpt"
+    path.write_bytes(blob.replace(old, new, 1))
+    with pytest.raises(checkpoint.CheckpointError, match=re.escape(str(path))):
+        load_checkpoint(path)
+    models = ["--checkpoint", str(good)] * ensemble + ["--checkpoint", str(path)]
+    code, out, err = run(capsys, "translate", *models, "--input", str(inp))
+    assert code == 2
+    assert str(path) in err and str(good) not in err
     assert out == ""
 
 
