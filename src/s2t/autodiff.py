@@ -7,12 +7,18 @@ backwards and return exact gradients for every watched leaf.  Without an
 active tape the same primitives behave as plain functions, which is what
 the decoders use at inference time.
 
+Each primitive kind declares which of its values (input positions, its
+output) its backward rule reads.  The tape keeps the array of a node only
+when some entry reads it; every other node holds a read-only zero-stride
+stand-in of its shape, so a forward pass holds only what backward needs.
+
 Training math is float64 throughout; checkpoints narrow values to float32
 on disk (see ``checkpoint``).
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -69,7 +75,7 @@ class Tensor:
     outputs, so tensors are safe to share between tapes and threads.
     """
 
-    __slots__ = ("data",)
+    __slots__ = ("data", "__weakref__")
 
     def __init__(self, data):
         self.data = np.asarray(data, dtype=np.float64)
@@ -136,13 +142,21 @@ class Tape:
     Entries are appended in execution order, so every input node id of
     entry ``k`` was produced by an earlier entry or is a leaf.  A tape has
     a single writer: one training step owns one tape.
+
+    ``values[node]`` is the node's array when a backward rule reads it (see
+    :func:`register_primitive`); otherwise it is a read-only zero-stride
+    stand-in of the same shape and dtype, so rules that need only a shape,
+    and ``zeros_like`` in :func:`backprop`, work unchanged.  A node first
+    stored as a stand-in gets its array back when a later entry that reads
+    it binds it.  The tape holds no Tensor: it maps each bound Tensor to its
+    node through a weak reference, so a dead Tensor frees its array and a
+    new Tensor that reuses its ``id`` gets a node of its own.
     """
 
     def __init__(self):
         self.entries: list[TapeEntry] = []
         self.values: list[np.ndarray] = []
-        self._node_of: dict[int, int] = {}
-        self._tensors: list[Tensor] = []  # keeps id() keys alive
+        self._node_of: dict[int, tuple[weakref.ref, int]] = {}
         self._watched: dict[str, int] = {}
         self._prev: Optional[Tape] = None
 
@@ -157,36 +171,55 @@ class Tape:
         _ACTIVE = self._prev
         self._prev = None
 
-    def _bind(self, tensor: Tensor) -> int:
-        node = self._node_of.get(id(tensor))
+    def _bind(self, tensor: Tensor, keep: bool) -> int:
+        node = self.node_of(tensor)
         if node is None:
             node = len(self.values)
-            self.values.append(tensor.data)
-            self._node_of[id(tensor)] = node
-            self._tensors.append(tensor)
+            self.values.append(tensor.data if keep else _stand_in(tensor.data))
+            self._node_of[id(tensor)] = (weakref.ref(tensor), node)
+        elif keep:
+            self.values[node] = tensor.data
         return node
 
     def node_of(self, tensor: Tensor) -> Optional[int]:
-        return self._node_of.get(id(tensor))
+        held = self._node_of.get(id(tensor))
+        return held[1] if held is not None and held[0]() is tensor else None
 
     def watch(self, name: str, tensor: Tensor) -> None:
         """Register a named leaf whose gradient backprop should report."""
-        self._watched[name] = self._bind(tensor)
+        self._watched[name] = self._bind(tensor, keep=False)
+
+
+_ZERO = bytes(8)  # one float64 zero, read-only: the buffer of every stand-in
+
+
+def _stand_in(data: np.ndarray) -> np.ndarray:
+    """A read-only zero-stride array of ``data``'s shape (Tensor data is float64)."""
+    return np.ndarray(data.shape, np.float64, _ZERO, 0, (0,) * data.ndim)
+
+
+OUT = "out"  # names a primitive's output in its ``reads`` declaration
 
 
 @dataclass(frozen=True)
 class Primitive:
     forward: Callable[[list, dict], np.ndarray]
     backward: Callable[[np.ndarray, list, np.ndarray, dict], list]
+    reads: Optional[frozenset] = None  # input positions and OUT; None: every value
 
 
 _PRIMITIVES: dict[str, Primitive] = {}
 
 
-def register_primitive(kind: str, forward, backward) -> None:
+def register_primitive(kind: str, forward, backward, reads=None) -> None:
     """Register (or override) a primitive. Exposed so tests can install
-    deliberately broken backward rules."""
-    _PRIMITIVES[kind] = Primitive(forward, backward)
+    deliberately broken backward rules.
+
+    ``reads`` lists the values the backward rule reads: input positions and
+    :data:`OUT` for the output.  A taped application keeps only those
+    arrays; the rule sees a zero-stride stand-in of the right shape for
+    every other value.  Without ``reads`` every value is kept."""
+    _PRIMITIVES[kind] = Primitive(forward, backward, None if reads is None else frozenset(reads))
 
 
 def apply_primitive(kind: str, inputs: Sequence[Tensor], **attrs) -> Tensor:
@@ -197,8 +230,9 @@ def apply_primitive(kind: str, inputs: Sequence[Tensor], **attrs) -> Tensor:
     out = Tensor(prim.forward([t.data for t in inputs], attrs))
     tape = _ACTIVE
     if tape is not None:
-        in_nodes = tuple(tape._bind(t) for t in inputs)
-        out_node = tape._bind(out)
+        reads = prim.reads
+        in_nodes = tuple(tape._bind(t, reads is None or i in reads) for i, t in enumerate(inputs))
+        out_node = tape._bind(out, reads is None or OUT in reads)
         tape.entries.append(TapeEntry(kind, in_nodes, out_node, attrs))
     return out
 
@@ -532,24 +566,24 @@ def _pick_bwd(g, d, out, a):
     return [IndexedGrad((np.arange(d[0].shape[0]), np.asarray(a["ids"])), g)]
 
 
-register_primitive("add", _add_fwd, _add_bwd)
-register_primitive("mul", _mul_fwd, _mul_bwd)
-register_primitive("scale", _scale_fwd, _scale_bwd)
-register_primitive("matmul", _matmul_fwd, _matmul_bwd)
-register_primitive("transpose", _transpose_fwd, _transpose_bwd)
-register_primitive("reshape", _reshape_fwd, _reshape_bwd)
-register_primitive("tanh", _tanh_fwd, _tanh_bwd)
-register_primitive("sigmoid", _sigmoid_fwd, _sigmoid_bwd)
-register_primitive("softmax", _softmax_fwd, _softmax_bwd)
-register_primitive("log", _log_fwd, _log_bwd)
-register_primitive("sum", _sum_fwd, _sum_bwd)
-register_primitive("concat", _concat_fwd, _concat_bwd)
-register_primitive("stack", _stack_fwd, _stack_bwd)
-register_primitive("slice", _slice_fwd, _slice_bwd)
-register_primitive("conv1d", _conv1d_fwd, _conv1d_bwd)
-register_primitive("embedding", _embedding_fwd, _embedding_bwd)
-register_primitive("dropout", _dropout_fwd, _dropout_bwd)
-register_primitive("pick", _pick_fwd, _pick_bwd)
+register_primitive("add", _add_fwd, _add_bwd, reads=())
+register_primitive("mul", _mul_fwd, _mul_bwd, reads=(0, 1))
+register_primitive("scale", _scale_fwd, _scale_bwd, reads=())
+register_primitive("matmul", _matmul_fwd, _matmul_bwd, reads=(0, 1))
+register_primitive("transpose", _transpose_fwd, _transpose_bwd, reads=())
+register_primitive("reshape", _reshape_fwd, _reshape_bwd, reads=())
+register_primitive("tanh", _tanh_fwd, _tanh_bwd, reads=(OUT,))
+register_primitive("sigmoid", _sigmoid_fwd, _sigmoid_bwd, reads=(OUT,))
+register_primitive("softmax", _softmax_fwd, _softmax_bwd, reads=(OUT,))
+register_primitive("log", _log_fwd, _log_bwd, reads=(0,))
+register_primitive("sum", _sum_fwd, _sum_bwd, reads=())
+register_primitive("concat", _concat_fwd, _concat_bwd, reads=())
+register_primitive("stack", _stack_fwd, _stack_bwd, reads=())
+register_primitive("slice", _slice_fwd, _slice_bwd, reads=())
+register_primitive("conv1d", _conv1d_fwd, _conv1d_bwd, reads=(0, 1))
+register_primitive("embedding", _embedding_fwd, _embedding_bwd, reads=())
+register_primitive("dropout", _dropout_fwd, _dropout_bwd, reads=())
+register_primitive("pick", _pick_fwd, _pick_bwd, reads=())
 
 
 # thin wrappers so model code reads naturally

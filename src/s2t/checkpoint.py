@@ -9,8 +9,9 @@ Saving rounds the live parameter store to float32 record by record, so
 the file is the canonical state: a run that keeps training after a save and
 a run that reloads the file continue from bit-identical parameters, which
 makes training resumable with exact loss trajectories.  Loading maps the
-file and converts only the values; the moments stay float32 views of the
-mapping until training reads them.
+file, converts only the values and then releases the mapping's resident
+pages; the moments stay float32 views of the mapping, read back from the
+file if training reads them.
 """
 
 from __future__ import annotations
@@ -191,6 +192,9 @@ def _read_checkpoint(path) -> Seq2SeqModel:
     store.step = int(step)
     if reader.pos != len(blob):
         raise CheckpointError(f"{path}: trailing bytes after checkpoint payload")
+    # the values are converted: drop the mapping's resident pages; the moment
+    # views fault theirs back in from the file if training reads them
+    blob.madvise(mmap.MADV_DONTNEED)
 
     expected = parameter_shapes(config, len(src_vocab) if src_vocab else None, len(tgt_vocab))
     actual = {name: store.value(name).shape for name in store.names()}

@@ -27,7 +27,7 @@ from .audio import (
 from .bleu import corpus_bleu
 from .checkpoint import CheckpointError, load_checkpoint
 from .config import ConfigError, RunConfig, load_config
-from .corpus import ParallelCorpus, Vocabulary, make_batch, read_lines, tokenize
+from .corpus import DataError, ParallelCorpus, Vocabulary, make_batch, read_lines, tokenize
 from .lm import DEFAULT_LAMBDAS, load_lm, save_lm, train_trigram
 from .model import DivergenceError, Seq2SeqModel
 from .search import FusionWeights, beam_search, check_limits, decode_batch
@@ -35,10 +35,6 @@ from .training import logged_best, rewind_log, train_loop
 
 
 class UsageError(Exception):
-    pass
-
-
-class DataError(ValueError):
     pass
 
 

@@ -18,6 +18,10 @@ RESERVED_TOKENS = ("<pad>", "<bos>", "<eos>", "<unk>")
 _PUNCT = re.compile(r"([.,!?'\";:()])")
 
 
+class DataError(ValueError):
+    """A data file the program cannot use: the message names it."""
+
+
 def tokenize(line: str) -> list[str]:
     """Lowercase, split on whitespace and isolate common punctuation marks."""
     return _PUNCT.sub(r" \1 ", line.lower()).split()
@@ -165,5 +169,8 @@ def make_batches(corpus: ParallelCorpus, batch_size: int = 64, shuffle_seed: int
 
 
 def read_lines(path) -> list[str]:
-    with open(path, encoding="utf-8") as fh:
-        return [line.rstrip("\n") for line in fh]
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return [line.rstrip("\n") for line in fh]
+    except UnicodeDecodeError:
+        raise DataError(f"{path}: not UTF-8 text") from None

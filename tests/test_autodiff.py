@@ -16,7 +16,8 @@ from s2t.autodiff import (
 from s2t.corpus import make_batch
 
 from oracles import adam_oracle, tape_replays_exactly
-from util import build_tiny_model, random_speech_source, random_text_source, randomize
+from util import (build_tiny_model, keep_every_value, random_speech_source, random_text_source,
+                  randomize)
 
 
 def t(values):
@@ -330,7 +331,8 @@ def test_backprop_writes_only_buffers_it_allocated(monkeypatch, task):
     assert tape_replays_exactly(tape)
 
 
-def test_tape_replay_is_exact():
+def test_tape_replay_is_exact(monkeypatch):
+    keep_every_value(monkeypatch)  # a lean tape keeps only what backward reads
     rng = np.random.default_rng(3)
     tape = Tape()
     with tape:
@@ -353,6 +355,147 @@ def test_forward_determinism_bit_identical():
 
     first, second = run(), run()
     assert first.tobytes() == second.tobytes()
+
+
+# --- what the tape keeps: only the values a backward rule reads ---
+
+
+def is_stand_in(value):
+    return value.base is ad._ZERO
+
+
+def taped_loss(model, batch, seed):
+    tape = Tape()
+    with tape:
+        loss = model.batch_nll(model.store.watch(tape), batch, np.random.default_rng(seed))
+    return tape, loss
+
+
+@pytest.mark.parametrize("seed", range(10))
+@pytest.mark.parametrize("attention", ["additive", "conv"])
+@pytest.mark.parametrize("task", ["text", "speech"])
+def test_lean_tape_matches_a_keep_everything_tape(monkeypatch, task, attention, seed):
+    """Gradients from the lean tape are bit-identical to those of a tape that
+    keeps every value; a node keeps its array exactly when some entry's
+    backward reads it, equal to the full tape's, and is otherwise a
+    stand-in of that node's shape."""
+    rng = np.random.default_rng(100 + seed)
+    src_words = int(rng.integers(6, 10))
+    model = randomize(build_tiny_model(task=task, m=int(rng.integers(2, 6)), n=int(rng.integers(2, 5)),
+                                       src_words=src_words, tgt_words=7, attention=attention,
+                                       conv_filter_size=3, dropout=0.3), seed=seed)
+    rows = int(rng.integers(1, 5))
+    sources = ([random_text_source(rng, src_words) for _ in range(rows)] if task == "text"
+               else [random_speech_source(rng) for _ in range(rows)])
+    targets = [list(rng.integers(4, 7, size=int(rng.integers(1, 5)))) for _ in range(rows)]
+    batch = make_batch(sources, targets)
+
+    lean, lean_loss = taped_loss(model, batch, seed)
+    lean_grads = backprop(lean, lean_loss)
+    with monkeypatch.context() as patch:
+        keep_every_value(patch)
+        full, full_loss = taped_loss(model, batch, seed)
+        full_grads = backprop(full, full_loss)
+
+    assert lean_loss.data.tobytes() == full_loss.data.tobytes()
+    assert sorted(lean_grads) == sorted(full_grads)
+    assert all(lean_grads[name].data.tobytes() == full_grads[name].data.tobytes() for name in lean_grads)
+    assert [(e.kind, e.inputs, e.output) for e in lean.entries] == \
+        [(e.kind, e.inputs, e.output) for e in full.entries]
+    read = set()
+    for entry in lean.entries:
+        reads = ad._PRIMITIVES[entry.kind].reads
+        read.update(node for i, node in enumerate(entry.inputs) if i in reads)
+        if ad.OUT in reads:
+            read.add(entry.output)
+    assert len(lean.values) == len(full.values)
+    assert not any(is_stand_in(value) for value in full.values)
+    for node, (value, want) in enumerate(zip(lean.values, full.values)):
+        assert is_stand_in(value) != (node in read)
+        if node in read:
+            np.testing.assert_array_equal(value, want)
+        else:
+            assert value.shape == want.shape and value.dtype == want.dtype
+
+
+@pytest.mark.parametrize("task", ["text", "speech"])
+def test_lean_tape_keeps_activations_not_pre_activations(task):
+    """The LSTM gate pre-activations (the recurrent ``matmul``) and the
+    attention's ``inner`` sum are stand-ins; ``sigmoid`` and ``tanh``
+    outputs are kept."""
+    rng = np.random.default_rng(21)
+    model = randomize(build_tiny_model(task=task, m=4, n=3, src_words=7, tgt_words=7), seed=22)
+    sources = ([random_text_source(rng, 7) for _ in range(3)] if task == "text"
+               else [random_speech_source(rng) for _ in range(3)])
+    tape = Tape()
+    with tape:
+        params = model.store.watch(tape)
+        model.batch_nll(params, make_batch(sources, [[4, 5, 6], [5], [6, 4]]))
+    recurrent = {tape.node_of(tensor) for name, tensor in params.items() if name.endswith(".wh")}
+    gates = [e.output for e in tape.entries if e.kind == "matmul" and e.inputs[1] in recurrent]
+    assert gates and all(is_stand_in(tape.values[node]) for node in gates)
+    tanh_of = {e.output: e.inputs[0] for e in tape.entries if e.kind == "tanh"}
+    score_v = tape.node_of(params["attn.score_v"])
+    inner = [tanh_of[e.inputs[0]] for e in tape.entries if e.kind == "matmul" and e.inputs[1] == score_v]
+    assert inner and all(is_stand_in(tape.values[node]) for node in inner)
+    activations = [e.output for e in tape.entries if e.kind in ("sigmoid", "tanh")]
+    assert activations and not any(is_stand_in(tape.values[node]) for node in activations)
+
+
+def test_reused_tensor_id_gets_its_own_node():
+    """A Tensor that reuses the ``id`` of a dead one is a new node: the dead
+    Tensor's node keeps its value and the new one gets the right gradient."""
+    tape = Tape()
+    with tape:
+        a = t([1.0, 2.0, 3.0])
+        first = ad.tsum(a * a)
+        dead_id, dead_node = id(a), tape.node_of(a)
+        del a
+        alive = []
+        for _ in range(10_000):
+            b = t([4.0, 5.0, 6.0])
+            if id(b) == dead_id:
+                break
+            alive.append(b)
+        assert id(b) == dead_id
+        assert tape.node_of(b) is None
+        tape.watch("b", b)
+        second = ad.tsum(b * b)
+    assert tape.node_of(b) != dead_node
+    np.testing.assert_array_equal(tape.values[dead_node], [1.0, 2.0, 3.0])
+    np.testing.assert_array_equal(backprop(tape, second)["b"].data, [8.0, 10.0, 12.0])
+    np.testing.assert_array_equal(backprop(tape, first)["b"].data, [0.0, 0.0, 0.0])
+
+
+def test_tensor_on_two_nested_tapes():
+    """A Tensor bound on an outer and an inner tape has a node on each, kept
+    on each tape where an entry reads it."""
+    outer, inner = Tape(), Tape()
+    x = t([0.5, -1.0])
+    with outer:
+        outer.watch("x", x)
+        y = ad.tanh(x)
+        with inner:
+            inner.watch("y", y)
+            inner_loss = ad.tsum(y * y)
+        outer_loss = ad.tsum(ad.log(y * y))
+    assert inner.node_of(x) is None and outer.node_of(inner_loss) is None
+    assert not is_stand_in(inner.values[inner.node_of(y)])
+    assert not is_stand_in(outer.values[outer.node_of(y)])
+    np.testing.assert_array_equal(backprop(inner, inner_loss)["y"].data, 2.0 * y.data)
+    np.testing.assert_allclose(backprop(outer, outer_loss)["x"].data,
+                               2.0 * (1.0 - y.data ** 2) / y.data, rtol=1e-12)
+
+
+def test_kind_registered_without_reads_keeps_every_value(monkeypatch):
+    monkeypatch.setattr(ad, "_PRIMITIVES", dict(ad._PRIMITIVES))
+    ad.register_primitive("double", lambda d, a: 2.0 * d[0], lambda g, d, out, a: [2.0 * g])
+    tape = Tape()
+    with tape:
+        x = t([1.0, 2.0])
+        y = apply_primitive("double", (x,))
+    assert not is_stand_in(tape.values[tape.node_of(x)])
+    np.testing.assert_array_equal(tape.values[tape.node_of(y)], [2.0, 4.0])
 
 
 # --- per-primitive gradient checks (20 random instances each) ---

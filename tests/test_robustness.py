@@ -445,6 +445,24 @@ def test_malformed_checkpoint_names_its_file(tmp_path, capsys, text_checkpoint, 
     assert out == ""
 
 
+@pytest.mark.parametrize("command", ["translate", "dump-attention"])
+def test_text_file_not_utf8_names_the_file(tmp_path, capsys, text_checkpoint, command):
+    """A 0xff byte in `translate --input` or `dump-attention --reference`
+    exits 2 naming that file."""
+    blob, inp = text_checkpoint
+    path = tmp_path / "text.ckpt"
+    path.write_bytes(blob)
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"t0 t1\n\xfft2\n")
+    if command == "translate":
+        args = ["--input", str(bad)]
+    else:
+        args = ["--input", str(inp), "--reference", str(bad), "--line", "0"]
+    code, out, err = run(capsys, command, "--checkpoint", str(path), *args)
+    assert code == 2 and out == ""
+    assert f"{bad}: not UTF-8 text" in err
+
+
 @pytest.mark.parametrize("flag, value", [("--beam-size", "0"), ("--max-len", "0"),
                                          ("--max-len", "-3")])
 def test_translate_rejects_bad_search_limits_up_front(tmp_path, capsys, flag, value):
