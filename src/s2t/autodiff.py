@@ -205,7 +205,7 @@ OUT = "out"  # names a primitive's output in its ``reads`` declaration
 class Primitive:
     forward: Callable[[list, dict], np.ndarray]
     backward: Callable[[np.ndarray, list, np.ndarray, dict], list]
-    reads: Optional[frozenset] = None  # input positions and OUT; None: every value
+    reads: Optional[tuple] = None  # input positions and OUT; None: every value
 
 
 _PRIMITIVES: dict[str, Primitive] = {}
@@ -219,7 +219,7 @@ def register_primitive(kind: str, forward, backward, reads=None) -> None:
     :data:`OUT` for the output.  A taped application keeps only those
     arrays; the rule sees a zero-stride stand-in of the right shape for
     every other value.  Without ``reads`` every value is kept."""
-    _PRIMITIVES[kind] = Primitive(forward, backward, None if reads is None else frozenset(reads))
+    _PRIMITIVES[kind] = Primitive(forward, backward, reads)
 
 
 def apply_primitive(kind: str, inputs: Sequence[Tensor], **attrs) -> Tensor:

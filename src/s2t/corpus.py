@@ -19,7 +19,7 @@ _PUNCT = re.compile(r"([.,!?'\";:()])")
 
 
 class DataError(ValueError):
-    """A data file the program cannot use: the message names it."""
+    """Input data the program cannot use (exit code 2)."""
 
 
 def tokenize(line: str) -> list[str]:

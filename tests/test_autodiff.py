@@ -662,6 +662,37 @@ def test_primitive_gradients_match_finite_differences(case):
     assert worst < 1e-6
 
 
+@pytest.mark.parametrize("case", ALL_CASES, ids=lambda c: c.__name__[6:])
+def test_each_kind_reads_exactly_its_declared_values(monkeypatch, case):
+    """Per entry, the backward rule returns the same gradients when every
+    value its kind does not declare is a stand-in, and different ones when
+    any one declared value is."""
+    declared = {kind: prim.reads for kind, prim in ad._PRIMITIVES.items()}
+    keep_every_value(monkeypatch)
+    rng = np.random.default_rng(ALL_CASES.index(case) + 101)
+    point, f = case(rng)
+    tape = Tape()
+    with tape:
+        f(point)
+    for entry in tape.entries:
+        values = [tape.values[node] for node in entry.inputs + (entry.output,)]
+        g = np.asarray(rng.normal(size=values[-1].shape))
+
+        def grads(stand_ins):  # value positions, the output's last
+            d = [ad._stand_in(v) if i in stand_ins else v for i, v in enumerate(values)]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                out = ad._PRIMITIVES[entry.kind].backward(g, d[:-1], d[-1], entry.attrs)
+            return [np.asarray(gi.value if isinstance(gi, ad.IndexedGrad) else gi) for gi in out]
+
+        def same(a, b):
+            return all(x.shape == y.shape and np.array_equal(x, y, equal_nan=True) for x, y in zip(a, b))
+
+        read = {len(entry.inputs) if r == ad.OUT else r for r in declared[entry.kind]}
+        full = grads(set())
+        assert same(grads(set(range(len(values))) - read), full), entry.kind
+        assert not [i for i in read if same(grads({i}), full)], entry.kind
+
+
 # --- Adam ---
 
 
