@@ -38,13 +38,13 @@ def project_encoder(params: AttentionParams, h: Tensor) -> Tensor:
     return ad.linear(h, params.enc_w)
 
 
-def padding_bias(enc_mask: np.ndarray) -> Optional[Tensor]:
+def padding_bias(enc_mask: np.ndarray) -> Tensor:
     """The [A, B] score bias of a [B, A] encoder mask, built once per pass:
-    0 on real positions, MASKED_SCORE on padding; None when nothing is padded."""
+    0 on real positions, MASKED_SCORE on padding."""
     enc_mask = np.asarray(enc_mask, dtype=bool)
     if not enc_mask.any(axis=1).all():
         raise ValueError("attention: a row has all positions masked")
-    return None if enc_mask.all() else Tensor(np.where(enc_mask.T, 0.0, MASKED_SCORE))
+    return Tensor(np.where(enc_mask.T, 0.0, MASKED_SCORE))
 
 
 def _scores(params, enc_proj, state, conv_term, pad):

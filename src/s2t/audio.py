@@ -12,7 +12,10 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+
 import numpy as np
+
+from .corpus import DataError, FieldReader, whole_file
 
 SUPPORTED_RATES = (8000, 16000, 22050, 44100, 48000)
 FEATURE_DIM = 41
@@ -211,8 +214,8 @@ def normalize_features(seq: FeatureSequence, stats: FeatureStats) -> FeatureSequ
 
 
 def write_feature_archive(path, items) -> None:
-    """``items``: iterable of (utterance_id, T x 41 array)."""
-    with open(path, "wb") as fh:
+    """``items``: iterable of (utterance_id, T x 41 array); written whole."""
+    with whole_file(path, "wb") as fh:
         fh.write(ARCHIVE_MAGIC)
         fh.write(struct.pack("<I", FEATURE_DIM))
         for utt_id, frames in items:
@@ -226,41 +229,23 @@ def write_feature_archive(path, items) -> None:
             fh.write(frames.astype("<f4").tobytes())
 
 
-def _archive_field(fmt: str, blob: bytes, pos: int, path) -> int:
-    try:
-        return struct.unpack_from(fmt, blob, pos)[0]
-    except struct.error:
-        raise ValueError(f"{path}: truncated archive") from None
-
-
 def read_feature_archive(path) -> list[tuple[str, np.ndarray]]:
     """Every (utterance_id, T x 41 float64 array) record of an archive.
-    Raises ``ValueError`` naming the file on a bad magic, a dimension other
+    Raises ``DataError`` naming the file on a bad magic, a dimension other
     than 41, any truncation, an utterance id that is not UTF-8 and a NaN or
     infinite feature value."""
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:8] != ARCHIVE_MAGIC:
-        raise ValueError(f"{path}: not a feature archive (bad magic)")
-    dim = _archive_field("<I", blob, 8, path)
+        reader = FieldReader(fh.read(), path, "archive")
+    if bytes(reader.take(8)) != ARCHIVE_MAGIC:
+        raise DataError(f"{path}: not a feature archive (bad magic)")
+    dim = reader.number("<I")
     if dim != FEATURE_DIM:
-        raise ValueError(f"{path}: archive holds {dim}-dim features, expected {FEATURE_DIM}")
+        raise DataError(f"{path}: archive holds {dim}-dim features, expected {FEATURE_DIM}")
     items = []
-    pos = 12
-    while pos < len(blob):
-        id_len = _archive_field("<H", blob, pos, path)
-        t = _archive_field("<I", blob, pos + 2 + id_len, path)
-        try:
-            utt_id = blob[pos + 2 : pos + 2 + id_len].decode("utf-8")
-        except UnicodeDecodeError:
-            raise ValueError(f"{path}: utterance id of the record at byte {pos} is not UTF-8") from None
-        pos += 6 + id_len
-        nbytes = t * dim * 4
-        if pos + nbytes > len(blob):
-            raise ValueError(f"{path}: truncated archive in record {utt_id!r}")
-        frames = np.frombuffer(blob, dtype="<f4", count=t * dim, offset=pos).reshape(t, dim)
+    while not reader.at_end():
+        utt_id = reader.text("<H")
+        frames = np.frombuffer(reader.take(4 * dim * reader.number("<I")), dtype="<f4").reshape(-1, dim)
         if not np.isfinite(frames).all():
-            raise ValueError(f"{path}: non-finite feature value in record {utt_id!r}")
-        pos += nbytes
+            raise DataError(f"{path}: non-finite feature value in record {utt_id!r}")
         items.append((utt_id, frames.astype(np.float64)))
     return items

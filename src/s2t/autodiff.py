@@ -508,16 +508,11 @@ def _conv1d_bwd(g, d, out, a):
     signal, filt = d
     k = filt.shape[0]
     half = (k - 1) // 2
-    flipped = filt[::-1]
-    n = signal.shape[-1]
-    dpad = np.zeros(signal.shape[:-1] + (n + 2 * half,))
-    for j in range(k):
-        dpad[..., j:j + n] += g * flipped[j]
-    dsignal = dpad[..., half:half + n]
     pad = [(0, 0)] * (signal.ndim - 1) + [(half, half)]
     windows = np.lib.stride_tricks.sliding_window_view(np.pad(signal, pad), k, axis=-1)
     dflipped = np.tensordot(g, windows, axes=(tuple(range(g.ndim)), tuple(range(g.ndim))))
-    return [dsignal, dflipped[::-1]]
+    # the signal's gradient is g convolved with the reversed filter
+    return [_conv1d_fwd([g, filt[::-1]], a), dflipped[::-1]]
 
 
 def _embedding_fwd(d, a):

@@ -16,9 +16,7 @@ file if training reads them.
 
 from __future__ import annotations
 
-import contextlib
 import mmap
-import os
 import struct
 from typing import Optional
 
@@ -27,7 +25,7 @@ import numpy as np
 from .audio import FeatureStats
 from .autodiff import ParameterStore
 from .config import config_from_lines
-from .corpus import Vocabulary
+from .corpus import FieldReader, Vocabulary, whole_file
 from .model import Seq2SeqModel, parameter_shapes
 
 MAGIC = b"S2TCKPT1"
@@ -55,17 +53,10 @@ def _text_block(text: str) -> bytes:
 
 
 def save_checkpoint(path, model: Seq2SeqModel) -> None:
-    """Write ``model`` to a temporary file beside ``path``, then rename it
-    over ``path``: a crash mid-write leaves the previous file intact."""
-    tmp = os.fspath(path) + ".tmp"
-    try:
-        with open(tmp, "wb") as fh:
-            _write_checkpoint(fh, model)
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(OSError):
-            os.remove(tmp)
-        raise
+    """Write ``model`` to ``path`` whole: a crash mid-write leaves the
+    previous file intact."""
+    with whole_file(path, "wb") as fh:
+        _write_checkpoint(fh, model)
 
 
 def _write_checkpoint(fh, model: Seq2SeqModel) -> None:
@@ -100,33 +91,6 @@ def _write_checkpoint(fh, model: Seq2SeqModel) -> None:
             fh.write(bytes(value.nbytes) if arr is None else arr.tobytes())
 
 
-class _Reader:
-    def __init__(self, blob, path):
-        self.blob = memoryview(blob)
-        self.pos = 0
-        self.path = path
-
-    def take(self, count: int) -> memoryview:
-        """The next ``count`` bytes, as a view into the blob."""
-        if self.pos + count > len(self.blob):
-            raise CheckpointError(f"{self.path}: truncated checkpoint")
-        out = self.blob[self.pos : self.pos + count]
-        self.pos += count
-        return out
-
-    def u8(self) -> int:
-        return struct.unpack("<B", self.take(1))[0]
-
-    def u16(self) -> int:
-        return struct.unpack("<H", self.take(2))[0]
-
-    def u32(self) -> int:
-        return struct.unpack("<I", self.take(4))[0]
-
-    def text(self) -> str:
-        return str(self.take(self.u32()), "utf-8")
-
-
 def load_checkpoint(path) -> Seq2SeqModel:
     """Map the file read-only and convert only the parameter values; the
     moments stay float32 views of the mapping, which lives as long as they
@@ -147,10 +111,10 @@ def _read_checkpoint(path) -> Seq2SeqModel:
             blob = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
         except ValueError:  # an empty file cannot be mapped
             raise CheckpointError(f"{path}: truncated checkpoint") from None
-    reader = _Reader(blob, path)
+    reader = FieldReader(blob, path, "checkpoint", CheckpointError)
     if bytes(reader.take(8)) != MAGIC:
         raise CheckpointError(f"{path}: not a checkpoint file (bad magic)")
-    version = reader.u32()
+    version = reader.number("<I")
     if version != VERSION:
         raise CheckpointError(f"{path}: unknown checkpoint format version {version}")
 
@@ -169,28 +133,26 @@ def _read_checkpoint(path) -> Seq2SeqModel:
     config = config_from_lines(config_lines).resolved()
 
     src_vocab = None
-    if reader.u8():
+    if reader.number("<B"):
         src_vocab = Vocabulary.from_tokens(reader.text().split("\n"))
     tgt_vocab = Vocabulary.from_tokens(reader.text().split("\n"))
     feat_stats: Optional[FeatureStats] = None
-    if reader.u8():
-        dim = reader.u32()
-        mean = np.frombuffer(reader.take(8 * dim), dtype="<f8").copy()
-        std = np.frombuffer(reader.take(8 * dim), dtype="<f8").copy()
-        feat_stats = FeatureStats(mean, std)
+    if reader.number("<B"):
+        dim = reader.number("<I")
+        feat_stats = FeatureStats(*(np.frombuffer(reader.take(8 * dim), dtype="<f8").copy()
+                                    for _ in range(2)))
 
     store = ParameterStore()
-    for _ in range(reader.u32()):
-        name = str(reader.take(reader.u16()), "utf-8")
-        ndim = reader.u8()
-        shape = struct.unpack(f"<{ndim}I", reader.take(4 * ndim))
+    for _ in range(reader.number("<I")):
+        name = reader.text("<H")
+        shape = tuple(reader.number("<I") for _ in range(reader.number("<B")))
         count = int(np.prod(shape)) if shape else 1
         value, m1, m2 = (np.frombuffer(reader.take(4 * count), dtype="<f4").reshape(shape)
                          for _ in range(3))
         store.add(name, value)
         store.set_moments(name, m1, m2)
     store.step = int(step)
-    if reader.pos != len(blob):
+    if not reader.at_end():
         raise CheckpointError(f"{path}: trailing bytes after checkpoint payload")
     # the values are converted: drop the mapping's resident pages; the moment
     # views fault theirs back in from the file if training reads them

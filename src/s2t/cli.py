@@ -27,7 +27,8 @@ from .audio import (
 from .bleu import corpus_bleu
 from .checkpoint import CheckpointError, load_checkpoint
 from .config import ConfigError, RunConfig, load_config
-from .corpus import DataError, ParallelCorpus, Vocabulary, make_batch, read_lines, tokenize
+from .corpus import (DataError, ParallelCorpus, Vocabulary, make_batch, read_lines, tokenize,
+                     whole_file)
 from .lm import DEFAULT_LAMBDAS, load_lm, save_lm, train_trigram
 from .model import DivergenceError, Seq2SeqModel
 from .search import FusionWeights, beam_search, check_limits, decode_batch
@@ -92,6 +93,15 @@ def _load_pairs(config: RunConfig, src_path, tgt_path) -> list:
 def _corpus(model: Seq2SeqModel, pairs) -> ParallelCorpus:
     return ParallelCorpus(_model_inputs(model, [s for s, _ in pairs]),
                           [model.tgt_vocab.encode_sequence(t) for _, t in pairs])
+
+
+def _emit(text: str, output) -> None:
+    """Write ``text`` to the ``--output`` file, whole, or else to stdout."""
+    if output:
+        with whole_file(output) as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
 
 
 # --- commands ---
@@ -204,12 +214,7 @@ def cmd_translate(args) -> int:
         for index, result in zip(group, results):
             lines[index] = " ".join(models[0].tgt_vocab.decode_sequence(result.tokens))
 
-    text = "".join(line + "\n" for line in lines)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _emit("".join(line + "\n" for line in lines), args.output)
     return 0
 
 
@@ -278,12 +283,7 @@ def cmd_dump_attention(args) -> int:
     out = ["token\t" + "\t".join(source_labels)]
     for label, row in zip(row_labels, matrix):
         out.append(label + "\t" + "\t".join(repr(float(v)) for v in row))
-    text = "\n".join(out) + "\n"
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _emit("\n".join(out) + "\n", args.output)
     return 0
 
 

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
-from typing import Optional
+from typing import ClassVar, Optional
 
 from .audio import FEATURE_DIM
 
@@ -22,7 +22,6 @@ class RunConfig:
     attention: Optional[str] = None    # defaults: "additive" text, "conv" speech
     conv_filter_size: int = 25
     prenet_size: int = 256
-    feature_dim: int = FEATURE_DIM     # the width of every feature archive
     dropout: float = 0.5
     learning_rate: float = 0.001
     batch_size: int = 64
@@ -30,6 +29,7 @@ class RunConfig:
     save_every: int = 1000
     seed: int = 1
     max_vocab: Optional[int] = None
+    feature_dim: ClassVar[int] = FEATURE_DIM  # the width of every feature archive
 
     def resolved(self) -> "RunConfig":
         """Fill task-dependent defaults and validate."""
@@ -48,8 +48,6 @@ class RunConfig:
                      "prenet_size", "batch_size", "steps", "save_every"):
             if getattr(cfg, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
-        if cfg.feature_dim != FEATURE_DIM:
-            raise ConfigError(f"feature_dim must be {FEATURE_DIM}, the width of every feature archive")
         if cfg.seed < 0:
             raise ConfigError("seed must be nonnegative")
         if not 0.0 <= cfg.dropout < 1.0:
@@ -100,6 +98,10 @@ def parse_config_items(items) -> dict:
             raise ConfigError(f"malformed config line {line!r} (expected key=value)")
         key, _, raw = line.partition("=")
         key = key.strip()
+        if key == "feature_dim":  # no field: older checkpoints and config dumps hold this line
+            if raw.strip() != str(FEATURE_DIM):
+                raise ConfigError(f"feature_dim must be {FEATURE_DIM}, the width of every feature archive")
+            continue
         if key not in _FIELD_TYPES:
             raise ConfigError(f"unknown config key {key!r}")
         try:

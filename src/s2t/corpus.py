@@ -1,8 +1,13 @@
-"""Text ingestion: tokenization, vocabularies and padded training batches."""
+"""Text ingestion: tokenization, vocabularies and padded training batches;
+the file layer: ``whole_file`` writes every file s2t writes, whole or not
+at all, and ``FieldReader`` parses both binary formats' fields."""
 
 from __future__ import annotations
 
+import contextlib
+import os
 import re
+import struct
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -174,3 +179,52 @@ def read_lines(path) -> list[str]:
             return [line.rstrip("\n") for line in fh]
     except UnicodeDecodeError:
         raise DataError(f"{path}: not UTF-8 text") from None
+
+
+@contextlib.contextmanager
+def whole_file(path, mode: str = "w"):
+    """Open ``path + ".tmp"`` for writing (UTF-8 in text mode) and rename it
+    over ``path`` when the block ends; on any error remove it instead, so
+    ``path`` holds either its previous content or all of the new."""
+    tmp = os.fspath(path) + ".tmp"
+    try:
+        with open(tmp, mode, encoding=None if "b" in mode else "utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
+
+
+class FieldReader:
+    """Little-endian fields read in order from a buffer (bytes or a mapping)
+    holding the file ``path``.  Reading past the end raises
+    ``error(f"{path}: truncated {what}")``."""
+
+    def __init__(self, blob, path, what: str, error=DataError):
+        self.blob = memoryview(blob)
+        self.pos = 0
+        self.path, self.what, self.error = path, what, error
+
+    def take(self, count: int) -> memoryview:
+        """The next ``count`` bytes, as a view into the buffer."""
+        if self.pos + count > len(self.blob):
+            raise self.error(f"{self.path}: truncated {self.what}")
+        self.pos += count
+        return self.blob[self.pos - count : self.pos]
+
+    def number(self, fmt: str) -> int:
+        """One field by its struct format, such as ``"<I"``."""
+        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))[0]
+
+    def text(self, length_fmt: str = "<I") -> str:
+        """UTF-8 text after its byte count."""
+        start = self.pos
+        try:
+            return str(self.take(self.number(length_fmt)), "utf-8")
+        except UnicodeDecodeError:
+            raise self.error(f"{self.path}: text at byte {start} is not UTF-8") from None
+
+    def at_end(self) -> bool:
+        return self.pos == len(self.blob)

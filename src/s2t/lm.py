@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .corpus import BOS_ID, EOS_ID, Vocabulary
+from .corpus import BOS_ID, EOS_ID, Vocabulary, whole_file
 
 LM_MAGIC = "S2TLM1"
 DEFAULT_LAMBDAS = (0.1, 0.3, 0.6)  # unigram, bigram, trigram
@@ -150,11 +150,11 @@ def fused_log_rows(model: TrigramModel, id_map: np.ndarray, u_other: int, v_othe
 
 def save_lm(path, model: TrigramModel) -> None:
     """Header, vocabulary, then the seen unigrams as (w, count) records and
-    the bigram and trigram records, one per line."""
+    the bigram and trigram records, one per line; written whole."""
     seen = np.flatnonzero(model.unigram_counts)
     sections = (("unigrams", np.column_stack([seen, model.unigram_counts[seen]])),
                 ("bigrams", model.bigrams), ("trigrams", model.trigrams))
-    with open(path, "w", encoding="utf-8") as fh:
+    with whole_file(path) as fh:
         fh.write(LM_MAGIC + "\n")
         fh.write("order=3\n")
         for i, lam in enumerate(model.lambdas, start=1):

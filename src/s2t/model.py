@@ -21,6 +21,7 @@ import numpy as np
 from . import autodiff as ad
 from .attention import (AttentionParams, additive_scores, attend, convolutional_scores, padding_bias,
                         project_encoder)
+from .audio import FEATURE_DIM
 from .autodiff import ParameterStore, Tape, Tensor, adam_update, backprop
 from .config import RunConfig
 from .encoders import LstmCellParams, dropout_between_layers, pyramidal_encode, run_lstm, speech_prenet
@@ -50,7 +51,7 @@ def parameter_shapes(config: RunConfig, src_vocab_size: Optional[int], tgt_vocab
         enc_input = n
     else:
         p = cfg.prenet_size
-        shapes["prenet.0.w"] = (p, cfg.feature_dim)
+        shapes["prenet.0.w"] = (p, FEATURE_DIM)
         shapes["prenet.0.b"] = (p,)
         shapes["prenet.1.w"] = (p, p)
         shapes["prenet.1.b"] = (p,)
@@ -227,7 +228,7 @@ class DecoderCore:
         view.h = Tensor(self.h.data[:, sources])
         view.enc_proj = Tensor(self.enc_proj.data[:, sources])
         view.enc_mask = self.enc_mask[sources]
-        view.pad = None if self.pad is None else Tensor(self.pad.data[:, sources])
+        view.pad = Tensor(self.pad.data[:, sources])
         return view
 
     def init_state(self, enc_final: Tensor) -> DecoderState:

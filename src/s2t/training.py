@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .bleu import corpus_bleu
-from .corpus import ParallelCorpus, make_batches
+from .corpus import ParallelCorpus, make_batches, whole_file
 from .model import Seq2SeqModel
 from .search import decode_batch
 
@@ -74,7 +74,7 @@ def logged_best(log_path, last_step: int) -> TrainOutcome:
 def rewind_log(log_path, last_step: int) -> None:
     """Rewrite ``train.log`` with only its whole lines up to ``last_step``,
     so that a run resumed from that step appends one line per step.  The
-    new log is written beside the old one and renamed over it."""
+    new log is written whole."""
     if not os.path.exists(log_path):
         return
     kept = []
@@ -83,10 +83,8 @@ def rewind_log(log_path, last_step: int) -> None:
             step = line.split("\t", 1)[0]
             if line.endswith("\n") and step.isdecimal() and int(step) <= last_step:
                 kept.append(line)
-    tmp = os.fspath(log_path) + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
+    with whole_file(log_path) as fh:
         fh.writelines(kept)
-    os.replace(tmp, log_path)
 
 
 def train_loop(

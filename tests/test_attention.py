@@ -143,6 +143,12 @@ def test_attend_rejects_fully_masked_row():
         padding_bias(np.zeros((1, 3), dtype=bool))
 
 
+def test_padding_bias_is_zero_when_nothing_is_padded():
+    bias = padding_bias(np.ones((3, 5), dtype=bool))
+    assert bias.shape == (5, 3)
+    assert bias.data.tobytes() == np.zeros((5, 3)).tobytes()  # +0.0 everywhere: scores stay bit-equal
+
+
 def test_attention_weights_normalized_and_zero_on_masked():
     rng = np.random.default_rng(50)
     for _ in range(20):
@@ -152,8 +158,7 @@ def test_attention_weights_normalized_and_zero_on_masked():
         scores = Tensor(rng.normal(size=(batch, positions)) * 5)
         mask = rng.random((batch, positions)) > 0.3
         mask[:, 0] = True
-        pad = padding_bias(mask)
-        weights, _ = attend(scores if pad is None else scores + ad.transpose(pad), h)
+        weights, _ = attend(scores + ad.transpose(padding_bias(mask)), h)
         np.testing.assert_allclose(weights.data.sum(axis=1), 1.0, atol=1e-9)
         assert (weights.data[~mask] == 0.0).all()
 

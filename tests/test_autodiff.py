@@ -65,6 +65,25 @@ def test_conv_matches_numpy_convolve():
         np.testing.assert_allclose(ours, ref, atol=1e-12)
 
 
+def test_conv_signal_gradient_matches_the_shift_and_add_sum():
+    """The signal gradient (g convolved with the reversed filter) equals
+    sum_j g shifted by j - half times the reversed filter's j-th tap."""
+    rng = np.random.default_rng(3)
+    conv = ad._PRIMITIVES["conv1d"]
+    for k in (1, 3, 5, 25):
+        for _ in range(50):
+            rows = tuple(int(r) for r in rng.integers(1, 4, size=int(rng.integers(0, 3))))
+            sig = rng.normal(size=rows + (int(rng.integers(1, 40)),))
+            filt = rng.normal(size=k)
+            g = rng.normal(size=sig.shape)
+            n, half = sig.shape[-1], (k - 1) // 2
+            expect = np.zeros(sig.shape[:-1] + (n + 2 * half,))
+            for j, tap in enumerate(filt[::-1]):
+                expect[..., j:j + n] += g * tap
+            dsignal, _ = conv.backward(g, [sig, filt], None, {})
+            np.testing.assert_allclose(dsignal, expect[..., half:half + n], rtol=1e-13, atol=1e-13)
+
+
 def test_conv_rejects_even_filter():
     with pytest.raises(ShapeMismatch):
         ad.conv1d(t([1.0, 2.0]), t([1.0, 2.0]))

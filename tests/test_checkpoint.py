@@ -8,7 +8,7 @@ from s2t.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from s2t.corpus import ParallelCorpus
 from s2t.training import train_loop
 
-from util import build_tiny_model
+from util import build_tiny_model, randomize
 
 
 def test_save_load_save_is_byte_identical(tmp_path):
@@ -94,6 +94,39 @@ def test_loaded_model_outlives_its_file(tmp_path):
     path.unlink()
     _assert_same_store(second.store, model.store)
     assert any(np.abs(m1).max() > 0 for m1, _ in map(second.store.moments, second.store.names()))
+
+
+def _with_header_line(blob: bytes, before: bytes, line: bytes) -> bytes:
+    """``blob`` with ``line`` inserted into its header ahead of the line
+    that starts with ``before``, length prefix included."""
+    size = int.from_bytes(blob[12:16], "little")
+    header = blob[16:16 + size].replace(b"\n" + before, b"\n" + line + b"\n" + before, 1)
+    assert len(header) == size + len(line) + 1
+    return blob[:12] + len(header).to_bytes(4, "little") + header + blob[16 + size:]
+
+
+@pytest.mark.parametrize("task", ["text", "speech"])
+def test_checkpoint_with_feature_dim_line_loads_bit_identically(tmp_path, task):
+    """Checkpoints written while ``feature_dim`` was a config field hold a
+    ``feature_dim=41`` header line after ``prenet_size``; such a file loads
+    to the same model, bit for bit, as the file without it, and saves back
+    without the line."""
+    model = (_trained_tiny_model() if task == "text"
+             else randomize(build_tiny_model(task="speech", m=3, n=3, seed=5), seed=6))
+    path, old, again = tmp_path / "new.ckpt", tmp_path / "old.ckpt", tmp_path / "again.ckpt"
+    save_checkpoint(path, model)
+    blob = path.read_bytes()
+    assert b"feature_dim" not in blob and b"\nprenet_size=6\ndropout=" in blob
+    old.write_bytes(_with_header_line(blob, b"dropout=", b"feature_dim=41"))
+    want, got = load_checkpoint(path), load_checkpoint(old)
+    assert got.config == want.config and got.config.feature_dim == 41
+    _assert_same_store(got.store, want.store)
+    save_checkpoint(again, got)
+    assert again.read_bytes() == blob
+
+    old.write_bytes(_with_header_line(blob, b"dropout=", b"feature_dim=40"))
+    with pytest.raises(CheckpointError, match=f"{old}: feature_dim must be 41"):
+        load_checkpoint(old)
 
 
 def test_cut_at_every_field_boundary_is_truncated(tmp_path, capsys):

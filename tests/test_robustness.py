@@ -3,6 +3,7 @@ checkpoint in exit code 3, and a failed save never damages the previous
 checkpoint."""
 
 import contextlib
+import errno
 import io
 import re
 import struct
@@ -12,14 +13,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import s2t.checkpoint as checkpoint
+import s2t.corpus as corpus
 from s2t.audio import (ARCHIVE_MAGIC, FEATURE_DIM, SUPPORTED_RATES, AudioFormatError, load_pcm_wav,
                        read_feature_archive, write_feature_archive)
 from s2t.checkpoint import load_checkpoint, save_checkpoint
 from s2t.cli import main
+from s2t.corpus import EOS_ID
 from s2t.config import ConfigError, RunConfig, config_from_lines, load_config
 from s2t.lm import load_lm, save_lm, train_trigram
 from s2t.model import parameter_shapes
 from s2t.search import _top_k, beam_search
+from s2t.training import rewind_log
 
 from test_audio import write_wav
 from test_cli import TRAIN_FLAGS, run
@@ -60,6 +64,33 @@ def test_truncated_archive_exits_2(tmp_path, capsys, cut, command):
     code, _, err = run(capsys, *_archive_command(tmp_path, command, archive))
     assert code == 2
     assert "truncated archive" in err
+
+
+def test_archive_cut_at_every_field_boundary_is_truncated(tmp_path, capsys, monkeypatch):
+    """An archive cut where any field of its header or of a record ends
+    raises "truncated archive", and translate exits 2.  (A cut exactly at a
+    record boundary leaves a shorter archive that reads as valid.)"""
+    path = tmp_path / "full.bin"
+    rng = np.random.default_rng(2)
+    opened = _filling_open(monkeypatch, budget=float("inf"))
+    write_feature_archive(path, [(name, rng.normal(size=(t, FEATURE_DIM)).astype(np.float32))
+                                 for name, t in (("u0", 5), ("utt1", 3))])
+    monkeypatch.undo()
+    starts = opened[0].starts  # magic, dimension, then 4 fields per record
+    assert len(starts) == 2 + 2 * 4
+    blob = path.read_bytes()
+    records = set(starts[2::4])
+    cuts = [end for end in starts[1:] if end not in records] + [len(blob) - 1]
+    assert cuts == [8, 14, 16, 20, starts[6] + 2, starts[6] + 6, starts[6] + 10, len(blob) - 1]
+    checkpoint_path = _speech_checkpoint(tmp_path)
+    cut = tmp_path / "cut.bin"
+    for end in cuts:
+        cut.write_bytes(blob[:end])
+        with pytest.raises(ValueError, match="truncated archive"):
+            read_feature_archive(cut)
+        code, out, err = run(capsys, "translate", "--checkpoint", str(checkpoint_path), "--input", str(cut))
+        assert code == 2 and out == ""
+        assert f"{cut}: truncated archive" in err
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
@@ -151,6 +182,120 @@ def test_failed_save_keeps_previous_checkpoint(tmp_path, monkeypatch):
     assert path.read_bytes() == before
     assert sorted(p.name for p in tmp_path.iterdir()) == ["best.ckpt"]
     load_checkpoint(path)
+
+
+def test_failed_archive_write_keeps_previous_archive(tmp_path):
+    """A second item that is not T x 41 fails the write after the first
+    record is out; the previous archive stays as it was and no .tmp file is
+    left."""
+    path = _archive(tmp_path)
+    before = path.read_bytes()
+    rows = np.ones((3, FEATURE_DIM), np.float32)
+    with pytest.raises(ValueError, match="u1: feature matrix must be T x 41"):
+        write_feature_archive(path, [("u0", rows), ("u1", rows[:, :40])])
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == [path.name]
+
+
+class _FillingFile:
+    """A file opened for writing that takes ``budget`` bytes (or characters)
+    and then fails as a full disk does, having written part of the call;
+    records where each write call starts."""
+
+    def __init__(self, fh, budget):
+        self.fh, self.budget, self.written, self.starts = fh, budget, 0, []
+
+    def write(self, data):
+        self.starts.append(self.written)
+        self.written += len(data)
+        if len(data) > self.budget:
+            self.fh.write(data[:self.budget])
+            self.budget = 0
+            raise OSError(errno.ENOSPC, "No space left on device")
+        self.budget -= len(data)
+        return self.fh.write(data)
+
+    def writelines(self, lines):
+        for line in lines:
+            self.write(line)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+
+def _filling_open(monkeypatch, budget):
+    """Every file ``s2t.corpus.whole_file`` opens takes ``budget`` bytes."""
+    opened = []
+
+    def open_(path, mode="r", **kwargs):
+        fh = open(path, mode, **kwargs)
+        if "w" in mode:
+            fh = _FillingFile(fh, budget)
+            opened.append(fh)
+        return fh
+
+    monkeypatch.setattr(corpus, "open", open_, raising=False)
+    return opened
+
+
+def _write_with(tmp_path, writer, seed):
+    """Write the file of ``writer`` (a name below) with content that depends
+    on ``seed``; returns the exit code of a command, else 0."""
+    rng = np.random.default_rng(seed)
+    path = tmp_path / writer
+    if writer == "checkpoint":
+        save_checkpoint(path, randomize(build_tiny_model(m=3, n=3), seed=seed))
+    elif writer == "archive":
+        write_feature_archive(path, [(f"u{i}", rng.normal(size=(5, FEATURE_DIM)).astype(np.float32))
+                                     for i in range(2)])
+    elif writer == "lm":
+        save_lm(path, train_trigram([[f"t{i}" for i in rng.integers(0, 6, 6)] for _ in range(3)]))
+    elif writer == "train.log":
+        if seed == 0:
+            path.write_text("".join(f"{step}\t2.5\t-\t-\n" for step in range(1, 7)))
+        else:
+            rewind_log(path, 3)
+    else:
+        model = tmp_path / "text.ckpt"
+        if not model.exists():  # never choosing EOS, greedy search writes long lines
+            tiny = randomize(build_tiny_model(m=3, n=3, src_words=5, tgt_words=5), seed=4)
+            tiny.store.set_value("dec.vocab_b", np.where(np.arange(9) == EOS_ID, -50.0, 0.0))
+            save_checkpoint(model, tiny)
+        inp = tmp_path / "in.txt"
+        inp.write_text(["t0 t1 t2\nt3\n", "t3 t2\nt1 t0 t4\n"][seed % 2])
+        with contextlib.redirect_stderr(io.StringIO()):
+            beam = ["--beam-size", "1"] if writer == "translate" else []
+            return main([writer, "--checkpoint", str(model), "--input", str(inp), "--output", str(path),
+                         *beam])
+    return 0
+
+
+@pytest.mark.parametrize("writer", ["checkpoint", "archive", "lm", "train.log", "translate",
+                                    "dump-attention"])
+def test_full_disk_mid_write_keeps_previous_file(tmp_path, monkeypatch, writer):
+    """Every file s2t writes is written whole: when the disk fills halfway
+    through the new content, the previous file stays byte-identical, no
+    .tmp file is left, and a command exits 2."""
+    assert _write_with(tmp_path, writer, 0) == 0
+    path = tmp_path / writer
+    before = path.read_bytes()
+    opened = _filling_open(monkeypatch, budget=float("inf"))
+    assert _write_with(tmp_path, writer, 1) == 0
+    assert path.read_bytes() != before and len(opened) == 1
+    path.write_bytes(before)
+    listing = sorted(p.name for p in tmp_path.iterdir())
+
+    _filling_open(monkeypatch, budget=opened[0].written // 2)
+    if writer in ("translate", "dump-attention"):
+        assert _write_with(tmp_path, writer, 1) == 2
+    else:
+        with pytest.raises(OSError, match="No space left"):
+            _write_with(tmp_path, writer, 1)
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == listing
 
 
 @pytest.mark.parametrize("flag, value, message", [
@@ -586,3 +731,17 @@ def test_mutated_config_fails_typed_or_round_trips(tmp_path_factory, mutations):
         assert not (work / "run").exists()
         return
     assert config_from_lines(config.to_lines()).resolved().to_lines() == config.to_lines()
+
+
+def test_feature_dim_is_no_config_field():
+    """``feature_dim`` is fixed at 41: no config dump writes it, a
+    ``feature_dim=41`` line (which older dumps hold) is accepted, and any
+    other value fails naming the key."""
+    config = RunConfig(task="speech").resolved()
+    assert config.feature_dim == FEATURE_DIM
+    assert not [line for line in config.to_lines() if line.startswith("feature_dim")]
+    assert config_from_lines(["task=speech", "feature_dim=41"]).resolved() == config
+    for value in ("40", "", "x"):
+        with pytest.raises(ConfigError, match="feature_dim"):
+            config_from_lines([f"feature_dim={value}"])
+
