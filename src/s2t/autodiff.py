@@ -490,29 +490,27 @@ def _slice_bwd(g, d, out, a):
     return [IndexedGrad(_slice_index(d[0], a), g)]
 
 
+def _windows(x: np.ndarray, k: int) -> np.ndarray:
+    """[..., n, k] windows over the last axis of ``x``, zero-padded by (k - 1) / 2 on each side."""
+    half = (k - 1) // 2
+    return np.lib.stride_tricks.sliding_window_view(np.pad(x, [(0, 0)] * (x.ndim - 1) + [(half, half)]),
+                                                    k, axis=-1)
+
+
 def _conv1d_fwd(d, a):
     signal, filt = d
     if filt.ndim != 1:
         raise ShapeMismatch(f"conv1d: filter must be one-dimensional, got {filt.shape}")
     if filt.shape[0] % 2 != 1:
         raise ShapeMismatch(f"conv1d: filter length must be odd, got {filt.shape[0]}")
-    k = filt.shape[0]
-    half = (k - 1) // 2
-    pad = [(0, 0)] * (signal.ndim - 1) + [(half, half)]
-    padded = np.pad(signal, pad)
-    windows = np.lib.stride_tricks.sliding_window_view(padded, k, axis=-1)
-    return windows @ filt[::-1]
+    return _windows(signal, filt.shape[0]) @ filt[::-1]
 
 
 def _conv1d_bwd(g, d, out, a):
     signal, filt = d
-    k = filt.shape[0]
-    half = (k - 1) // 2
-    pad = [(0, 0)] * (signal.ndim - 1) + [(half, half)]
-    windows = np.lib.stride_tricks.sliding_window_view(np.pad(signal, pad), k, axis=-1)
-    dflipped = np.tensordot(g, windows, axes=(tuple(range(g.ndim)), tuple(range(g.ndim))))
+    axes = tuple(range(g.ndim))
     # the signal's gradient is g convolved with the reversed filter
-    return [_conv1d_fwd([g, filt[::-1]], a), dflipped[::-1]]
+    return [_conv1d_fwd([g, filt[::-1]], a), np.tensordot(g, _windows(signal, len(filt)), (axes, axes))[::-1]]
 
 
 def _embedding_fwd(d, a):

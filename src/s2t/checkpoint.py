@@ -106,11 +106,8 @@ def load_checkpoint(path) -> Seq2SeqModel:
 
 
 def _read_checkpoint(path) -> Seq2SeqModel:
-    with open(path, "rb") as fh:
-        try:
-            blob = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
-        except ValueError:  # an empty file cannot be mapped
-            raise CheckpointError(f"{path}: truncated checkpoint") from None
+    with open(path, "rb") as fh:  # an empty file cannot be mapped: it reads as truncated
+        blob = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) if fh.read(1) else b""
     reader = FieldReader(blob, path, "checkpoint", CheckpointError)
     if bytes(reader.take(8)) != MAGIC:
         raise CheckpointError(f"{path}: not a checkpoint file (bad magic)")

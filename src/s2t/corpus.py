@@ -185,10 +185,17 @@ def read_lines(path) -> list[str]:
 def whole_file(path, mode: str = "w"):
     """Open ``path + ".tmp"`` for writing (UTF-8 in text mode) and rename it
     over ``path`` when the block ends; on any error remove it instead, so
-    ``path`` holds either its previous content or all of the new."""
-    tmp = os.fspath(path) + ".tmp"
+    ``path`` holds either its previous content or all of the new.  A device
+    or a pipe (``/dev/stdout``) is written in place, a link's target whole."""
+    encoding = None if "b" in mode else "utf-8"
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, mode, encoding=encoding) as fh:
+            yield fh
+        return
+    path = os.path.realpath(path)
+    tmp = path + ".tmp"
     try:
-        with open(tmp, mode, encoding=None if "b" in mode else "utf-8") as fh:
+        with open(tmp, mode, encoding=encoding) as fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:

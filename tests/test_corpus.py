@@ -1,3 +1,6 @@
+import os
+import stat
+
 import numpy as np
 import pytest
 
@@ -10,6 +13,7 @@ from s2t.corpus import (
     Vocabulary,
     make_batches,
     tokenize,
+    whole_file,
 )
 
 
@@ -117,3 +121,25 @@ def test_speech_sources_pad_with_zero_frames():
     assert batch.src.shape == (2, 3, 5)
     short = int(np.argmin(batch.src_lengths))
     assert (batch.src[short, 1:] == 0.0).all()
+
+
+def test_whole_file_writes_a_pipe_in_place_and_a_link_through(tmp_path):
+    """A pipe (like ``--output /dev/stdout``) is written in place, not
+    replaced by a regular file; a symbolic link stays a link and its
+    target gets the new content."""
+    target, link, fifo = tmp_path / "real.txt", tmp_path / "link.txt", tmp_path / "pipe"
+    target.write_text("old\n")
+    link.symlink_to(target)
+    with whole_file(link) as fh:
+        fh.write("new\n")
+    assert link.is_symlink() and target.read_text() == "new\n"
+    os.mkfifo(fifo)
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        with whole_file(fifo, "wb") as fh:
+            fh.write(b"through the pipe\n")
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+        assert os.read(reader, 100) == b"through the pipe\n"
+    finally:
+        os.close(reader)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.txt", "pipe", "real.txt"]
