@@ -1,6 +1,6 @@
 """Text ingestion: tokenization, vocabularies and padded training batches;
-the file layer: ``whole_file`` writes every file s2t writes, whole or not
-at all, and ``FieldReader`` parses both binary formats' fields."""
+the file layer: ``whole_file`` writes each file s2t writes at once, whole
+or not at all, and ``FieldReader`` parses both binary formats' fields."""
 
 from __future__ import annotations
 

@@ -276,9 +276,9 @@ def _write_with(tmp_path, writer, seed):
 @pytest.mark.parametrize("writer", ["checkpoint", "archive", "lm", "train.log", "translate",
                                     "dump-attention"])
 def test_full_disk_mid_write_keeps_previous_file(tmp_path, monkeypatch, writer):
-    """Every file s2t writes is written whole: when the disk fills halfway
-    through the new content, the previous file stays byte-identical, no
-    .tmp file is left, and a command exits 2."""
+    """Every file s2t writes at once is written whole: when the disk fills
+    halfway through the new content, the previous file stays
+    byte-identical, no .tmp file is left, and a command exits 2."""
     assert _write_with(tmp_path, writer, 0) == 0
     path = tmp_path / writer
     before = path.read_bytes()
