@@ -66,7 +66,8 @@ class FeatureSequence:
 def load_pcm_wav(path) -> AudioBuffer:
     """Read a RIFF/WAVE file containing 16-bit signed PCM.
 
-    Stereo is averaged down to mono; samples are scaled by 1/32768.
+    Stereo is averaged down to mono; samples are scaled by 1/32768.  A
+    chunk that runs past the end of the file is a truncated file.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -75,18 +76,20 @@ def load_pcm_wav(path) -> AudioBuffer:
 
     fmt = None
     data = None
-    pos = 12
-    while pos + 8 <= len(blob):
-        chunk_id = blob[pos:pos + 4]
-        (chunk_size,) = struct.unpack_from("<I", blob, pos + 4)
-        body = blob[pos + 8 : pos + 8 + chunk_size]
+    reader = FieldReader(blob, path, "RIFF chunk", AudioFormatError)
+    reader.take(12)
+    while not reader.at_end():
+        chunk_id = bytes(reader.take(4))
+        chunk_size = reader.number("<I")
+        body = reader.take(chunk_size)
+        if chunk_size & 1 and not reader.at_end():
+            reader.take(1)  # the pad byte, which writers may leave off a last chunk
         if chunk_id == b"fmt ":
             if len(body) < 16:
                 raise AudioFormatError(f"{path}: truncated fmt chunk")
             fmt = struct.unpack_from("<HHIIHH", body, 0)
         elif chunk_id == b"data":
             data = body
-        pos += 8 + chunk_size + (chunk_size & 1)
 
     if fmt is None:
         raise AudioFormatError(f"{path}: missing fmt chunk")

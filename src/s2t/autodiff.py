@@ -73,6 +73,8 @@ class Tensor:
 
     Tensors are treated as immutable values: primitives always allocate new
     outputs, so tensors are safe to share between tapes and threads.
+    ``Tensor(data)`` converts data from outside to float64;
+    :func:`apply_primitive` wraps a rule's float64 array as it is.
     """
 
     __slots__ = ("data", "__weakref__")
@@ -209,6 +211,8 @@ class Primitive:
 
 
 _PRIMITIVES: dict[str, Primitive] = {}
+_new_tensor = object.__new__  # a Tensor without Tensor.__init__'s conversion
+_FLOAT64 = np.dtype(np.float64)
 
 
 def register_primitive(kind: str, forward, backward, reads=None) -> None:
@@ -218,7 +222,10 @@ def register_primitive(kind: str, forward, backward, reads=None) -> None:
     ``reads`` lists the values the backward rule reads: input positions and
     :data:`OUT` for the output.  A taped application keeps only those
     arrays; the rule sees a zero-stride stand-in of the right shape for
-    every other value.  Without ``reads`` every value is kept."""
+    every other value.  Without ``reads`` every value is kept.
+
+    ``forward`` returns a float64 ndarray, which the output Tensor holds as
+    it is; any other result (a numpy scalar, another dtype) is converted."""
     _PRIMITIVES[kind] = Primitive(forward, backward, reads)
 
 
@@ -227,7 +234,11 @@ def apply_primitive(kind: str, inputs: Sequence[Tensor], **attrs) -> Tensor:
     prim = _PRIMITIVES.get(kind)
     if prim is None:
         raise UnknownPrimitive(f"unknown primitive id: {kind!r}")
-    out = Tensor(prim.forward([t.data for t in inputs], attrs))
+    data = prim.forward([t.data for t in inputs], attrs)
+    if type(data) is not np.ndarray or data.dtype is not _FLOAT64:
+        data = np.asarray(data, dtype=np.float64)  # a rule's scalar or other dtype
+    out = _new_tensor(Tensor)
+    out.data = data
     tape = _ACTIVE
     if tape is not None:
         reads = prim.reads
@@ -353,7 +364,10 @@ def _matmul_fwd(d, a):
     if bias and bias[0].shape not in (w.shape[:-1], shape):
         raise ShapeMismatch(f"matmul: bias {bias[0].shape} is neither the weight's output shape "
                             f"{w.shape[:-1]} nor the output's {shape}")
-    out = (x.reshape(-1, x.shape[-1]) @ w.T).reshape(shape)
+    if x.ndim == 2 and w.ndim == 2:
+        out = x @ w.T  # the fold below is the identity here
+    else:
+        out = (x.reshape(-1, x.shape[-1]) @ w.T).reshape(shape)
     if bias:
         out += bias[0]  # the GEMM's fresh output: the entry keeps one array
     return out
@@ -361,10 +375,13 @@ def _matmul_fwd(d, a):
 
 def _matmul_bwd(g, d, out, a):
     x, w, *bias = d
-    w2 = w.reshape(-1, w.shape[-1])  # an [in] vector as [1, in]
-    g2 = g.reshape(-1, len(w2))
-    return [(g2 @ w2).reshape(x.shape), (x.reshape(-1, x.shape[-1]).T @ g2).T.reshape(w.shape),
-            *(_unbroadcast(g, b.shape) for b in bias)]
+    if x.ndim == 2 and w.ndim == 2:
+        dx, dw = g @ w, (x.T @ g).T
+    else:
+        w2 = w.reshape(-1, w.shape[-1])  # an [in] vector as [1, in]
+        g2 = g.reshape(-1, len(w2))
+        dx, dw = (g2 @ w2).reshape(x.shape), (x.reshape(-1, x.shape[-1]).T @ g2).T.reshape(w.shape)
+    return [dx, dw, *(_unbroadcast(g, b.shape) for b in bias)]
 
 
 def _transpose_fwd(d, a):
@@ -395,8 +412,13 @@ def _tanh_bwd(g, d, out, a):
 
 
 def _sigmoid_fwd(d, a):
-    # tanh identity: overflow-free and cheaper than guarding exp
-    return 0.5 * np.tanh(0.5 * d[0]) + 0.5
+    # tanh identity: overflow-free and cheaper than guarding exp;
+    # 0.5 * tanh(0.5 * x) + 0.5, operation by operation, in one fresh buffer
+    out = np.asarray(0.5 * d[0])  # an array also when x is 0-d
+    np.tanh(out, out)
+    out *= 0.5
+    out += 0.5
+    return out
 
 
 def _sigmoid_bwd(g, d, out, a):
@@ -477,9 +499,8 @@ def _slice_index(x, a) -> tuple:
     axis = a["axis"]
     if not -x.ndim <= axis < x.ndim:
         raise ShapeMismatch(f"slice: axis {axis} out of range for shape {x.shape}")
-    index = [slice(None)] * x.ndim
-    index[axis] = a["index"] if "index" in a else slice(a["start"], a["stop"], a.get("step"))
-    return tuple(index)
+    sel = a["index"] if "index" in a else slice(a["start"], a["stop"], a.get("step"))
+    return (slice(None),) * (axis % x.ndim) + (sel,)
 
 
 def _slice_fwd(d, a):
@@ -492,9 +513,10 @@ def _slice_bwd(g, d, out, a):
 
 def _windows(x: np.ndarray, k: int) -> np.ndarray:
     """[..., n, k] windows over the last axis of ``x``, zero-padded by (k - 1) / 2 on each side."""
-    half = (k - 1) // 2
-    return np.lib.stride_tricks.sliding_window_view(np.pad(x, [(0, 0)] * (x.ndim - 1) + [(half, half)]),
-                                                    k, axis=-1)
+    half, n = (k - 1) // 2, x.shape[-1]
+    padded = np.zeros(x.shape[:-1] + (n + 2 * half,))
+    padded[..., half:half + n] = x
+    return np.ndarray(x.shape[:-1] + (n, k), np.float64, padded, 0, padded.strides + padded.strides[-1:])
 
 
 def _conv1d_fwd(d, a):

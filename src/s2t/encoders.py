@@ -55,10 +55,11 @@ def run_lstm(projected: Tensor, wh: Tensor, order, start=None, restart=None):
     indexed by step."""
     c, h = (None, None) if start is None else start
     cells, outputs = [None] * len(order), [None] * len(order)
+    restarts = set() if restart is None else set(restart.tolist())
     for t in order:
         gates = projected[t]
         if h is not None:
-            if restart is not None and (restart == t).any():
+            if t in restarts:
                 keep = Tensor((restart != t).astype(np.float64)[:, None])
                 c, h = c * keep, h * keep
             gates = ad.linear(h, wh, gates)

@@ -252,3 +252,43 @@ def sequence_nll(model, source, target):
 def observed_contexts(model):
     """The (u, v) contexts a trigram model's trigram records name, sorted."""
     return sorted({(u, v) for u, v in model.trigrams[:, :2].tolist()})
+
+
+def conv_windows_oracle(x, k):
+    """conv1d's [..., n, k] windows built with ``np.pad`` and
+    ``sliding_window_view``, as the rule first built them."""
+    import numpy as np
+
+    half = (k - 1) // 2
+    padded = np.pad(x, [(0, 0)] * (x.ndim - 1) + [(half, half)])
+    return np.lib.stride_tricks.sliding_window_view(padded, k, axis=-1)
+
+
+def conv1d_oracle(signal, filt):
+    """conv1d's forward over :func:`conv_windows_oracle`."""
+    return conv_windows_oracle(signal, len(filt)) @ filt[::-1]
+
+
+def conv1d_backward_oracle(g, signal, filt):
+    """conv1d's (signal, filter) gradients over :func:`conv_windows_oracle`."""
+    import numpy as np
+
+    axes = tuple(range(g.ndim))
+    return (conv1d_oracle(g, filt[::-1]),
+            np.tensordot(g, conv_windows_oracle(signal, len(filt)), (axes, axes))[::-1])
+
+
+def sigmoid_expression_oracle(x):
+    """The sigmoid rule as one numpy expression, temporaries and all."""
+    import numpy as np
+
+    return 0.5 * np.tanh(0.5 * x) + 0.5
+
+
+def slice_index_oracle(ndim, attrs):
+    """The ``slice`` primitive's index: a full slice on every axis but the
+    attribute's, built as a list."""
+    index = [slice(None)] * ndim
+    index[attrs["axis"]] = (attrs["index"] if "index" in attrs
+                            else slice(attrs["start"], attrs["stop"], attrs.get("step")))
+    return tuple(index)

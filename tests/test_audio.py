@@ -93,6 +93,20 @@ def test_stereo_averaged_to_mono(tmp_path):
     assert buf.samples[1] == pytest.approx(0.25)
 
 
+@pytest.mark.parametrize("tail", [b"", b"\x00", b"\x00LIST" + struct.pack("<I", 4) + b"INFO"])
+def test_odd_data_chunk_loads_its_whole_samples(tmp_path, tail):
+    """A complete data chunk of odd length loads its whole samples and drops
+    the odd byte; its pad byte, a chunk after it, or no pad byte at the end
+    of the file change nothing."""
+    path = tmp_path / "odd.wav"
+    write_wav(path, [-32768, 16384, 3])
+    blob = bytearray(path.read_bytes()[:-1])  # the data chunk's last byte is its odd one
+    struct.pack_into("<I", blob, 40, 5)
+    path.write_bytes(bytes(blob) + tail)
+    buf = load_pcm_wav(path)
+    np.testing.assert_array_equal(buf.samples, [-1.0, 0.5])
+
+
 def test_one_second_at_16k_gives_97_frames():
     buf = AudioBuffer(np.zeros(16000), 16000)
     assert len(frame_and_window(buf).windowed) == 97  # floor((16000-640)/160)+1

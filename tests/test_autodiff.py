@@ -1,3 +1,5 @@
+import contextlib
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,8 @@ from s2t.autodiff import (
 )
 from s2t.corpus import make_batch
 
-from oracles import adam_oracle, tape_replays_exactly
+from oracles import (adam_oracle, conv1d_backward_oracle, conv1d_oracle, conv_windows_oracle,
+                     sigmoid_expression_oracle, slice_index_oracle, tape_replays_exactly)
 from util import (build_tiny_model, keep_every_value, random_speech_source, random_text_source,
                   randomize)
 
@@ -82,6 +85,72 @@ def test_conv_signal_gradient_matches_the_shift_and_add_sum():
                 expect[..., j:j + n] += g * tap
             dsignal, _ = conv.backward(g, [sig, filt], None, {})
             np.testing.assert_allclose(dsignal, expect[..., half:half + n], rtol=1e-13, atol=1e-13)
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_conv_matches_the_padded_window_oracle_bit_for_bit():
+    """Forward and both gradients equal those over np.pad and
+    sliding_window_view windows: filter length 1, filters longer than the
+    signal, and 0 to 3 leading axes."""
+    rng = np.random.default_rng(4)
+    conv = ad._PRIMITIVES["conv1d"]
+    for k in (1, 3, 5, 9, 25):
+        for _ in range(40):
+            rows = tuple(int(r) for r in rng.integers(1, 4, size=int(rng.integers(0, 4))))
+            sig = rng.normal(size=rows + (int(rng.integers(1, 12)),))
+            filt = rng.normal(size=k)
+            g = rng.normal(size=sig.shape)
+            assert same_bits(ad._windows(sig, k), conv_windows_oracle(sig, k))
+            assert same_bits(conv.forward([sig, filt], {}), conv1d_oracle(sig, filt))
+            for ours, oracle in zip(conv.backward(g, [sig, filt], None, {}),
+                                    conv1d_backward_oracle(g, sig, filt)):
+                assert same_bits(ours, oracle)
+
+
+def test_sigmoid_matches_its_expression_bit_for_bit():
+    x = np.concatenate([[-800.0, -40.0, -1.0, -0.0, 0.0, 1e-300, 1.0, 40.0, 800.0],
+                        np.random.default_rng(5).normal(scale=6.0, size=199)])
+    sigmoid = ad._PRIMITIVES["sigmoid"].forward
+    for value in (x, x.reshape(13, 16), x[::3], np.asarray(x[4])):
+        assert same_bits(sigmoid([value], {}), sigmoid_expression_oracle(value))
+    assert same_bits(sigmoid([x[[0, 8]]], {}), [0.0, 1.0])
+
+
+@pytest.mark.parametrize("attrs", [
+    dict(axis=0, start=1, stop=3),
+    dict(axis=-1, start=0, stop=6, step=2),
+    dict(axis=2, start=5, stop=0, step=-2),
+    dict(axis=1, start=-3, stop=None, step=None),
+    dict(axis=1, index=-2),
+    dict(axis=-3, index=3),
+    dict(axis=-2, index=np.array([4, 0, 2])),
+    dict(axis=2, index=np.array([[1, 5], [0, 0]])),
+], ids=repr)
+def test_slice_matches_the_list_built_index_bit_for_bit(attrs):
+    """Every ``slice`` attribute form (negative axis, step, integer index,
+    index array) reads and scatters what the full list-built index does."""
+    rng = np.random.default_rng(6)
+    x = rng.normal(size=(4, 5, 6))
+    prim = ad._PRIMITIVES["slice"]
+    index = slice_index_oracle(x.ndim, attrs)
+    out = prim.forward([x], attrs)
+    assert same_bits(out, x[index])
+    g = rng.normal(size=out.shape)
+    [grad] = prim.backward(g, [x], out, attrs)
+    ours, oracle = np.zeros_like(x), np.zeros_like(x)
+    ours[grad.index] += grad.value
+    oracle[index] += g
+    assert same_bits(ours, oracle)
+
+
+@pytest.mark.parametrize("axis", [3, -4])
+def test_slice_axis_out_of_range_is_a_shape_mismatch(axis):
+    with pytest.raises(ShapeMismatch, match=f"slice: axis {axis} out of range"):
+        ad.slice_axis(t(np.zeros((2, 3, 4))), axis, 0, 1)
 
 
 def test_conv_rejects_even_filter():
@@ -517,6 +586,24 @@ def test_kind_registered_without_reads_keeps_every_value(monkeypatch):
     np.testing.assert_array_equal(tape.values[tape.node_of(y)], [2.0, 4.0])
 
 
+@pytest.mark.parametrize("result", [np.arange(3), 2.5, np.float64(2.5), np.ones(2, np.float32),
+                                    np.ones(2, ">f8"), [1, 2]], ids=repr)
+def test_rule_result_is_a_float64_tensor(monkeypatch, result):
+    """A rule that returns something other than a float64 array (an int
+    array, a Python float, a numpy scalar, float32, big-endian float64, a
+    list) still gives a float64 Tensor, taped or not."""
+    monkeypatch.setattr(ad, "_PRIMITIVES", dict(ad._PRIMITIVES))
+    ad.register_primitive("const", lambda d, a: result, lambda g, d, out, a: [None], reads=())
+    for tape in (None, Tape()):
+        with tape or contextlib.nullcontext():
+            out = apply_primitive("const", (t([1.0]),))
+        assert type(out.data) is np.ndarray and out.data.dtype == np.float64
+        assert out.data.dtype.isnative
+        np.testing.assert_array_equal(out.data, np.asarray(result))
+        if tape is not None:
+            assert tape.values[tape.node_of(out)].dtype == np.float64
+
+
 # --- per-primitive gradient checks (20 random instances each) ---
 
 
@@ -679,6 +766,31 @@ def test_primitive_gradients_match_finite_differences(case):
         point, f = case(rng)
         worst = max(worst, gradient_check(f, point, epsilon=1e-5))
     assert worst < 1e-6
+
+
+def test_every_kind_returns_a_float64_array(monkeypatch):
+    """apply_primitive wraps a rule's float64 array as it is, so every
+    registered kind's forward, on the float64 inputs of rank >= 1 of every
+    case above and of a tiny text and speech model, returns exactly a
+    float64 ndarray.  (On 0-d inputs numpy's ufuncs return numpy scalars,
+    such as the loss's ``scale``; apply_primitive converts those.)"""
+    seen = {}
+    for kind, prim in list(ad._PRIMITIVES.items()):
+        def forward(d, a, kind=kind, rule=prim.forward):
+            out = rule(d, a)
+            if all(x.ndim for x in d):
+                seen.setdefault(kind, set()).add((type(out), getattr(out, "dtype", None)))
+            return out
+        monkeypatch.setitem(ad._PRIMITIVES, kind, ad.Primitive(forward, prim.backward, prim.reads))
+    rng = np.random.default_rng(7)
+    for case in ALL_CASES:
+        point, f = case(rng)
+        f(point)
+    for task, source in (("text", random_text_source(rng, 6)), ("speech", random_speech_source(rng))):
+        model = randomize(build_tiny_model(task=task, dropout=0.3), seed=8)
+        model.batch_nll(model.store.as_tensors(), make_batch([source], [[4, 5]]), rng)
+    assert set(seen) == set(ad._PRIMITIVES)
+    assert {kind: types for kind, types in seen.items() if types != {(np.ndarray, np.dtype(np.float64))}} == {}
 
 
 @pytest.mark.parametrize("case", ALL_CASES, ids=lambda c: c.__name__[6:])

@@ -137,6 +137,26 @@ def test_unsupported_sample_rate_names_the_wav(tmp_path, capsys):
     assert out == ""
 
 
+def test_truncated_wav_data_chunk_is_an_error(tmp_path, capsys):
+    """A data chunk that declares 32,000 bytes with 2,199 present is a
+    truncated file, not 1,099 samples."""
+    wav_dir = tmp_path / "wavs"
+    wav_dir.mkdir()
+    wav = wav_dir / "cut.wav"
+    write_wav(wav, np.random.default_rng(5).integers(-3000, 3000, 16000).tolist())
+    blob = bytearray(wav.read_bytes())
+    assert blob[36:40] == b"data"
+    struct.pack_into("<I", blob, 40, 32000)
+    wav.write_bytes(bytes(blob[:44 + 2199]))
+    with pytest.raises(AudioFormatError, match=re.escape(f"{wav}: truncated")):
+        load_pcm_wav(wav)
+    code, out, err = run(capsys, "extract-features", "--wav-dir", str(wav_dir),
+                         "--output", str(tmp_path / "feats.bin"))
+    assert code == 2
+    assert f"{wav}: truncated" in err
+    assert out == ""
+
+
 def test_archive_with_wrong_dimension_is_rejected(tmp_path):
     path = tmp_path / "dim3.bin"
     record = struct.pack("<H", 2) + b"u0" + struct.pack("<I", 2) + np.zeros(6, "<f4").tobytes()
