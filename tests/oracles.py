@@ -3,7 +3,9 @@ values.  Deliberately written with different machinery than the package
 (explicit loops, Fractions, scalar arithmetic) so they cannot share bugs
 with the code under test.  The last few helpers (tape replay, one-pair
 loss, subsampled length, observed LM contexts) serve only the tests, so
-they live here rather than in the package."""
+they live here rather than in the package; after them come the numpy forms
+that rewritten primitive rules had before, which the rules must match bit
+for bit."""
 
 from collections import Counter
 from fractions import Fraction
