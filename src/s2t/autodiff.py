@@ -35,6 +35,9 @@ __all__ = [
     "NonFiniteValue",
     "apply_primitive",
     "register_primitive",
+    "recording",
+    "wrap",
+    "sigmoid_array",
     "backprop",
     "adam_update",
     "gradient_check",
@@ -73,8 +76,8 @@ class Tensor:
 
     Tensors are treated as immutable values: primitives always allocate new
     outputs, so tensors are safe to share between tapes and threads.
-    ``Tensor(data)`` converts data from outside to float64;
-    :func:`apply_primitive` wraps a rule's float64 array as it is.
+    ``Tensor(data)`` converts data from outside to float64; :func:`wrap`
+    holds a float64 array as it is.
     """
 
     __slots__ = ("data", "__weakref__")
@@ -192,6 +195,11 @@ class Tape:
         self._watched[name] = self._bind(tensor, keep=False)
 
 
+def recording() -> bool:
+    """Whether a tape is recording: primitives applied now are taped."""
+    return _ACTIVE is not None
+
+
 _ZERO = bytes(8)  # one float64 zero, read-only: the buffer of every stand-in
 
 
@@ -213,6 +221,14 @@ class Primitive:
 _PRIMITIVES: dict[str, Primitive] = {}
 _new_tensor = object.__new__  # a Tensor without Tensor.__init__'s conversion
 _FLOAT64 = np.dtype(np.float64)
+
+
+def wrap(data: np.ndarray) -> Tensor:
+    """A Tensor holding the float64 ndarray ``data`` as it is, without the
+    conversion of ``Tensor(data)``; the caller gives up writing ``data``."""
+    out = _new_tensor(Tensor)
+    out.data = data
+    return out
 
 
 def register_primitive(kind: str, forward, backward, reads=None) -> None:
@@ -237,7 +253,7 @@ def apply_primitive(kind: str, inputs: Sequence[Tensor], **attrs) -> Tensor:
     data = prim.forward([t.data for t in inputs], attrs)
     if type(data) is not np.ndarray or data.dtype is not _FLOAT64:
         data = np.asarray(data, dtype=np.float64)  # a rule's scalar or other dtype
-    out = _new_tensor(Tensor)
+    out = _new_tensor(Tensor)  # wrap(data), inlined on the dispatch path
     out.data = data
     tape = _ACTIVE
     if tape is not None:
@@ -411,14 +427,19 @@ def _tanh_bwd(g, d, out, a):
     return [g * (1.0 - out * out)]
 
 
-def _sigmoid_fwd(d, a):
-    # tanh identity: overflow-free and cheaper than guarding exp;
-    # 0.5 * tanh(0.5 * x) + 0.5, operation by operation, in one fresh buffer
-    out = np.asarray(0.5 * d[0])  # an array also when x is 0-d
+def sigmoid_array(x: np.ndarray) -> np.ndarray:
+    """The logistic sigmoid of an array by the tanh identity, overflow-free
+    and cheaper than guarding exp: 0.5 * tanh(0.5 * x) + 0.5, operation by
+    operation, in one fresh buffer."""
+    out = np.asarray(0.5 * x)  # an array also when x is 0-d
     np.tanh(out, out)
     out *= 0.5
     out += 0.5
     return out
+
+
+def _sigmoid_fwd(d, a):
+    return sigmoid_array(d[0])
 
 
 def _sigmoid_bwd(g, d, out, a):

@@ -7,6 +7,7 @@ from __future__ import annotations
 import contextlib
 import os
 import re
+import secrets
 import struct
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -183,17 +184,20 @@ def read_lines(path) -> list[str]:
 
 @contextlib.contextmanager
 def whole_file(path, mode: str = "w"):
-    """Open ``path + ".tmp"`` for writing (UTF-8 in text mode) and rename it
-    over ``path`` when the block ends; on any error remove it instead, so
-    ``path`` holds either its previous content or all of the new.  A device
-    or a pipe (``/dev/stdout``) is written in place, a link's target whole."""
+    """Open a temporary file beside ``path`` for writing (UTF-8 in text mode)
+    and rename it over ``path`` when the block ends; on any error remove it
+    instead, so ``path`` holds either its previous content or all of the
+    new.  Each writer has its own temporary name, ``<path>.<pid>.<token>.tmp``,
+    so two writers of one path never share a file: the last to finish wins
+    whole.  A device or a pipe (``/dev/stdout``) is written in place, a
+    link's target whole."""
     encoding = None if "b" in mode else "utf-8"
     if os.path.exists(path) and not os.path.isfile(path):
         with open(path, mode, encoding=encoding) as fh:
             yield fh
         return
     path = os.path.realpath(path)
-    tmp = path + ".tmp"
+    tmp = f"{path}.{os.getpid()}.{secrets.token_hex(4)}.tmp"
     try:
         with open(tmp, mode, encoding=encoding) as fh:
             yield fh

@@ -45,14 +45,58 @@ def _cell_update(gates: Tensor, c: Optional[Tensor]):
     return c_new, o * ad.tanh(c_new)
 
 
+def _lstm_arrays(projected: np.ndarray, wh: np.ndarray, order, start=None, restart=None):
+    """:func:`run_lstm` on plain arrays, untaped: each step makes exactly the
+    numpy operations of the primitive chain, in its order, so every state
+    is bit-equal to the taped one.  ``start`` is None or a (c, h) pair of
+    [B, m] arrays.  Returns per-step lists of [B, m] cell and hidden arrays.
+
+    This is the forward of a future one-primitive recurrence (an
+    ``lstm_seq`` kind with its own BPTT backward), which will replace the
+    chain; until then the chain records what training differentiates."""
+    m = wh.shape[1]
+    c, h = (None, None) if start is None else start
+    cells, outputs = [None] * len(order), [None] * len(order)
+    restarts = set() if restart is None else set(restart.tolist())
+    for t in order:
+        gates = projected[t]
+        if h is not None:
+            if t in restarts:
+                keep = (restart != t).astype(np.float64)[:, None]
+                c, h = c * keep, h * keep
+            gates = h @ wh.T
+            gates += projected[t]
+        act = ad.sigmoid_array(gates)
+        i, o = act[:, :m], act[:, 3 * m:]
+        g = np.tanh(gates[:, 2 * m:3 * m])
+        c = i * g if c is None else (act[:, m:2 * m] * c) + (i * g)
+        h = o * np.tanh(c)
+        cells[t], outputs[t] = c, h
+    return cells, outputs
+
+
 def run_lstm(projected: Tensor, wh: Tensor, order, start=None, restart=None):
     """The LSTM over the [T, B, 4m] input projection ``linear(x, wx, b)``:
     steps in ``order`` from the (c, h) ``start`` (None: the zero state); rows
-    whose ``restart`` is ``t`` enter step ``t`` from zero.  A step from a
-    nonzero state is one ``linear(h, wh, projected[t])`` entry: the projection
-    rides in as the GEMM's output-shaped bias, so the step keeps one [B, 4m]
-    gate array.  Returns per-step lists of [B, m] cell and hidden states,
-    indexed by step."""
+    whose ``restart`` is ``t`` enter step ``t`` from zero.  Returns per-step
+    lists of [B, m] cell and hidden states, indexed by step.
+
+    While a tape records, a step from a nonzero state is one
+    ``linear(h, wh, projected[t])`` entry: the projection rides in as the
+    GEMM's output-shaped bias, so the step keeps one [B, 4m] gate array.
+    Untaped (search, dev loss, gradient-check probes) the recurrence runs
+    on the arrays through :func:`_lstm_arrays` and only the states become
+    Tensors."""
+    _, batch, width = projected.shape
+    state = (batch, width // 4)
+    starts = [] if start is None else [s.shape for s in start]
+    if wh.shape != (width, width // 4) or any(shape != state for shape in starts):
+        raise ad.ShapeMismatch(f"lstm: projection {projected.shape}, recurrent weight {wh.shape} "
+                               f"and start state {starts} do not agree")
+    if not ad.recording():
+        cells, outputs = _lstm_arrays(projected.data, wh.data, order,
+                                      None if start is None else (start[0].data, start[1].data), restart)
+        return [ad.wrap(c) for c in cells], [ad.wrap(h) for h in outputs]
     c, h = (None, None) if start is None else start
     cells, outputs = [None] * len(order), [None] * len(order)
     restarts = set() if restart is None else set(restart.tolist())

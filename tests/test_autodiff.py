@@ -1,4 +1,6 @@
 import contextlib
+import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -117,6 +119,7 @@ def test_sigmoid_matches_its_expression_bit_for_bit():
     sigmoid = ad._PRIMITIVES["sigmoid"].forward
     for value in (x, x.reshape(13, 16), x[::3], np.asarray(x[4])):
         assert same_bits(sigmoid([value], {}), sigmoid_expression_oracle(value))
+        assert same_bits(ad.sigmoid_array(value), sigmoid_expression_oracle(value))
     assert same_bits(sigmoid([x[[0, 8]]], {}), [0.0, 1.0])
 
 
@@ -553,6 +556,25 @@ def test_reused_tensor_id_gets_its_own_node():
     np.testing.assert_array_equal(tape.values[dead_node], [1.0, 2.0, 3.0])
     np.testing.assert_array_equal(backprop(tape, second)["b"].data, [8.0, 10.0, 12.0])
     np.testing.assert_array_equal(backprop(tape, first)["b"].data, [0.0, 0.0, 0.0])
+
+
+def test_recording_follows_the_active_tape():
+    """``recording()`` is true exactly while a tape is active, nested tapes
+    included, and other modules ask it (and ``wrap``) instead of reading
+    the engine's private state."""
+    assert not ad.recording()
+    with Tape():
+        assert ad.recording()
+        with Tape():
+            assert ad.recording()
+        assert ad.recording()
+    assert not ad.recording()
+    data = np.arange(3.0)
+    assert ad.wrap(data).data is data
+    package = pathlib.Path(ad.__file__).parent
+    readers = [path.name for path in sorted(package.glob("*.py")) if path.name != "autodiff.py"
+               and re.search(r"\b_ACTIVE\b|\b_new_tensor\b", path.read_text(encoding="utf-8"))]
+    assert readers == []
 
 
 def test_tensor_on_two_nested_tapes():

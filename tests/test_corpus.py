@@ -143,3 +143,20 @@ def test_whole_file_writes_a_pipe_in_place_and_a_link_through(tmp_path):
     finally:
         os.close(reader)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["link.txt", "pipe", "real.txt"]
+
+
+def test_overlapping_writers_of_one_path_each_write_whole(tmp_path):
+    """Two writers of one path have temporary files of their own: the block
+    that closes last wins with all of its content, the other's content is
+    whole until then, and no temporary file is left."""
+    path = tmp_path / "out.txt"
+    path.write_text("old\n")
+    with whole_file(path) as first:
+        first.write("first, part one\n")
+        with whole_file(path, "wb") as second:
+            second.write(b"second\n")
+            first.write("first, part two\n")
+        assert path.read_text() == "second\n"
+        first.write("first, part three\n")
+    assert path.read_text() == "first, part one\nfirst, part two\nfirst, part three\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]

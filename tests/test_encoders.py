@@ -1,9 +1,12 @@
+import contextlib
+
 import numpy as np
 import pytest
 
 from s2t import autodiff as ad
 from s2t.autodiff import Tensor, gradient_check
 from s2t.config import RunConfig
+from s2t.corpus import make_batch
 from s2t.encoders import (
     LstmCellParams,
     bidirectional_layer,
@@ -14,6 +17,7 @@ from s2t.encoders import (
 )
 
 from oracles import lstm_step_oracle, pyramid_length_oracle, subsampled_length
+from util import build_tiny_model, random_speech_source, random_text_source, randomize
 
 
 def make_cell(rng, input_dim, m, scale=0.5):
@@ -74,9 +78,19 @@ def test_lstm_saturated_gates_hold_memory():
 
 
 def test_lstm_rejects_dimension_mismatch():
+    """Taped and untaped: a wrong input width, recurrent weight or start state."""
     params = zero_cell(3, 2)
-    with pytest.raises(ad.ShapeMismatch):
-        lstm_steps(params, Tensor(np.zeros((1, 1, 4))), (Tensor(np.zeros((1, 2))), Tensor(np.zeros((1, 2)))))
+    projected = Tensor(np.zeros((2, 3, 8)))
+    for tape in (contextlib.nullcontext(), ad.Tape()):
+        with tape:
+            with pytest.raises(ad.ShapeMismatch):
+                lstm_steps(params, Tensor(np.zeros((1, 1, 4))),
+                           (Tensor(np.zeros((1, 2))), Tensor(np.zeros((1, 2)))))
+            for wh, start in [(np.zeros((8, 3)), None), (np.zeros((2, 8)), None),
+                              (np.zeros((8, 2)), (np.zeros((1, 2)), np.zeros((1, 2)))),
+                              (np.zeros((8, 2)), (np.zeros((3, 2)), np.zeros((3, 3))))]:
+                with pytest.raises(ad.ShapeMismatch):
+                    run_lstm(projected, Tensor(wh), range(2), start and tuple(map(Tensor, start)))
 
 
 def test_lstm_gradients_match_finite_differences():
@@ -122,6 +136,72 @@ def test_recurrent_step_adds_projection_inside_matmul(steps):
     assert [slices.get(entry.inputs[2]) for entry in recurrent] == list(order)[1:]
     read = set(slices) | {entry.output for entry in recurrent}
     assert not [entry for entry in tape.entries if entry.kind == "add" and read.intersection(entry.inputs)]
+
+
+def _recurrence_case(rng, steps, batch, reverse, ragged, with_start, m=3):
+    """A run_lstm call: (projection, recurrent weight, order, start, restart)."""
+    params = make_cell(rng, 4, m)
+    projected = ad.linear(Tensor(rng.normal(size=(steps, batch, 4))), params.wx, params.b)
+    order = range(steps)[::-1] if reverse else range(steps)
+    start = (Tensor(rng.normal(size=(batch, m))), Tensor(rng.normal(size=(batch, m)))) if with_start else None
+    restart = rng.integers(0, steps, size=batch) if ragged else None
+    return projected, params.wh, order, start, restart
+
+
+@pytest.mark.parametrize("with_start", [False, True], ids=["zero-start", "given-start"])
+@pytest.mark.parametrize("ragged", [False, True], ids=["even", "ragged"])
+@pytest.mark.parametrize("reverse", [False, True], ids=["forward", "reversed"])
+@pytest.mark.parametrize("steps, batch", [(1, 1), (1, 3), (4, 1), (6, 3)])
+def test_untaped_recurrence_is_bit_equal_to_the_taped_chain(steps, batch, reverse, ragged, with_start):
+    """Untaped, run_lstm runs on the arrays; every step's c and h has the
+    bytes of the taped primitive chain's."""
+    rng = np.random.default_rng(26 + steps * 7 + batch)
+    case = _recurrence_case(rng, steps, batch, reverse, ragged, with_start)
+    untaped = run_lstm(*case)
+    with ad.Tape():
+        taped = run_lstm(*case)
+    for fast, chain in zip(untaped, taped):
+        assert [x.data.tobytes() for x in fast] == [x.data.tobytes() for x in chain]
+        assert all(x.data.dtype == np.float64 and x.shape == (batch, 3) for x in fast)
+
+
+def test_untaped_recurrence_makes_no_primitive_call(monkeypatch):
+    """An untaped run_lstm over T steps dispatches no primitive; taped, the
+    chain still records every step."""
+    calls = []
+    for kind, prim in list(ad._PRIMITIVES.items()):
+        def forward(d, a, kind=kind, rule=prim.forward):
+            calls.append(kind)
+            return rule(d, a)
+        monkeypatch.setitem(ad._PRIMITIVES, kind, ad.Primitive(forward, prim.backward, prim.reads))
+    case = _recurrence_case(np.random.default_rng(27), 5, 3, True, True, True)
+    calls.clear()
+    run_lstm(*case)
+    assert calls == []
+    with ad.Tape():
+        run_lstm(*case)
+    assert calls.count("sigmoid") == 5 and calls.count("matmul") == 5
+
+
+def test_untaped_loss_is_bit_equal_to_the_taped_loss():
+    """On random ragged batches (text and speech, additive and conv
+    attention) the untaped loss, whose recurrences run on arrays, has the
+    repr of the taped one."""
+    rng = np.random.default_rng(28)
+    for k in range(40):
+        task, attention = ("text", "speech")[k % 2], ("additive", "conv")[k // 2 % 2]
+        model = randomize(build_tiny_model(task=task, m=int(rng.integers(2, 6)), n=3, src_words=7,
+                                           tgt_words=7, attention=attention), seed=k)
+        rows = int(rng.integers(1, 4))
+        sources = [random_text_source(rng, 11, 1) if task == "text" else random_speech_source(rng)
+                   for _ in range(rows)]
+        targets = [[int(w) for w in rng.integers(4, 11, size=int(rng.integers(1, 5)))] for _ in range(rows)]
+        batch = make_batch(sources, targets)
+        untaped = model.batch_nll(model.store.as_tensors(), batch)
+        tape = ad.Tape()
+        with tape:
+            taped = model.batch_nll(model.store.watch(tape), batch)
+        assert repr(untaped.item()) == repr(taped.item())
 
 
 def test_bidirectional_single_element():
