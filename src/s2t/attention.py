@@ -5,7 +5,11 @@ filter.  Padded encoder positions enter once per pass, as the score bias
 no mask.
 
 Encoder outputs are carried as an [A, B, m] block; decoder-facing scores
-and weights are [B, A].
+and weights are [B, A].  While a tape records, a decoder step attends
+through the primitive chain of ``additive_scores`` or
+``convolutional_scores`` and ``attend``; untaped (``ad.recording()``
+false) it calls :func:`attend_arrays`, which repeats that chain on plain
+arrays.
 """
 
 from __future__ import annotations
@@ -85,3 +89,32 @@ def attend(scores: Tensor, h: Tensor):
     per_pos = ad.reshape(ad.transpose(weights), weights.shape[::-1] + (1,))
     context = ad.tsum(per_pos * h, axis=0)                              # [B, m]
     return weights, context
+
+
+def attend_arrays(enc_proj, h, state, state_w, bias, score_v, pad, prev=None, conv_filter=None, conv_gate=None):
+    """One decoder step's attention on plain arrays, untaped: the numpy
+    operations of the scores-then-:func:`attend` chain in its order, so
+    (weights [B, A], context [B, m]) are bit-equal to the taped ones.  The
+    arrays are the projected and the plain [A, B, m] encoder blocks, the
+    [B, 2m] state, ``state_w``, ``bias``, ``score_v``, the [A, B] padding
+    bias and, for the convolutional variant from its second step on, the
+    previous [B, A] weights, the filter and the gate.  The chain's shape
+    checks hold: a state projection, previous weights or gate that does not
+    fit the encoder block raises ShapeMismatch.
+
+    This is the forward of a future one-primitive attention step (an
+    ``attend`` kind with its own backward), which will replace the chain."""
+    projected = ad.linear_array(state, state_w, bias)
+    if projected.shape != enc_proj.shape[1:] or prev is not None and (
+            prev.shape != enc_proj.shape[1::-1] or conv_gate.shape != projected.shape[1:]):
+        raise ad.ShapeMismatch(f"attention: state projection {projected.shape}, previous weights "
+                               f"{None if prev is None else prev.shape} or gate do not fit the "
+                               f"encoder projection {enc_proj.shape}")
+    inner = enc_proj + projected
+    if prev is not None:
+        filtered = ad.conv1d_array(prev, conv_filter)
+        inner = inner + np.swapaxes(filtered, -1, -2).reshape(filtered.shape[::-1] + (1,)) * conv_gate
+    scores = np.swapaxes(ad.linear_array(np.tanh(inner), score_v, pad), -1, -2)  # [A, B] -> [B, A]
+    weights = ad.softmax_array(scores)
+    per_pos = np.swapaxes(weights, -1, -2).reshape(weights.shape[::-1] + (1,))
+    return weights, (per_pos * h).sum(axis=0)

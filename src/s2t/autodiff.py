@@ -38,6 +38,10 @@ __all__ = [
     "recording",
     "wrap",
     "sigmoid_array",
+    "linear_array",
+    "softmax_array",
+    "conv1d_array",
+    "embedding_array",
     "backprop",
     "adam_update",
     "gradient_check",
@@ -370,33 +374,38 @@ def _scale_bwd(g, d, out, a):
     return [g * a["alpha"]]
 
 
-def _matmul_fwd(d, a):
-    x, w, *bias = d
+def linear_array(x: np.ndarray, w: np.ndarray, b: Optional[np.ndarray] = None) -> np.ndarray:
+    """:func:`linear` on plain arrays, untaped: the ``matmul`` rule's checks
+    and operations."""
     if x.ndim == 0 or w.ndim == 0 or w.ndim > 2:
         raise ShapeMismatch(f"matmul: unsupported operand ranks {x.shape} by weight {w.shape}")
     if x.shape[-1] != w.shape[-1]:
         raise ShapeMismatch(f"matmul: input width differs from the weight's, {x.shape} by {w.shape}")
     shape = x.shape[:-1] + w.shape[:-1]
-    if bias and bias[0].shape not in (w.shape[:-1], shape):
-        raise ShapeMismatch(f"matmul: bias {bias[0].shape} is neither the weight's output shape "
+    if b is not None and b.shape not in (w.shape[:-1], shape):
+        raise ShapeMismatch(f"matmul: bias {b.shape} is neither the weight's output shape "
                             f"{w.shape[:-1]} nor the output's {shape}")
     if x.ndim == 2 and w.ndim == 2:
         out = x @ w.T  # the fold below is the identity here
     else:
         out = (x.reshape(-1, x.shape[-1]) @ w.T).reshape(shape)
-    if bias:
-        out += bias[0]  # the GEMM's fresh output: the entry keeps one array
+    if b is not None:
+        out += b  # the GEMM's fresh output: the entry keeps one array
     return out
+
+
+def _matmul_fwd(d, a):
+    return linear_array(*d)
 
 
 def _matmul_bwd(g, d, out, a):
     x, w, *bias = d
     if x.ndim == 2 and w.ndim == 2:
-        dx, dw = g @ w, (x.T @ g).T
+        dx, dw = g @ w, g.T @ x
     else:
         w2 = w.reshape(-1, w.shape[-1])  # an [in] vector as [1, in]
         g2 = g.reshape(-1, len(w2))
-        dx, dw = (g2 @ w2).reshape(x.shape), (x.reshape(-1, x.shape[-1]).T @ g2).T.reshape(w.shape)
+        dx, dw = (g2 @ w2).reshape(x.shape), (g2.T @ x.reshape(-1, x.shape[-1])).reshape(w.shape)
     return [dx, dw, *(_unbroadcast(g, b.shape) for b in bias)]
 
 
@@ -446,14 +455,18 @@ def _sigmoid_bwd(g, d, out, a):
     return [g * out * (1.0 - out)]
 
 
-def _softmax_fwd(d, a):
-    x = d[0]
+def softmax_array(x: np.ndarray) -> np.ndarray:
+    """:func:`softmax` on a plain array, untaped: the ``softmax`` rule."""
     if x.ndim == 0:
         raise ShapeMismatch("softmax: needs at least one axis")
     e = x - x.max(axis=-1, keepdims=True)
     np.exp(e, out=e)
     e /= e.sum(axis=-1, keepdims=True)
     return e
+
+
+def _softmax_fwd(d, a):
+    return softmax_array(d[0])
 
 
 def _softmax_bwd(g, d, out, a):
@@ -540,8 +553,9 @@ def _windows(x: np.ndarray, k: int) -> np.ndarray:
     return np.ndarray(x.shape[:-1] + (n, k), np.float64, padded, 0, padded.strides + padded.strides[-1:])
 
 
-def _conv1d_fwd(d, a):
-    signal, filt = d
+def conv1d_array(signal: np.ndarray, filt: np.ndarray) -> np.ndarray:
+    """:func:`conv1d` on plain arrays, untaped: the ``conv1d`` rule's checks
+    and operations."""
     if filt.ndim != 1:
         raise ShapeMismatch(f"conv1d: filter must be one-dimensional, got {filt.shape}")
     if filt.shape[0] % 2 != 1:
@@ -549,16 +563,23 @@ def _conv1d_fwd(d, a):
     return _windows(signal, filt.shape[0]) @ filt[::-1]
 
 
+def _conv1d_fwd(d, a):
+    return conv1d_array(*d)
+
+
 def _conv1d_bwd(g, d, out, a):
     signal, filt = d
     axes = tuple(range(g.ndim))
-    # the signal's gradient is g convolved with the reversed filter
-    return [_conv1d_fwd([g, filt[::-1]], a), np.tensordot(g, _windows(signal, len(filt)), (axes, axes))[::-1]]
+    # the signal's gradient is g convolved with the reversed filter; the
+    # filter's, reversed, is copied out of its negative-stride view
+    dfilt = np.tensordot(g, _windows(signal, len(filt)), (axes, axes))[::-1].copy()
+    return [conv1d_array(g, filt[::-1]), dfilt]
 
 
-def _embedding_fwd(d, a):
-    table = d[0]
-    ids = np.asarray(a["ids"])
+def embedding_array(table: np.ndarray, ids) -> np.ndarray:
+    """:func:`embedding` on a plain table, untaped: the ``embedding`` rule's
+    checks (a negative id is out of range too) and lookup."""
+    ids = np.asarray(ids, dtype=np.intp)
     if table.ndim != 2:
         raise ShapeMismatch(f"embedding-lookup: table must be 2-d, got {table.shape}")
     if ids.size and (ids.min() < 0 or ids.max() >= table.shape[1]):
@@ -566,6 +587,10 @@ def _embedding_fwd(d, a):
             f"embedding-lookup: token id out of range for table with {table.shape[1]} columns"
         )
     return table.T[ids]  # ids.shape + (n,)
+
+
+def _embedding_fwd(d, a):
+    return embedding_array(d[0], a["ids"])
 
 
 def _embedding_bwd(g, d, out, a):

@@ -48,15 +48,18 @@ def _cell_update(gates: Tensor, c: Optional[Tensor]):
 def _lstm_arrays(projected: np.ndarray, wh: np.ndarray, order, start=None, restart=None):
     """:func:`run_lstm` on plain arrays, untaped: each step makes exactly the
     numpy operations of the primitive chain, in its order, so every state
-    is bit-equal to the taped one.  ``start`` is None or a (c, h) pair of
-    [B, m] arrays.  Returns per-step lists of [B, m] cell and hidden arrays.
+    is bit-equal to the taped one.  ``order`` runs over every step;
+    ``start`` is None or a (c, h) pair of [B, m] arrays.  Returns the
+    [T, B, m] cell and hidden blocks, each step's products written into
+    its slab.
 
     This is the forward of a future one-primitive recurrence (an
     ``lstm_seq`` kind with its own BPTT backward), which will replace the
     chain; until then the chain records what training differentiates."""
+    _check_lstm(projected.shape, wh.shape, start)
     m = wh.shape[1]
     c, h = (None, None) if start is None else start
-    cells, outputs = [None] * len(order), [None] * len(order)
+    cells, outputs = np.empty((2,) + projected.shape[:2] + (m,))
     restarts = set() if restart is None else set(restart.tolist())
     for t in order:
         gates = projected[t]
@@ -69,10 +72,25 @@ def _lstm_arrays(projected: np.ndarray, wh: np.ndarray, order, start=None, resta
         act = ad.sigmoid_array(gates)
         i, o = act[:, :m], act[:, 3 * m:]
         g = np.tanh(gates[:, 2 * m:3 * m])
-        c = i * g if c is None else (act[:, m:2 * m] * c) + (i * g)
-        h = o * np.tanh(c)
-        cells[t], outputs[t] = c, h
+        c = np.multiply(i, g, out=cells[t]) if c is None else np.add(act[:, m:2 * m] * c, i * g, out=cells[t])
+        h = np.multiply(o, np.tanh(c), out=outputs[t])
     return cells, outputs
+
+
+def _check_lstm(shape, wh_shape, start) -> None:
+    """Raises ShapeMismatch unless the recurrent weight is [4m, m] and each
+    start state [B, m] for the [T, B, 4m] projection ``shape``."""
+    _, batch, width = shape
+    starts = [] if start is None else [s.shape for s in start]
+    if wh_shape != (width, width // 4) or any(s != (batch, width // 4) for s in starts):
+        raise ad.ShapeMismatch(f"lstm: projection {shape}, recurrent weight {wh_shape} "
+                               f"and start state {starts} do not agree")
+
+
+def lstm_arrays(x: np.ndarray, cell: LstmCellParams, order, start=None, restart=None):
+    """:func:`_lstm_arrays` of the [T, B, d] array ``x`` through ``cell``'s
+    input projection ``linear(x, wx, b)``, untaped."""
+    return _lstm_arrays(ad.linear_array(x, cell.wx.data, cell.b.data), cell.wh.data, order, start, restart)
 
 
 def run_lstm(projected: Tensor, wh: Tensor, order, start=None, restart=None):
@@ -87,16 +105,11 @@ def run_lstm(projected: Tensor, wh: Tensor, order, start=None, restart=None):
     Untaped (search, dev loss, gradient-check probes) the recurrence runs
     on the arrays through :func:`_lstm_arrays` and only the states become
     Tensors."""
-    _, batch, width = projected.shape
-    state = (batch, width // 4)
-    starts = [] if start is None else [s.shape for s in start]
-    if wh.shape != (width, width // 4) or any(shape != state for shape in starts):
-        raise ad.ShapeMismatch(f"lstm: projection {projected.shape}, recurrent weight {wh.shape} "
-                               f"and start state {starts} do not agree")
     if not ad.recording():
         cells, outputs = _lstm_arrays(projected.data, wh.data, order,
                                       None if start is None else (start[0].data, start[1].data), restart)
         return [ad.wrap(c) for c in cells], [ad.wrap(h) for h in outputs]
+    _check_lstm(projected.shape, wh.shape, start)
     c, h = (None, None) if start is None else start
     cells, outputs = [None] * len(order), [None] * len(order)
     restarts = set() if restart is None else set(restart.tolist())
@@ -121,11 +134,16 @@ def bidirectional_layer(
     """Runs both directions over a [T, B, d] block whose rows are real up
     to ``lengths`` (default: all of them).  Returns (outputs [T, B, m], the
     sum of the two directions; the forward direction's per-step cell and
-    hidden states, for :func:`final_state`)."""
+    hidden states, for :func:`final_state`).  Untaped, both directions and
+    their sum run on the arrays, and only the results become Tensors."""
     if len(inputs) == 0:
         raise ValueError("bidirectional layer needs a nonempty input sequence")
     steps, batch, _ = inputs.shape
     last = np.full(batch, steps - 1) if lengths is None else np.asarray(lengths) - 1
+    if not ad.recording():
+        fwd_c, fwd_h = lstm_arrays(inputs.data, fwd, range(steps))
+        _, bwd_h = lstm_arrays(inputs.data, bwd, range(steps)[::-1], restart=last)
+        return ad.wrap(fwd_h + bwd_h), ([ad.wrap(c) for c in fwd_c], [ad.wrap(h) for h in fwd_h])
     fwd_c, fwd_h = run_lstm(ad.linear(inputs, fwd.wx, fwd.b), fwd.wh, range(steps))
     _, bwd_h = run_lstm(ad.linear(inputs, bwd.wx, bwd.b), bwd.wh, range(steps)[::-1], restart=last)
     return ad.stack(fwd_h) + ad.stack(bwd_h), (fwd_c, fwd_h)

@@ -19,12 +19,13 @@ from typing import Optional
 import numpy as np
 
 from . import autodiff as ad
-from .attention import (AttentionParams, additive_scores, attend, convolutional_scores, padding_bias,
-                        project_encoder)
+from .attention import (AttentionParams, additive_scores, attend, attend_arrays, convolutional_scores,
+                        padding_bias, project_encoder)
 from .audio import FEATURE_DIM
 from .autodiff import ParameterStore, Tape, Tensor, adam_update, backprop
 from .config import RunConfig
-from .encoders import LstmCellParams, dropout_between_layers, pyramidal_encode, run_lstm, speech_prenet
+from .encoders import (LstmCellParams, dropout_between_layers, lstm_arrays, pyramidal_encode, run_lstm,
+                       speech_prenet)
 
 
 class DivergenceError(ArithmeticError):
@@ -245,7 +246,10 @@ class DecoderCore:
     def advance(self, state: DecoderState, prev_ids: np.ndarray):
         """Advance over a [T, B] block of previous target ids up to the output
         layer; returns (state', merge outputs [T, B, m], the T attention
-        weights [B, A'])."""
+        weights [B, A']).  Untaped, the layers, attention and merge run on
+        the arrays (:meth:`_advance_arrays`)."""
+        if not ad.recording():
+            return self._advance_arrays(state, ad.embedding_array(self.embed.data, prev_ids))
         cfg = self.config
         x = ad.embedding(self.embed, prev_ids)
         layers = []
@@ -269,6 +273,32 @@ class DecoderCore:
         merged = ad.linear(ad.concat([x, ad.stack(contexts)]), self.merge_w, self.merge_b)
         return DecoderState(layers=layers, attn_weights=weights), merged, rows
 
+    def _advance_arrays(self, state: DecoderState, x: np.ndarray):
+        """:meth:`advance` from the embedded [T, B, n] array, untaped: the
+        chain's numpy operations in its order, so every result is bit-equal
+        to the taped one; only the results become Tensors."""
+        cfg, attn = self.config, self.attn
+        layers = []
+        for layer, (cell, (c0, h0)) in enumerate(zip(self.cells, state.layers)):
+            if layer > 0:
+                x = dropout_between_layers(ad.wrap(x), cfg.dropout, self.rng).data
+            cells, hidden = lstm_arrays(x, cell, range(len(x)), (c0.data, h0.data))
+            layers.append((ad.wrap(cells[-1]), ad.wrap(hidden[-1])))
+            x = hidden
+        inputs = (self.enc_proj.data, self.h.data)
+        params = (attn.state_w.data, attn.bias.data, attn.score_v.data, self.pad.data)
+        weights = None if state.attn_weights is None else state.attn_weights.data
+        rows, contexts = [], []
+        for c_t, h_t in zip(cells, hidden):
+            conv = () if cfg.attention != "conv" or weights is None else (
+                weights, attn.conv_filter.data, attn.conv_gate.data)
+            weights, context = attend_arrays(*inputs, np.concatenate([c_t, h_t], axis=-1), *params, *conv)
+            rows.append(ad.wrap(weights))
+            contexts.append(context)
+        merged = ad.linear_array(np.concatenate([x, np.stack(contexts)], axis=-1),
+                                 self.merge_w.data, self.merge_b.data)
+        return DecoderState(layers=layers, attn_weights=rows[-1]), ad.wrap(merged), rows
+
     def output(self, merged: Tensor) -> Tensor:
         """Softmax over the target vocabulary of merge outputs [rows, m]."""
         return ad.softmax(ad.linear(merged, self.vocab_w, self.vocab_b))
@@ -277,7 +307,7 @@ class DecoderCore:
         """Advance one target position; returns (state', distribution [B, V],
         attention weights [B, A'])."""
         state, merged, rows = self.advance(state, np.asarray(prev_ids)[None])
-        return state, self.output(merged[0]), rows[0]
+        return state, self.output(merged[0] if ad.recording() else ad.wrap(merged.data[0])), rows[0]
 
 
 def gather_state(state: DecoderState, index: np.ndarray) -> DecoderState:

@@ -294,3 +294,10 @@ def slice_index_oracle(ndim, attrs):
     index[attrs["axis"]] = (attrs["index"] if "index" in attrs
                             else slice(attrs["start"], attrs["stop"], attrs.get("step")))
     return tuple(index)
+
+
+def transposed_weight_grad_oracle(g, x, w):
+    """The ``matmul`` weight gradient in its earlier form, the transpose of
+    ``x2.T @ g2`` (a Fortran-ordered view), over the flattened rows."""
+    x2, g2 = x.reshape(-1, x.shape[-1]), g.reshape(-1, len(w.reshape(-1, w.shape[-1])))
+    return (x2.T @ g2).T.reshape(w.shape)

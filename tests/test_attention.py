@@ -7,6 +7,7 @@ from s2t.attention import (
     AttentionParams,
     additive_scores,
     attend,
+    attend_arrays,
     convolutional_scores,
     padding_bias,
     project_encoder,
@@ -197,3 +198,54 @@ def test_attention_gradients_match_finite_differences():
         }
         worst = max(worst, gradient_check(f, point, epsilon=1e-5))
     assert worst < 1e-6
+
+
+@pytest.mark.parametrize("first", [False, True], ids=["later-step", "first-step"])
+@pytest.mark.parametrize("conv, k", [(False, 3), (True, 1), (True, 3), (True, 5)],
+                         ids=["additive", "conv-1", "conv-3", "conv-5"])
+@pytest.mark.parametrize("positions, batch, ragged", [(1, 1, False), (1, 3, False), (5, 1, False),
+                                                      (5, 3, True), (6, 4, True)])
+def test_array_attention_is_bit_equal_to_the_chain(positions, batch, ragged, conv, k, first):
+    """attend_arrays returns the bytes of the scores-then-attend chain's
+    weights and context: additive and conv (filter lengths 1, 3, 5, with and
+    without previous weights), A = 1, B = 1 and ragged padding."""
+    rng = np.random.default_rng(53 + 11 * positions + batch + k)
+    m = 3
+    params = make_params(rng, m, conv, k)
+    h = block(rng, positions, batch, m)
+    lengths = rng.integers(1, positions + 1, size=batch) if ragged else np.full(batch, positions)
+    pad = padding_bias(np.arange(positions)[None, :] < lengths[:, None])
+    enc_proj = project_encoder(params, h)
+    state = Tensor(rng.normal(size=(batch, 2 * m)))
+    prev = None if first or not conv else attend(Tensor(rng.normal(size=(batch, positions))), h)[0]
+    if conv:
+        scores = convolutional_scores(params, enc_proj, state, prev, pad)
+    else:
+        scores = additive_scores(params, enc_proj, state, pad)
+    weights, context = attend(scores, h)
+    tail = () if prev is None else (prev.data, params.conv_filter.data, params.conv_gate.data)
+    fast = attend_arrays(enc_proj.data, h.data, state.data, params.state_w.data, params.bias.data,
+                         params.score_v.data, pad.data, *tail)
+    assert [x.tobytes() for x in fast] == [weights.data.tobytes(), context.data.tobytes()]
+    assert [x.shape for x in fast] == [(batch, positions), (batch, m)]
+
+
+def test_array_attention_rejects_what_does_not_fit_the_encoder_block():
+    """A state projection, previous weights or gate that does not fit the
+    encoder block, a state that does not fit ``state_w`` and an even filter
+    raise ShapeMismatch, as the chain's primitives do."""
+    rng = np.random.default_rng(54)
+    m, positions, batch = 3, 4, 2
+    params = make_params(rng, m, conv=True)
+    enc_proj, h = block(rng, positions, batch, m).data, block(rng, positions, batch, m).data
+    state, pad, prev = rng.normal(size=(batch, 2 * m)), np.zeros((positions, batch)), np.full((batch, positions), 0.25)
+    good = dict(state=state, state_w=params.state_w.data, bias=params.bias.data, prev=prev,
+                conv_filter=params.conv_filter.data, conv_gate=params.conv_gate.data)
+    for change in [dict(state_w=rng.normal(size=(m + 1, 2 * m)), bias=np.zeros(m + 1)),
+                   dict(state=rng.normal(size=(batch, 2 * m + 1))), dict(state=rng.normal(size=(batch + 1, 2 * m))),
+                   dict(prev=np.full((batch, positions + 1), 0.2)), dict(conv_gate=np.ones(m + 1)),
+                   dict(conv_filter=np.ones(4))]:
+        args = {**good, **change}
+        with pytest.raises(ad.ShapeMismatch):
+            attend_arrays(enc_proj, h, args["state"], args["state_w"], args["bias"], params.score_v.data, pad,
+                          args["prev"], args["conv_filter"], args["conv_gate"])

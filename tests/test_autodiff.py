@@ -20,7 +20,8 @@ from s2t.autodiff import (
 from s2t.corpus import make_batch
 
 from oracles import (adam_oracle, conv1d_backward_oracle, conv1d_oracle, conv_windows_oracle,
-                     sigmoid_expression_oracle, slice_index_oracle, tape_replays_exactly)
+                     sigmoid_expression_oracle, slice_index_oracle, tape_replays_exactly,
+                     transposed_weight_grad_oracle)
 from util import (build_tiny_model, keep_every_value, random_speech_source, random_text_source,
                   randomize)
 
@@ -202,6 +203,23 @@ def test_matmul_hand_example():
             else:
                 db = np.einsum("ro->o", gm.reshape(-1, len(wm))).reshape(bias_shape)
             np.testing.assert_allclose(grads["b"].data, db, rtol=1e-12)
+
+
+def test_matmul_weight_gradient_is_c_ordered_with_the_transposed_form_bytes():
+    """The weight gradient is ``g2.T @ x2``, a C-ordered array with the bytes
+    of the earlier transposed ``(x2.T @ g2).T``: rows 1 to 832, [out, in]
+    matrices and [in] vectors, 2-D and 3-D inputs."""
+    rng = np.random.default_rng(13)
+    backward = ad._PRIMITIVES["matmul"].backward
+    for rows in (1, 2, 3, 7, 24, 64, 65, 130, 832):
+        for w_shape in ((1, 1), (3, 2), (8, 5), (40, 16), (16, 40), (5,), (1,)):
+            for lead in ((rows,), (rows, 2)):
+                x = rng.normal(size=lead + w_shape[-1:])
+                w = rng.normal(size=w_shape)
+                g = rng.normal(size=lead + w_shape[:-1])
+                dw = backward(g, [x, w], None, {})[1]
+                assert dw.flags.c_contiguous and dw.shape == w.shape
+                assert dw.tobytes() == transposed_weight_grad_oracle(g, x, w).tobytes()
 
 
 def test_matmul_shape_error_names_primitive():

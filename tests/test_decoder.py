@@ -1,3 +1,4 @@
+import contextlib
 from dataclasses import replace
 
 import numpy as np
@@ -10,7 +11,7 @@ from s2t.corpus import BOS_ID, EOS_ID, PAD_ID, Batch, make_batch
 from s2t.model import DecoderCore, DivergenceError
 
 from oracles import sequence_nll, text_forward_oracle
-from util import build_tiny_model, random_speech_source, random_text_source, randomize
+from util import build_tiny_model, count_primitive_calls, random_speech_source, random_text_source, randomize
 
 
 def zeroed(model):
@@ -470,3 +471,108 @@ def test_batched_attention_masks_padded_positions():
     for weights in rows:
         np.testing.assert_allclose(weights.data.sum(axis=1), 1.0, atol=1e-9)
         assert (weights.data[1, 2:] == 0.0).all()  # short row's padded positions
+
+
+def _ragged_pass(task, attention, seed, rows=3, dropout=0.0):
+    """A random tiny model and a padded ragged batch of ``rows`` sources."""
+    rng = np.random.default_rng(seed)
+    model = randomize(build_tiny_model(task=task, m=3, n=3, src_words=7, tgt_words=7, attention=attention,
+                                       dropout=dropout), seed=seed)
+    sources = [random_text_source(rng, 7) if task == "text" else random_speech_source(rng) for _ in range(rows)]
+    return model, make_batch(sources, [[4] * (i + 1) for i in range(rows)])
+
+
+@pytest.mark.parametrize("dropout", [0.0, 0.3], ids=["no-dropout", "dropout"])
+@pytest.mark.parametrize("steps", [1, 3])
+@pytest.mark.parametrize("attention", ["additive", "conv"])
+@pytest.mark.parametrize("task", ["text", "speech"])
+def test_untaped_advance_is_bit_equal_to_the_taped_chain(task, attention, steps, dropout):
+    """Two advances of T steps over a ragged batch: untaped (on arrays) and
+    taped (the primitive chain) give the same bytes for every merge output,
+    attention row and state, with dropout masks drawn in the same order."""
+    model, batch = _ragged_pass(task, attention, 55 + steps, dropout=dropout)
+    ids = np.random.default_rng(56).integers(4, 11, size=(2, steps, batch.size))
+    runs = []
+    for tape in (None, ad.Tape()):
+        rng = np.random.default_rng(57) if dropout else None
+        tensors = model.store.as_tensors() if tape is None else model.store.watch(tape)
+        with tape or contextlib.nullcontext():
+            core, state = model.start(tensors, batch.src, batch.src_lengths, rng)
+            out = []
+            for block in ids:
+                state, merged, rows = core.advance(state, block)
+                out += [merged, *rows, state.attn_weights, *(x for pair in state.layers for x in pair)]
+        runs.append([x.data.tobytes() for x in out])
+    assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("taped", [False, True], ids=["untaped", "taped"])
+@pytest.mark.parametrize("case", ["target-high", "target-negative", "state_w-rows", "state_w-cols",
+                                  "enc_w-rows", "enc_w-cols", "dec-wx", "dec-wh", "even-filter"])
+def test_loss_and_step_checks_raise_shape_mismatch(case, taped):
+    """A target id out of range or negative, an attention weight that does
+    not fit the state or the encoder block, a decoder LSTM weight of the
+    wrong shape and an even conv filter raise ShapeMismatch, untaped (the
+    array path) and taped (the chain), from the loss and from a step."""
+    m = 3
+    model = build_tiny_model(m=m, attention="conv" if case == "even-filter" else "additive")
+    tensors = model.store.as_tensors()
+    targets, step_ids = [[4, 5], [6]], np.array([4, 5])
+    bad = {"state_w-rows": ("attn.state_w", (m + 1, 2 * m)), "state_w-cols": ("attn.state_w", (m, 2 * m + 1)),
+           "enc_w-rows": ("attn.enc_w", (m + 1, m)), "enc_w-cols": ("attn.enc_w", (m, m + 1)),
+           "dec-wx": ("dec.1.wx", (4 * m, m + 1)), "dec-wh": ("dec.0.wh", (4 * m, m + 1)),
+           "even-filter": ("attn.conv_filter", (4,))}
+    if case in bad:
+        name, shape = bad[case]
+        tensors[name] = Tensor(np.full(shape, 0.1))
+    else:
+        wrong = len(model.tgt_vocab) if case == "target-high" else -1
+        targets, step_ids = [[4, wrong], [6]], np.array([4, wrong])
+    batch = make_batch([[4, 5, 6], [5, 4]], targets)
+    with ad.Tape() if taped else contextlib.nullcontext():
+        with pytest.raises(ShapeMismatch):
+            model.batch_nll(tensors, batch)
+        with pytest.raises(ShapeMismatch):
+            core, state = model.start(tensors, batch.src, batch.src_lengths)
+            for ids in (np.array([BOS_ID, BOS_ID]), step_ids):
+                state, _, _ = core.step(state, ids)
+
+
+def test_untaped_tiny_probe_and_search_step_dispatch_few_primitives(monkeypatch):
+    """An untaped loss of criterion 1's tiny speech model dispatches at most
+    40 primitives, none of them in a recurrence, a bidirectional sum, the
+    attention or the merge; an untaped search step dispatches only the
+    output layer.  Taped, the chain records them."""
+    rng = np.random.default_rng(100)
+    model = build_tiny_model(task="speech", m=8, n=8, src_words=16, tgt_words=16,
+                             seed=100, prenet_size=8, conv_filter_size=5)
+    batch = make_batch([rng.normal(size=(6, 41)) * 0.5], [[4, 5]])
+    calls = count_primitive_calls(monkeypatch)
+    model.batch_nll(model.store.as_tensors(), batch)
+    assert len(calls) <= 40
+    chain = {"sigmoid", "stack", "add", "mul", "conv1d", "transpose"}
+    assert not chain.intersection(calls)
+    core, state = model.start(model.store.as_tensors(), batch.src, batch.src_lengths)
+    for step in range(3):
+        calls.clear()
+        state, _, _ = core.step(state, np.array([BOS_ID if step == 0 else 4]))
+        assert calls == ["matmul", "softmax"]
+    calls.clear()
+    with ad.Tape():
+        model.batch_nll(model.store.as_tensors(), batch)
+    assert chain.issubset(calls)
+
+
+@pytest.mark.parametrize("attention", ["additive", "conv"])
+@pytest.mark.parametrize("task", ["text", "speech"])
+def test_every_gradient_is_c_contiguous(task, attention):
+    """backprop returns a C-ordered array for every parameter of a tiny
+    model, also where one conv step leaves the filter a single gradient."""
+    for rows in (1, 3):
+        model, batch = _ragged_pass(task, attention, 58, rows)
+        tape = ad.Tape()
+        with tape:
+            loss = model.batch_nll(model.store.watch(tape), batch)
+        grads = ad.backprop(tape, loss)
+        assert sorted(grads) == sorted(model.store.names())
+        assert [name for name, g in grads.items() if not g.data.flags.c_contiguous] == []

@@ -204,6 +204,24 @@ def test_untaped_loss_is_bit_equal_to_the_taped_loss():
         assert repr(untaped.item()) == repr(taped.item())
 
 
+@pytest.mark.parametrize("ragged", [False, True], ids=["no-lengths", "lengths"])
+@pytest.mark.parametrize("steps, batch", [(1, 1), (1, 3), (5, 1), (5, 3)])
+def test_untaped_bidirectional_layer_is_bit_equal_to_the_taped_chain(steps, batch, ragged):
+    """Untaped, both directions and their sum run on the arrays; the output
+    block, every forward state and the final state have the taped bytes."""
+    rng = np.random.default_rng(29 + steps * 5 + batch)
+    fwd, bwd = make_cell(rng, 4, 3), make_cell(rng, 4, 3)
+    inputs = Tensor(rng.normal(size=(steps, batch, 4)))
+    lengths = rng.integers(1, steps + 1, size=batch) if ragged else None
+    runs = []
+    for tape in (contextlib.nullcontext(), ad.Tape()):
+        with tape:
+            outputs, forward = bidirectional_layer(fwd, bwd, inputs, lengths)
+            final = final_state(forward, np.full(batch, steps) if lengths is None else lengths)
+        runs.append([x.data.tobytes() for x in [outputs, final, *forward[0], *forward[1]]])
+    assert runs[0] == runs[1]
+
+
 def test_bidirectional_single_element():
     rng = np.random.default_rng(23)
     fwd = make_cell(rng, 2, 2)

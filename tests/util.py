@@ -63,3 +63,17 @@ def random_text_source(rng, vocab_size, min_len=2, max_len=6):
 
 def random_speech_source(rng, dim=41, min_len=4, max_len=12):
     return rng.normal(size=(int(rng.integers(min_len, max_len + 1)), dim)) * 0.5
+
+
+def count_primitive_calls(monkeypatch):
+    """Re-register every primitive kind so that each forward it runs until
+    the test ends appends its kind to the returned list."""
+    from s2t import autodiff as ad
+
+    calls = []
+    for kind, prim in list(ad._PRIMITIVES.items()):
+        def forward(d, a, kind=kind, rule=prim.forward):
+            calls.append(kind)
+            return rule(d, a)
+        monkeypatch.setitem(ad._PRIMITIVES, kind, ad.Primitive(forward, prim.backward, prim.reads))
+    return calls
