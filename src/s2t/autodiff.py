@@ -76,7 +76,8 @@ class NonFiniteValue(ArithmeticError):
 
 
 class Tensor:
-    """Dense row-major float64 array.
+    """Dense float64 array: row-major, except the matrices a decoder loads
+    column-major (``checkpoint.load_checkpoint(path, order="F")``).
 
     Tensors are treated as immutable values: primitives always allocate new
     outputs, so tensors are safe to share between tapes and threads.
@@ -738,9 +739,11 @@ class ParameterStore:
         self.step = 0
 
     def add(self, name: str, value) -> None:
+        """Adds ``value`` converted to float64; a float64 array is kept as
+        it is, in its memory order."""
         if name in self._values:
             raise ValueError(f"parameter {name!r} already exists")
-        self._values[name] = np.array(value, dtype=np.float64)
+        self._values[name] = np.asarray(value, dtype=np.float64)
         self._m1[name] = self._m2[name] = None
 
     def __contains__(self, name: str) -> bool:

@@ -11,7 +11,9 @@ a run that reloads the file continue from bit-identical parameters, which
 makes training resumable with exact loss trajectories.  Loading maps the
 file, converts only the values and then releases the mapping's resident
 pages; the moments stay float32 views of the mapping, read back from the
-file if training reads them.
+file if training reads them.  A decoder loads its matrices in the layout
+its products want (``load_checkpoint(path, order="F")``); the file and the
+values are the same.
 """
 
 from __future__ import annotations
@@ -91,21 +93,48 @@ def _write_checkpoint(fh, model: Seq2SeqModel) -> None:
             fh.write(bytes(value.nbytes) if arr is None else arr.tobytes())
 
 
-def load_checkpoint(path) -> Seq2SeqModel:
+def load_checkpoint(path, order: str = "C") -> Seq2SeqModel:
     """Map the file read-only and convert only the parameter values; the
     moments stay float32 views of the mapping, which lives as long as they
     do.  ``save_checkpoint`` renames a new file over the old one, so a saved
     model never changes under a loaded one.  Every malformed file raises
-    ``CheckpointError`` naming it."""
+    ``CheckpointError`` naming it.
+
+    ``order`` is the memory order of each matrix value: "C" (row-major, the
+    layout training keeps) or "F", the decode layout.  Every product reads
+    a weight ``w`` as ``x @ w.T``; in "F" order ``w.T`` is the row-major
+    [in, out] operand the BLAS multiplies without repacking it, and an
+    embedding lookup ``table.T[ids]`` gathers contiguous rows.  With one
+    OpenBLAS 0.3.31 thread on a 2-vCPU Xeon guest, 3 rows by the
+    [4000, 256] output weight take 0.79 instead of 1.17 ms, 24 rows by a
+    [1024, 256] gate weight 0.45 instead of 0.53 ms and a 24-id lookup
+    3.2 instead of 13.3 us.  The values and their logical [out, in] shapes
+    are the same, and so is the file a save of the model writes.  A
+    decode's scores can differ from a row-major model's in the last bits:
+    OpenBLAS multiplies the two layouts with different kernels for 256-wide
+    outputs at 7 rows or fewer, and numpy takes a matrix-vector product
+    for one row."""
+    if order not in ("C", "F"):
+        raise ValueError(f"unknown parameter order {order!r}")
     try:
-        return _read_checkpoint(path)
+        return _read_checkpoint(path, order)
     except CheckpointError:
         raise
     except ValueError as exc:  # a bad header value, vocabulary or UTF-8 text
         raise CheckpointError(f"{path}: {exc}") from None
 
 
-def _read_checkpoint(path) -> Seq2SeqModel:
+def _fortran_float64(value: np.ndarray) -> np.ndarray:
+    """The float64 copy of a row-major matrix in column-major order, made
+    256 rows at a time: one strided pass over the whole matrix takes
+    5-6x as long (7.6 against 1.4 ms for [4000, 256])."""
+    out = np.empty(value.shape, order="F")
+    for row in range(0, len(value), 256):
+        out[row:row + 256] = value[row:row + 256]
+    return out
+
+
+def _read_checkpoint(path, order: str) -> Seq2SeqModel:
     with open(path, "rb") as fh:  # an empty file cannot be mapped: it reads as truncated
         blob = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) if fh.read(1) else b""
     reader = FieldReader(blob, path, "checkpoint", CheckpointError)
@@ -146,7 +175,7 @@ def _read_checkpoint(path) -> Seq2SeqModel:
         count = int(np.prod(shape)) if shape else 1
         value, m1, m2 = (np.frombuffer(reader.take(4 * count), dtype="<f4").reshape(shape)
                          for _ in range(3))
-        store.add(name, value)
+        store.add(name, _fortran_float64(value) if order == "F" and value.ndim == 2 else value)
         store.set_moments(name, m1, m2)
     store.step = int(step)
     if not reader.at_end():

@@ -1,7 +1,8 @@
 """Command-line surface: train, translate, evaluate, lm-train,
 dump-attention and extract-features.
 
-Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric divergence.
+Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric divergence,
+70 internal error (a fault of the program, printed with its traceback).
 """
 
 from __future__ import annotations
@@ -9,6 +10,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import traceback
 from dataclasses import replace
 
 import numpy as np
@@ -24,6 +26,7 @@ from .audio import (
     read_feature_archive,
     write_feature_archive,
 )
+from .autodiff import ShapeMismatch, UnknownPrimitive
 from .bleu import corpus_bleu
 from .checkpoint import CheckpointError, load_checkpoint
 from .config import ConfigError, RunConfig, load_config
@@ -166,7 +169,8 @@ def cmd_train(args) -> int:
 
 
 def _load_ensemble(paths) -> list[Seq2SeqModel]:
-    models = [load_checkpoint(path) for path in paths]
+    """The decode commands' models, each matrix in the decode layout."""
+    models = [load_checkpoint(path, order="F") for path in paths]
     first = models[0]
     for path, model in zip(paths[1:], models[1:]):
         if model.config.task != first.config.task:
@@ -256,7 +260,7 @@ def _teacher_forced_attention(model, source, target_ids):
 
 
 def cmd_dump_attention(args) -> int:
-    model = load_checkpoint(args.checkpoint)
+    (model,) = _load_ensemble([args.checkpoint])
     raw = _read_sources(args.input, model.config.task)
     if not 0 <= args.line < len(raw):
         raise DataError(f"{args.input}: item {args.line} out of range")
@@ -388,6 +392,10 @@ def main(argv=None) -> int:
     except DivergenceError as exc:
         print(f"numeric divergence: {exc}", file=sys.stderr)
         return 3
+    except (ShapeMismatch, UnknownPrimitive) as exc:  # ValueErrors the program, not its input, raised
+        traceback.print_exc()
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 70  # EX_SOFTWARE
     except (DataError, CheckpointError, ConfigError, AudioFormatError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -10,6 +10,10 @@ Sequences travel as one time-major [T, B, dim] block with a per-row length
 vector.  Padded steps are computed and never read: the forward direction
 runs on through them, the backward one starts each row from the zero state
 at its last real step, the final state is read there, attention skips them.
+
+The recurrence has two forms: :func:`run_lstm`, the primitive chain a tape
+records, and :func:`lstm_arrays`, the same numpy operations on plain arrays
+that every untaped pass runs.
 """
 
 from __future__ import annotations
@@ -94,21 +98,17 @@ def lstm_arrays(x: np.ndarray, cell: LstmCellParams, order, start=None, restart=
 
 
 def run_lstm(projected: Tensor, wh: Tensor, order, start=None, restart=None):
-    """The LSTM over the [T, B, 4m] input projection ``linear(x, wx, b)``:
-    steps in ``order`` from the (c, h) ``start`` (None: the zero state); rows
-    whose ``restart`` is ``t`` enter step ``t`` from zero.  Returns per-step
-    lists of [B, m] cell and hidden states, indexed by step.
+    """The LSTM over the [T, B, 4m] input projection ``linear(x, wx, b)`` as
+    a primitive chain, the one a tape records for training: steps in
+    ``order`` from the (c, h) ``start`` (None: the zero state); rows whose
+    ``restart`` is ``t`` enter step ``t`` from zero.  Returns per-step lists
+    of [B, m] cell and hidden states, indexed by step.
 
-    While a tape records, a step from a nonzero state is one
-    ``linear(h, wh, projected[t])`` entry: the projection rides in as the
-    GEMM's output-shaped bias, so the step keeps one [B, 4m] gate array.
-    Untaped (search, dev loss, gradient-check probes) the recurrence runs
-    on the arrays through :func:`_lstm_arrays` and only the states become
-    Tensors."""
-    if not ad.recording():
-        cells, outputs = _lstm_arrays(projected.data, wh.data, order,
-                                      None if start is None else (start[0].data, start[1].data), restart)
-        return [ad.wrap(c) for c in cells], [ad.wrap(h) for h in outputs]
+    A step from a nonzero state is one ``linear(h, wh, projected[t])``
+    entry: the projection rides in as the GEMM's output-shaped bias, so the
+    step keeps one [B, 4m] gate array.  Untaped passes (search, dev loss,
+    gradient-check probes) do not come here: their callers run
+    :func:`lstm_arrays`."""
     _check_lstm(projected.shape, wh.shape, start)
     c, h = (None, None) if start is None else start
     cells, outputs = [None] * len(order), [None] * len(order)

@@ -3,12 +3,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from s2t import autodiff as ad
+from s2t import cli
 from s2t.audio import FEATURE_DIM, read_feature_archive, write_feature_archive
 from s2t.checkpoint import save_checkpoint
 from s2t.cli import main
 from s2t.corpus import tokenize
 from s2t.lm import load_lm
-from s2t.search import greedy_decode
+from s2t.search import decode_batch, greedy_decode
 
 from test_audio import write_wav
 from util import build_tiny_model, randomize
@@ -165,6 +167,73 @@ def test_translate_beam_one_matches_greedy(tmp_path, capsys):
         result = greedy_decode(loaded, ids)
         expected.append(" ".join(loaded.tgt_vocab.decode_sequence(result.tokens)))
     assert out.read_text().splitlines() == expected
+
+
+@pytest.mark.parametrize("task", ["text", "speech"])
+def test_translate_beam_one_is_greedy_on_the_decode_layout(tmp_path, capsys, monkeypatch, task):
+    """translate --beam-size 1 of one input gives greedy_decode's result on
+    the model as translate loads it, every matrix column-major, bit for bit:
+    tokens, repr(score) and attention bytes."""
+    path, _ = _save_random_model(tmp_path, seed=23, task=task)
+    results = []
+
+    def recording(*args, **kwargs):
+        batch = decode_batch(*args, **kwargs)
+        results.extend(batch)
+        return batch
+
+    monkeypatch.setattr(cli, "decode_batch", recording)
+    (model,) = cli._load_ensemble([path])
+    assert all(model.store.value(name).flags.f_contiguous for name in model.store.names())
+    rng = np.random.default_rng(23)
+    inp = tmp_path / "in.bin"
+    for trial in range(4):
+        if task == "text":
+            inp.write_text(" ".join(f"t{i}" for i in rng.integers(0, 5, trial + 2)) + "\n")
+        else:
+            write_feature_archive(inp, [("u", rng.normal(size=(8 + 3 * trial, FEATURE_DIM)).astype(np.float32))])
+        code, _, _ = run(capsys, "translate", "--checkpoint", str(path), "--input", str(inp),
+                         "--output", str(tmp_path / "out.txt"), "--beam-size", "1")
+        assert code == 0 and len(results) == trial + 1
+        want = greedy_decode(model, cli._model_inputs(model, cli._read_sources(inp, task))[0])
+        got = results[-1]
+        assert got.tokens == want.tokens
+        assert repr(got.score) == repr(want.score)
+        assert got.attention.tobytes() == want.attention.tobytes()
+
+
+def test_decoding_loads_column_major_and_training_row_major(tmp_path, capsys, monkeypatch):
+    """translate and dump-attention load every matrix column-major through
+    s2t.cli.load_checkpoint; train --resume loads row-major, as
+    load_checkpoint(path) does."""
+    loaded, cli_load = [], cli.load_checkpoint
+
+    def recording(*args, **kwargs):
+        loaded.append(cli_load(*args, **kwargs))
+        return loaded[-1]
+
+    monkeypatch.setattr(cli, "load_checkpoint", recording)
+    path, _ = _save_random_model(tmp_path, seed=24)
+    inp = tmp_path / "in.txt"
+    inp.write_text("t0 t1 t2\n")
+    src, tgt = write_toy_text(tmp_path, n=4)
+    commands = {
+        "F": [["translate", "--checkpoint", str(path), "--input", str(inp), "--output", str(tmp_path / "o")],
+              ["dump-attention", "--checkpoint", str(path), "--input", str(inp),
+               "--output", str(tmp_path / "a")]],
+        "C": [["train", "--train-src", str(src), "--train-tgt", str(tgt), "--save-dir", str(tmp_path / "run"),
+               "--resume", str(path), "--steps", "2", "--save-every", "2", "--quiet"]],
+    }
+    for order, argvs in commands.items():
+        other = "C" if order == "F" else "F"
+        for argv in argvs:
+            loaded.clear()
+            assert run(capsys, *argv)[0] == 0
+            (model,) = loaded
+            matrices = [model.store.value(name) for name in model.store.names()
+                        if model.store.value(name).ndim == 2]
+            assert matrices
+            assert all(m.flags[f"{order}_CONTIGUOUS"] and not m.flags[f"{other}_CONTIGUOUS"] for m in matrices)
 
 
 def test_translate_repeated_checkpoint_matches_single(tmp_path, capsys):
@@ -547,3 +616,34 @@ def test_divergence_exit_code(tmp_path, capsys):
                        "--save-dir", str(tmp_path / "run"), "--resume", str(path), "--quiet")
     assert code == 3
     assert "divergence" in err
+
+
+@pytest.mark.parametrize("fault", ["shape-mismatch", "unknown-primitive"])
+@pytest.mark.parametrize("command", ["translate", "train"])
+def test_program_fault_exits_70_with_its_traceback(tmp_path, capsys, monkeypatch, command, fault):
+    """A ShapeMismatch or UnknownPrimitive out of a primitive rule is the
+    program's fault, not a data error: exit 70 (EX_SOFTWARE), the traceback
+    and an internal-error line on stderr, nothing on stdout."""
+    if fault == "shape-mismatch":
+        def forward(d, a):
+            raise ad.ShapeMismatch("softmax: forced fault")
+
+        prim = ad._PRIMITIVES["softmax"]
+        monkeypatch.setitem(ad._PRIMITIVES, "softmax", ad.Primitive(forward, prim.backward, prim.reads))
+    else:
+        monkeypatch.delitem(ad._PRIMITIVES, "softmax")
+    if command == "translate":
+        path, _ = _save_random_model(tmp_path, seed=25)
+        inp = tmp_path / "in.txt"
+        inp.write_text("t0 t1 t2\n")
+        argv = ["translate", "--checkpoint", str(path), "--input", str(inp)]
+    else:
+        src, tgt = write_toy_text(tmp_path, n=4)
+        argv = ["train", "--task", "text", "--train-src", str(src), "--train-tgt", str(tgt),
+                "--save-dir", str(tmp_path / "run"), *TRAIN_FLAGS]
+    code, out, err = run(capsys, *argv)
+    assert code == 70
+    assert out == ""
+    assert "Traceback (most recent call last)" in err
+    assert err.splitlines()[-1].startswith("internal error: ")
+    assert ("forced fault" if fault == "shape-mismatch" else "unknown primitive id: 'softmax'") in err

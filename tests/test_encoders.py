@@ -9,6 +9,7 @@ from s2t.config import RunConfig
 from s2t.corpus import make_batch
 from s2t.encoders import (
     LstmCellParams,
+    _lstm_arrays,
     bidirectional_layer,
     final_state,
     pyramidal_encode,
@@ -148,16 +149,24 @@ def _recurrence_case(rng, steps, batch, reverse, ragged, with_start, m=3):
     return projected, params.wh, order, start, restart
 
 
+def _run_arrays(projected, wh, order, start, restart):
+    """A run_lstm call's arguments through _lstm_arrays; the states come
+    back as run_lstm returns them, per-step lists of Tensors."""
+    cells, hidden = _lstm_arrays(projected.data, wh.data, order,
+                                 None if start is None else (start[0].data, start[1].data), restart)
+    return [ad.wrap(c) for c in cells], [ad.wrap(h) for h in hidden]
+
+
 @pytest.mark.parametrize("with_start", [False, True], ids=["zero-start", "given-start"])
 @pytest.mark.parametrize("ragged", [False, True], ids=["even", "ragged"])
 @pytest.mark.parametrize("reverse", [False, True], ids=["forward", "reversed"])
 @pytest.mark.parametrize("steps, batch", [(1, 1), (1, 3), (4, 1), (6, 3)])
 def test_untaped_recurrence_is_bit_equal_to_the_taped_chain(steps, batch, reverse, ragged, with_start):
-    """Untaped, run_lstm runs on the arrays; every step's c and h has the
-    bytes of the taped primitive chain's."""
+    """On the arrays, every step's c and h has the bytes of the taped
+    primitive chain's."""
     rng = np.random.default_rng(26 + steps * 7 + batch)
     case = _recurrence_case(rng, steps, batch, reverse, ragged, with_start)
-    untaped = run_lstm(*case)
+    untaped = _run_arrays(*case)
     with ad.Tape():
         taped = run_lstm(*case)
     for fast, chain in zip(untaped, taped):
@@ -166,8 +175,8 @@ def test_untaped_recurrence_is_bit_equal_to_the_taped_chain(steps, batch, revers
 
 
 def test_untaped_recurrence_makes_no_primitive_call(monkeypatch):
-    """An untaped run_lstm over T steps dispatches no primitive; taped, the
-    chain still records every step."""
+    """The recurrence on the arrays over T steps dispatches no primitive;
+    taped, the chain still records every step."""
     calls = []
     for kind, prim in list(ad._PRIMITIVES.items()):
         def forward(d, a, kind=kind, rule=prim.forward):
@@ -176,7 +185,7 @@ def test_untaped_recurrence_makes_no_primitive_call(monkeypatch):
         monkeypatch.setitem(ad._PRIMITIVES, kind, ad.Primitive(forward, prim.backward, prim.reads))
     case = _recurrence_case(np.random.default_rng(27), 5, 3, True, True, True)
     calls.clear()
-    run_lstm(*case)
+    _run_arrays(*case)
     assert calls == []
     with ad.Tape():
         run_lstm(*case)
