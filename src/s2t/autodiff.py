@@ -378,15 +378,20 @@ def _scale_bwd(g, d, out, a):
 def linear_array(x: np.ndarray, w: np.ndarray, b: Optional[np.ndarray] = None) -> np.ndarray:
     """:func:`linear` on plain arrays, untaped: the ``matmul`` rule's checks
     and operations."""
-    if x.ndim == 0 or w.ndim == 0 or w.ndim > 2:
+    stacked = w.ndim == 3  # [D, out, in]: one product per leading index of an [D, n, in] input
+    if x.ndim == 0 or w.ndim == 0 or w.ndim > 3 or stacked and (x.ndim != 3 or len(x) != len(w)):
         raise ShapeMismatch(f"matmul: unsupported operand ranks {x.shape} by weight {w.shape}")
     if x.shape[-1] != w.shape[-1]:
         raise ShapeMismatch(f"matmul: input width differs from the weight's, {x.shape} by {w.shape}")
-    shape = x.shape[:-1] + w.shape[:-1]
+    shape = x.shape[:-1] + w.shape[1 if stacked else 0:-1]
     if b is not None and b.shape not in (w.shape[:-1], shape):
         raise ShapeMismatch(f"matmul: bias {b.shape} is neither the weight's output shape "
                             f"{w.shape[:-1]} nor the output's {shape}")
-    if x.ndim == 2 and w.ndim == 2:
+    if stacked:
+        out = np.matmul(x, w.swapaxes(-1, -2))
+        if b is not None and b.shape != shape:
+            b = b[:, None]  # one [out] bias per leading index
+    elif x.ndim == 2 and w.ndim == 2:
         out = x @ w.T  # the fold below is the identity here
     else:
         out = (x.reshape(-1, x.shape[-1]) @ w.T).reshape(shape)
@@ -401,6 +406,9 @@ def _matmul_fwd(d, a):
 
 def _matmul_bwd(g, d, out, a):
     x, w, *bias = d
+    if w.ndim == 3:
+        dx, dw = np.matmul(g, w), np.matmul(g.swapaxes(-1, -2), x)
+        return [dx, dw, *(g if b.shape == g.shape else g.sum(axis=1) for b in bias)]
     if x.ndim == 2 and w.ndim == 2:
         dx, dw = g @ w, g.T @ x
     else:
@@ -656,7 +664,10 @@ def linear(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
     as stored: ``x @ w.T`` for an [out, in] matrix, ``x @ w`` for an [in] vector;
     plus the bias ``b``, if given, inside the same tape entry, added in place to
     the GEMM's fresh output.  ``b`` has the weight's output shape [out] or the
-    whole output's shape [..., out]; nothing else broadcasts."""
+    whole output's shape [..., out]; nothing else broadcasts.  A stacked
+    [D, out, in] weight takes a [D, n, in] input, one GEMM per leading index,
+    and a [D, out] bias, one [out] vector per leading index, or one of the
+    whole output's shape."""
     return apply_primitive("matmul", (x, w) if b is None else (x, w, b))
 
 

@@ -32,7 +32,7 @@ from .checkpoint import CheckpointError, load_checkpoint
 from .config import ConfigError, RunConfig, load_config
 from .corpus import (DataError, ParallelCorpus, Vocabulary, make_batch, read_lines, tokenize,
                      whole_file)
-from .lm import DEFAULT_LAMBDAS, load_lm, save_lm, train_trigram
+from .lm import DEFAULT_LAMBDAS, LmFormatError, load_lm, save_lm, train_trigram
 from .model import DivergenceError, Seq2SeqModel
 from .search import FusionWeights, beam_search, check_limits, decode_batch
 from .training import logged_best, rewind_log, train_loop
@@ -396,7 +396,8 @@ def main(argv=None) -> int:
         traceback.print_exc()
         print(f"internal error: {exc}", file=sys.stderr)
         return 70  # EX_SOFTWARE
-    except (DataError, CheckpointError, ConfigError, AudioFormatError, OSError, ValueError) as exc:
+    except (DataError, CheckpointError, ConfigError, AudioFormatError, LmFormatError, OSError,
+            ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

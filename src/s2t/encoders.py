@@ -6,19 +6,28 @@ bidirectional layer; its 2nd and 3rd layers read every other output of the
 layer below, shortening the sequence by 4x overall.  Both stacks read the
 resolved ``RunConfig``: its ``enc_layers``, ``dropout`` and ``stride``.
 
-Sequences travel as one time-major [T, B, dim] block with a per-row length
-vector.  Padded steps are computed and never read: the forward direction
-runs on through them, the backward one starts each row from the zero state
-at its last real step, the final state is read there, attention skips them.
+Sequences travel between layers as one time-major [T, B, dim] block with a
+per-row length vector.  Inside a layer the recurrence runs packed, as
+cuDNN and PyTorch run variable-length batches: :func:`packing` sorts the
+rows by length once, longest first, and lays the real positions out step
+by step, so each step computes only its live rows, a prefix of the sorted
+rows, and padded positions are never computed.  A bidirectional layer
+runs its two directions as one recurrence stacked on a leading direction
+axis, the backward direction reading each row's real steps in reverse
+order, so both share each step's live prefix (untaped and past
+``_STACK_LIMIT`` elements a weight matrix, each direction runs the same
+packed steps on its own weights instead of a stacked copy).  A layer's
+output block is zero at padded positions; attention skips them.
 
 The recurrence has two forms: :func:`run_lstm`, the primitive chain a tape
-records, and :func:`lstm_arrays`, the same numpy operations on plain arrays
-that every untaped pass runs.
+records, and :func:`_lstm_arrays`, the same numpy operations on plain
+arrays that every untaped pass runs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -49,80 +58,183 @@ def _cell_update(gates: Tensor, c: Optional[Tensor]):
     return c_new, o * ad.tanh(c_new)
 
 
-def _lstm_arrays(projected: np.ndarray, wh: np.ndarray, order, start=None, restart=None):
+@dataclass(frozen=True)
+class Packing:
+    """The packed layout of a [T, B] time-major block whose rows are real up
+    to their lengths: for each step ``(n, at)`` of ``steps``, packed
+    positions ``at + j`` hold that step of sorted rows ``j < n``, the rows
+    still live there (``n`` is cuDNN's ``batch_sizes``).  Index arrays
+    name a block's slots time-major, ``t * B + b``; every array is
+    read-only."""
+
+    lengths: tuple            # [B] each sorted row's length, non-increasing
+    order: np.ndarray         # [B] the batch row of each sorted row (a stable sort)
+    steps: tuple              # (live rows, first packed position) of each step with a live row
+    slots: np.ndarray         # [2, N] the slot each packed position reads: forward, reversed
+    forward: np.ndarray       # [N] slots[0]
+    backward: np.ndarray      # [N] slots[1]
+    last: np.ndarray          # [B] packed position of each batch row's last step
+    unpack: np.ndarray        # [T, B] packed position of each slot; padding past N
+    unpack_both: np.ndarray   # [2, T, B] the same over forward and reversed positions
+    sorted: bool              # the rows are in batch order already
+    dense: bool               # no padding: packed positions are the slots
+
+
+def _key(lengths) -> tuple:
+    return lengths if type(lengths) is tuple else tuple(np.asarray(lengths).tolist())
+
+
+def packing(lengths, steps: int) -> Packing:
+    """The :class:`Packing` of ``steps`` time steps over rows of the given
+    ``lengths`` (each from 1 to ``steps``); plans are cached by value."""
+    return _packing(_key(lengths), int(steps))
+
+
+@lru_cache(maxsize=32)
+def _packing(lengths: tuple, steps: int) -> Packing:
+    lengths = np.array(lengths, dtype=np.intp)
+    if not lengths.size or lengths.min() < 1 or lengths.max() > steps:
+        raise ValueError(f"row lengths must lie in [1, {steps}], got {lengths.tolist()}")
+    batch, count = len(lengths), steps * len(lengths)
+    order = np.argsort(-lengths, kind="stable")
+    ranked = lengths[order]
+    step, row = np.nonzero(np.arange(steps)[:, None] < ranked[None, :])
+    sizes = np.bincount(step)
+    starts = np.concatenate([[0], np.cumsum(sizes)])
+    slots = np.stack([step, ranked[row] - 1 - step]) * batch + order[row]
+    forward, backward = slots
+    padding = np.flatnonzero(np.arange(steps)[:, None] >= lengths[None, :])
+
+    def inverse(targets):
+        index = np.empty(len(targets), dtype=np.intp)
+        index[targets] = np.arange(len(targets))
+        return index
+
+    unpack = inverse(np.concatenate([forward, padding])).reshape(steps, batch)
+    unpack_both = inverse(np.concatenate([forward, count + backward, padding, count + padding]))
+    plan = Packing(tuple(ranked.tolist()), order, tuple(zip(sizes.tolist(), starts.tolist())), slots,
+                   forward, backward, starts[lengths - 1] + inverse(order), unpack,
+                   unpack_both.reshape(2, steps, batch),
+                   bool((order == np.arange(batch)).all()), not padding.size)
+    for value in vars(plan).values():
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False
+    return plan
+
+
+def _lstm_arrays(projected: np.ndarray, wh: np.ndarray, lengths, start=None):
     """:func:`run_lstm` on plain arrays, untaped: each step makes exactly the
     numpy operations of the primitive chain, in its order, so every state
-    is bit-equal to the taped one.  ``order`` runs over every step;
-    ``start`` is None or a (c, h) pair of [B, m] arrays.  Returns the
-    [T, B, m] cell and hidden blocks, each step's products written into
-    its slab.
+    is bit-equal to the taped one.  Returns the packed [..., N, m] cell and
+    hidden blocks, each step's products written into its rows.
 
     This is the forward of a future one-primitive recurrence (an
     ``lstm_seq`` kind with its own BPTT backward), which will replace the
     chain; until then the chain records what training differentiates."""
-    _check_lstm(projected.shape, wh.shape, start)
-    m = wh.shape[1]
+    steps = _check_lstm(projected.shape, wh.shape, lengths, start)
+    m = wh.shape[-1]
+    cells, hidden = np.empty((2,) + projected.shape[:-1] + (m,))
     c, h = (None, None) if start is None else start
-    cells, outputs = np.empty((2,) + projected.shape[:2] + (m,))
-    restarts = set() if restart is None else set(restart.tolist())
-    for t in order:
-        gates = projected[t]
+    recurrent = wh.swapaxes(-1, -2)
+    for n, at in steps:
+        gates = rows = projected[..., at:at + n, :]
         if h is not None:
-            if t in restarts:
-                keep = (restart != t).astype(np.float64)[:, None]
-                c, h = c * keep, h * keep
-            gates = h @ wh.T
-            gates += projected[t]
+            if h.shape[-2] > n:
+                c, h = c[..., :n, :], h[..., :n, :]
+            gates = np.matmul(h, recurrent)
+            gates += rows
         act = ad.sigmoid_array(gates)
-        i, o = act[:, :m], act[:, 3 * m:]
-        g = np.tanh(gates[:, 2 * m:3 * m])
-        c = np.multiply(i, g, out=cells[t]) if c is None else np.add(act[:, m:2 * m] * c, i * g, out=cells[t])
-        h = np.multiply(o, np.tanh(c), out=outputs[t])
-    return cells, outputs
+        i, o = act[..., :m], act[..., 3 * m:]
+        g = np.tanh(gates[..., 2 * m:3 * m])
+        cell = cells[..., at:at + n, :]
+        c = np.multiply(i, g, out=cell) if c is None else np.add(act[..., m:2 * m] * c, i * g, out=cell)
+        h = np.multiply(o, np.tanh(c), out=hidden[..., at:at + n, :])
+    return cells, hidden
 
 
-def _check_lstm(shape, wh_shape, start) -> None:
-    """Raises ShapeMismatch unless the recurrent weight is [4m, m] and each
-    start state [B, m] for the [T, B, 4m] projection ``shape``."""
-    _, batch, width = shape
-    starts = [] if start is None else [s.shape for s in start]
-    if wh_shape != (width, width // 4) or any(s != (batch, width // 4) for s in starts):
-        raise ad.ShapeMismatch(f"lstm: projection {shape}, recurrent weight {wh_shape} "
-                               f"and start state {starts} do not agree")
+def _check_lstm(shape, wh_shape, lengths, start):
+    """The steps of the :class:`Packing` of rows sorted by their ``lengths``;
+    raises ShapeMismatch unless the lengths are longest first and sum to N,
+    the recurrent weight is [..., 4m, m] and each start state [..., B, m]
+    for the packed [..., N, 4m] projection ``shape``."""
+    lengths = _key(lengths)
+    plan = packing(lengths, max(lengths, default=0))
+    m = shape[-1] // 4
+    state = shape[:-2] + (len(lengths), m)
+    if (wh_shape != shape[:-2] + (4 * m, m) or 4 * m != shape[-1] or not plan.sorted
+            or len(plan.forward) != shape[-2]
+            or start is not None and (start[0].shape != state or start[1].shape != state)):
+        raise ad.ShapeMismatch(f"lstm: projection {shape}, recurrent weight {wh_shape}, start state "
+                               f"{None if start is None else [s.shape for s in start]} and row "
+                               f"lengths {list(lengths)} do not agree")
+    return plan.steps
 
 
-def lstm_arrays(x: np.ndarray, cell: LstmCellParams, order, start=None, restart=None):
-    """:func:`_lstm_arrays` of the [T, B, d] array ``x`` through ``cell``'s
+def lstm_arrays(x: np.ndarray, cell: LstmCellParams, lengths, start=None):
+    """:func:`_lstm_arrays` of the packed [N, d] array ``x`` through ``cell``'s
     input projection ``linear(x, wx, b)``, untaped."""
-    return _lstm_arrays(ad.linear_array(x, cell.wx.data, cell.b.data), cell.wh.data, order, start, restart)
+    return _lstm_arrays(ad.linear_array(x, cell.wx.data, cell.b.data), cell.wh.data, lengths, start)
 
 
-def run_lstm(projected: Tensor, wh: Tensor, order, start=None, restart=None):
-    """The LSTM over the [T, B, 4m] input projection ``linear(x, wx, b)`` as
-    a primitive chain, the one a tape records for training: steps in
-    ``order`` from the (c, h) ``start`` (None: the zero state); rows whose
-    ``restart`` is ``t`` enter step ``t`` from zero.  Returns per-step lists
-    of [B, m] cell and hidden states, indexed by step.
+def run_lstm(projected: Tensor, wh: Tensor, lengths, start=None):
+    """The LSTM over a packed input projection ``linear(x, wx, b)`` as a
+    primitive chain, the one a tape records for training.  ``projected``
+    is [..., N, 4m] in the layout of :class:`Packing` for rows sorted by
+    their ``lengths``, longest first, and ``wh`` [..., 4m, m]: a leading
+    axis stacks recurrences, such as a layer's two directions.  Steps start
+    from the (c, h) ``start`` of the sorted rows (None: the zero state) and
+    run on their live rows only.  Returns the packed [..., N, m] cell and
+    hidden blocks.
 
-    A step from a nonzero state is one ``linear(h, wh, projected[t])``
-    entry: the projection rides in as the GEMM's output-shaped bias, so the
-    step keeps one [B, 4m] gate array.  Untaped passes (search, dev loss,
-    gradient-check probes) do not come here: their callers run
-    :func:`lstm_arrays`."""
-    _check_lstm(projected.shape, wh.shape, start)
+    A step from a nonzero state is one ``linear(h, wh, projected rows)``
+    entry: the step's live slice of the projection rides in as the GEMM's
+    output-shaped bias, so the step keeps one gate array.  A step with
+    fewer live rows than the last slices the states first.  Untaped passes
+    (search, dev loss, gradient-check probes) do not come here: their
+    callers run :func:`_lstm_arrays`."""
+    steps = _check_lstm(projected.shape, wh.shape, lengths, start)
     c, h = (None, None) if start is None else start
-    cells, outputs = [None] * len(order), [None] * len(order)
-    restarts = set() if restart is None else set(restart.tolist())
-    for t in order:
-        gates = projected[t]
+    cells, hidden = [], []
+    for n, at in steps:
+        gates = ad.slice_axis(projected, -2, at, at + n)
         if h is not None:
-            if t in restarts:
-                keep = Tensor((restart != t).astype(np.float64)[:, None])
-                c, h = c * keep, h * keep
+            if h.shape[-2] > n:
+                c, h = ad.slice_axis(c, -2, 0, n), ad.slice_axis(h, -2, 0, n)
             gates = ad.linear(h, wh, gates)
         c, h = _cell_update(gates, c)
-        cells[t], outputs[t] = c, h
-    return cells, outputs
+        cells.append(c)
+        hidden.append(h)
+    return join_steps(cells), join_steps(hidden)
+
+
+def join_steps(parts: list) -> Tensor:
+    """Per-step [..., n_t, w] Tensors as one packed [..., N, w] Tensor."""
+    if len(parts) == 1:
+        return parts[0]
+    lead, width = parts[0].shape[:-2], parts[0].shape[-1]
+    flat = ad.concat([ad.reshape(part, lead + (part.shape[-2] * width,)) for part in parts])
+    return ad.reshape(flat, lead + (flat.shape[-1] // width, width))
+
+
+def take_rows(x: Tensor, index) -> Tensor:
+    """The rows (axis 0) of ``x`` at the integer array ``index``, one ``slice``
+    entry; each row is named at most once."""
+    return ad.apply_primitive("slice", (x,), axis=0, index=index)
+
+
+def padded_rows(x: Tensor, count: int) -> Tensor:
+    """The rows of ``x`` [..., w], flattened, followed by zero rows up to
+    ``count`` [count, w]: the source a :class:`Packing` unpack index reads."""
+    flat = ad.reshape(x, (x.size,))
+    if x.size < count * x.shape[-1]:
+        flat = ad.concat([flat, Tensor(np.zeros(count * x.shape[-1] - x.size))])
+    return ad.reshape(flat, (count, x.shape[-1]))
+
+
+def padded_arrays(x: np.ndarray, count: int) -> np.ndarray:
+    """:func:`padded_rows` on an array."""
+    flat = x.reshape(-1, x.shape[-1])
+    return np.concatenate([flat, np.zeros((count - len(flat), x.shape[-1]))]) if len(flat) < count else flat
 
 
 def bidirectional_layer(
@@ -132,36 +244,69 @@ def bidirectional_layer(
     lengths: Optional[np.ndarray] = None,
 ):
     """Runs both directions over a [T, B, d] block whose rows are real up
-    to ``lengths`` (default: all of them).  Returns (outputs [T, B, m], the
-    sum of the two directions; the forward direction's per-step cell and
-    hidden states, for :func:`final_state`).  Untaped, both directions and
-    their sum run on the arrays, and only the results become Tensors."""
+    to ``lengths`` (default: all of them), as one packed recurrence stacked
+    on a direction axis: step ``s`` of the backward direction reads each
+    row's real step ``length - 1 - s``.  Returns (outputs [T, B, m], the sum
+    of the two directions, zero at padded positions; the packed [2, N, m]
+    cell and hidden states of both directions, for :func:`final_state`).
+    Untaped, everything runs on the arrays, and only the results become
+    Tensors; the directions share one stacked recurrence only while a
+    weight matrix has at most ``_STACK_LIMIT`` elements, and past that each
+    runs its own on the same packed steps, bit-equal to the stacked one."""
     if len(inputs) == 0:
         raise ValueError("bidirectional layer needs a nonempty input sequence")
-    steps, batch, _ = inputs.shape
-    last = np.full(batch, steps - 1) if lengths is None else np.asarray(lengths) - 1
+    steps, batch, width = inputs.shape
+    plan = packing((steps,) * batch if lengths is None else lengths, steps)
+    count = 2 * steps * batch
     if not ad.recording():
-        fwd_c, fwd_h = lstm_arrays(inputs.data, fwd, range(steps))
-        _, bwd_h = lstm_arrays(inputs.data, bwd, range(steps)[::-1], restart=last)
-        return ad.wrap(fwd_h + bwd_h), ([ad.wrap(c) for c in fwd_c], [ad.wrap(h) for h in fwd_h])
-    fwd_c, fwd_h = run_lstm(ad.linear(inputs, fwd.wx, fwd.b), fwd.wh, range(steps))
-    _, bwd_h = run_lstm(ad.linear(inputs, bwd.wx, bwd.b), bwd.wh, range(steps)[::-1], restart=last)
-    return ad.stack(fwd_h) + ad.stack(bwd_h), (fwd_c, fwd_h)
+        x = inputs.data.reshape(steps * batch, width)[plan.slots]
+        if fwd.wh.size <= _STACK_LIMIT:
+            cells, hidden = _lstm_arrays(ad.linear_array(x, _stacked(fwd.wx, bwd.wx), _stacked(fwd.b, bwd.b)),
+                                         _stacked(fwd.wh, bwd.wh), plan.lengths)
+        else:  # one recurrence per direction, on the same packed steps
+            runs = [lstm_arrays(rows, cell, plan.lengths) for rows, cell in zip(x, (fwd, bwd))]
+            cells, hidden = (np.stack(states) for states in zip(*runs))
+        outputs = padded_arrays(hidden, count)[plan.unpack_both].sum(axis=0)
+        return ad.wrap(outputs), (ad.wrap(cells), ad.wrap(hidden))
+    flat = ad.reshape(inputs, (steps * batch, width))
+    projected = ad.linear(ad.stack([take_rows(flat, plan.forward), take_rows(flat, plan.backward)]),
+                          ad.stack([fwd.wx, bwd.wx]), ad.stack([fwd.b, bwd.b]))
+    cells, hidden = run_lstm(projected, ad.stack([fwd.wh, bwd.wh]), plan.lengths)
+    return ad.tsum(take_rows(padded_rows(hidden, count), plan.unpack_both), axis=0), (cells, hidden)
 
 
 def final_state(forward, lengths: np.ndarray) -> Tensor:
     """[B, 2m]: the forward direction's (c | h) at each row's last real step,
-    from the per-step states :func:`bidirectional_layer` returns."""
-    cells, hidden = forward
-    steps, last = len(cells), np.asarray(lengths) - 1
-    if (last == steps - 1).all():
-        return ad.concat([cells[-1], hidden[-1]])
-    # one gather of each row's c and h, interleaved so the result is [c | h]
-    batch, m = cells[0].shape
-    states = ad.reshape(ad.stack(cells + hidden), (2 * steps * batch, m))
-    rows = last * batch + np.arange(batch)
-    index = np.stack([rows, rows + steps * batch], axis=1).reshape(-1)
-    return ad.reshape(ad.apply_primitive("slice", (states,), axis=0, index=index), (batch, 2 * m))
+    one gather each from the packed states :func:`bidirectional_layer`
+    returns for rows of these ``lengths``; on the arrays when untaped."""
+    last = packing(lengths, max(lengths)).last
+    if not ad.recording():
+        return ad.wrap(np.concatenate([states.data[0][last] for states in forward], axis=-1))
+    return ad.concat([take_rows(states[0], last) for states in forward])
+
+
+# Stacking two directions' weights copies them on every untaped call.  One
+# stacked recurrence pays for that on small weights, where each step's
+# numpy calls dominate (criterion 1's tiny models); on paper-size ones
+# (262,144 elements a matrix) the copy took about 4 ms a layer, more than a
+# one-sentence layer's whole recurrence.
+_STACK_LIMIT = 1 << 15
+
+
+def _stacked(a: Tensor, b: Tensor) -> np.ndarray:
+    """The arrays of two directions' parameters stacked, as ``stack`` would,
+    each copied in its own memory order: the column-major matrices of the
+    decode layout stay column-major, so their products take the same GEMM
+    path as unstacked."""
+    if a.shape != b.shape:
+        raise ad.ShapeMismatch(f"stack: shapes differ, {a.shape} vs {b.shape}")
+    if a.data.flags.c_contiguous:
+        out = np.empty((2,) + a.shape)
+        out[0], out[1] = a.data, b.data
+        return out
+    out = np.empty((2,) + a.shape[::-1])
+    out[0], out[1] = a.data.T, b.data.T
+    return out.swapaxes(-1, -2)
 
 
 def speech_prenet(layers: Sequence[tuple[Tensor, Tensor]], frames: Tensor) -> Tensor:
@@ -178,12 +323,20 @@ def speech_prenet(layers: Sequence[tuple[Tensor, Tensor]], frames: Tensor) -> Te
     return out
 
 
-def dropout_between_layers(x: Tensor, rate: float, rng: Optional[np.random.Generator]) -> Tensor:
-    """Inverted dropout of a stacked layer's input, drawn as one block from
-    ``rng``; ``x`` itself when ``rng`` is None or ``rate`` is 0."""
+def dropout_mask(shape, rate: float, rng: Optional[np.random.Generator]) -> Optional[np.ndarray]:
+    """The inverted-dropout mask of a stacked layer's [T, B, d] input block,
+    drawn as one block from ``rng``; None when ``rng`` is None or ``rate``
+    is 0."""
     if rng is None or rate == 0.0:
-        return x
-    return ad.dropout(x, (rng.random(x.shape) >= rate) * (1.0 / (1.0 - rate)))
+        return None
+    return (rng.random(shape) >= rate) * (1.0 / (1.0 - rate))
+
+
+def dropout_between_layers(x: Tensor, rate: float, rng: Optional[np.random.Generator]) -> Tensor:
+    """Inverted dropout of a stacked layer's input block by
+    :func:`dropout_mask`; ``x`` itself when no mask is drawn."""
+    mask = dropout_mask(x.shape, rate, rng)
+    return x if mask is None else ad.dropout(x, mask)
 
 
 def pyramidal_encode(

@@ -168,13 +168,17 @@ def save_lm(path, model: TrigramModel) -> None:
             fh.writelines(" ".join(map(str, row)) + "\n" for row in records.tolist())
 
 
+class LmFormatError(ValueError):
+    """A language model file is malformed; the message names the file."""
+
+
 def load_lm(path) -> TrigramModel:
-    """Read a model file; any malformed content raises ValueError naming it."""
+    """Read a model file; any malformed content raises LmFormatError naming it."""
     try:
         with open(path, encoding="utf-8") as fh:
             return _parse_lm(fh.read().splitlines())
     except ValueError as exc:  # UnicodeDecodeError included
-        raise ValueError(f"{path}: {exc}") from None
+        raise LmFormatError(f"{path}: {exc}") from None
 
 
 def _parse_lm(lines: list[str]) -> TrigramModel:

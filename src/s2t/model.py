@@ -4,10 +4,12 @@ With no input feeding the decoder LSTMs never read attention, so a decoder
 pass embeds a [T, B] block of previous target tokens, runs each LSTM layer
 over it, attends step by step over the encoder outputs with the top-layer
 state (the cell/hidden concatenation) and merges each LSTM output with its
-context.  Dropout between the LSTM layers is drawn as in the encoder, by
-``encoders.dropout_between_layers``.  Training is teacher-forced cross
-entropy over the whole target block, normalized per real target token;
-search advances one position.
+context.  The pass runs packed (``encoders.packing``): training passes the
+target lengths, and each step computes only the rows still live there.
+Dropout between the LSTM layers is drawn as in the encoder, over the
+padded block, by ``encoders.dropout_mask``.  Training is teacher-forced
+cross entropy over the whole target block, normalized per real target
+token; search advances one position.
 """
 
 from __future__ import annotations
@@ -24,8 +26,8 @@ from .attention import (AttentionParams, additive_scores, attend, attend_arrays,
 from .audio import FEATURE_DIM
 from .autodiff import ParameterStore, Tape, Tensor, adam_update, backprop
 from .config import RunConfig
-from .encoders import (LstmCellParams, dropout_between_layers, lstm_arrays, pyramidal_encode, run_lstm,
-                       speech_prenet)
+from .encoders import (LstmCellParams, dropout_mask, join_steps, lstm_arrays, packing, padded_arrays,
+                       padded_rows, pyramidal_encode, run_lstm, speech_prenet, take_rows)
 
 
 class DivergenceError(ArithmeticError):
@@ -167,7 +169,8 @@ class Seq2SeqModel:
         if batch.dec_in.shape[1] == 0:
             raise ValueError("empty target")
         core, state = self.start(tensors, batch.src, batch.src_lengths, rng)
-        _, merged, _ = core.advance(state, batch.dec_in.T)
+        # each row's real target positions are a prefix of it, as make_batch builds them
+        _, merged, _ = core.advance(state, batch.dec_in.T, np.count_nonzero(batch.tgt_mask, axis=1))
         # the output layer runs once, over the real rows of the time-major [T*B] block
         real = np.flatnonzero(batch.tgt_mask.T.reshape(-1))
         rows = ad.apply_primitive("slice", (ad.reshape(merged, (-1, merged.shape[2])),), axis=0, index=real)
@@ -243,61 +246,101 @@ class DecoderCore:
         layers.append((ad.slice_axis(s0, -1, 0, m), ad.slice_axis(s0, -1, m, 2 * m)))
         return DecoderState(layers=layers, attn_weights=None)
 
-    def advance(self, state: DecoderState, prev_ids: np.ndarray):
+    def advance(self, state: DecoderState, prev_ids: np.ndarray, lengths=None):
         """Advance over a [T, B] block of previous target ids up to the output
         layer; returns (state', merge outputs [T, B, m], the T attention
-        weights [B, A']).  Untaped, the layers, attention and merge run on
-        the arrays (:meth:`_advance_arrays`)."""
+        weights [B, A']).  The rows run packed (``encoders.packing``): with
+        per-row target ``lengths`` each step computes only the rows still
+        live, a row's merge outputs and weights past its length are zero,
+        and state' holds each row's state after its last real step.
+        Untaped, the layers, attention and merge run on the arrays
+        (:meth:`_advance_arrays`)."""
+        prev_ids = np.asarray(prev_ids)
+        steps, batch = prev_ids.shape
+        plan = packing((steps,) * batch if lengths is None else lengths, steps)
+        ids = prev_ids.reshape(-1) if plan.dense else prev_ids.reshape(-1)[plan.forward]
         if not ad.recording():
-            return self._advance_arrays(state, ad.embedding_array(self.embed.data, prev_ids))
-        cfg = self.config
-        x = ad.embedding(self.embed, prev_ids)
+            return self._advance_arrays(state, ad.embedding_array(self.embed.data, ids), plan)
+        cfg, m = self.config, self.config.hidden_size
+        x = ad.embedding(self.embed, ids)  # [N, n], packed
         layers = []
         for layer, (cell, start) in enumerate(zip(self.cells, state.layers)):
-            if layer > 0:
-                x = dropout_between_layers(x, cfg.dropout, self.rng)
-            cells, hidden = run_lstm(ad.linear(x, cell.wx, cell.b), cell.wh, range(len(prev_ids)), start)
-            layers.append((cells[-1], hidden[-1]))
-            x = ad.stack(hidden)
-        # attention reads each step's top-layer state, conv also the weights before it
-        weights, rows, contexts = state.attn_weights, [], []
-        for c_t, h_t in zip(cells, hidden):
-            s_t = ad.concat([c_t, h_t])
+            mask = None if layer == 0 else dropout_mask((steps, batch, x.shape[-1]), cfg.dropout, self.rng)
+            if mask is not None:
+                x = ad.dropout(x, _packed(mask, plan))
+            if not plan.sorted:
+                start = tuple(take_rows(s, plan.order) for s in start)
+            cells, x = run_lstm(ad.linear(x, cell.wx, cell.b), cell.wh, plan.lengths, start)  # [N, m] each
+            layers.append((take_rows(cells, plan.last), take_rows(x, plan.last)))
+        # attention reads each step's top-layer (c | h), conv also the weights before it
+        states = ad.concat([cells, x])
+        enc_proj, h, pad, weights = self.enc_proj, self.h, self.pad, state.attn_weights
+        if not plan.sorted:
+            enc_proj, h = (ad.apply_primitive("slice", (t,), axis=1, index=plan.order) for t in (enc_proj, h))
+            pad = Tensor(pad.data[:, plan.order])
+            weights = None if weights is None else take_rows(weights, plan.order)
+        step_rows, contexts = [], []
+        for n, at in plan.steps:
+            if n < pad.shape[1]:
+                enc_proj, h = ad.slice_axis(enc_proj, 1, 0, n), ad.slice_axis(h, 1, 0, n)
+                pad = Tensor(pad.data[:, :n])
+                weights = None if weights is None else ad.slice_axis(weights, 0, 0, n)
+            s_t = ad.slice_axis(states, 0, at, at + n)
             if cfg.attention == "conv":
-                scores = convolutional_scores(self.attn, self.enc_proj, s_t, weights, self.pad)
+                scores = convolutional_scores(self.attn, enc_proj, s_t, weights, pad)
             else:
-                scores = additive_scores(self.attn, self.enc_proj, s_t, self.pad)
-            weights, context = attend(scores, self.h)
-            rows.append(weights)
+                scores = additive_scores(self.attn, enc_proj, s_t, pad)
+            weights, context = attend(scores, h)
+            step_rows.append(weights)
             contexts.append(context)
-        merged = ad.linear(ad.concat([x, ad.stack(contexts)]), self.merge_w, self.merge_b)
-        return DecoderState(layers=layers, attn_weights=weights), merged, rows
+        merged = ad.linear(ad.concat([x, join_steps(contexts)]), self.merge_w, self.merge_b)
+        if plan.dense:
+            return DecoderState(layers, step_rows[-1]), ad.reshape(merged, (steps, batch, m)), step_rows
+        weights = join_steps(step_rows)
+        block = take_rows(padded_rows(weights, steps * batch), plan.unpack)
+        return (DecoderState(layers, take_rows(weights, plan.last)),
+                take_rows(padded_rows(merged, steps * batch), plan.unpack), [block[t] for t in range(steps)])
 
-    def _advance_arrays(self, state: DecoderState, x: np.ndarray):
-        """:meth:`advance` from the embedded [T, B, n] array, untaped: the
+    def _advance_arrays(self, state: DecoderState, x: np.ndarray, plan):
+        """:meth:`advance` from the embedded packed [N, n] array, untaped: the
         chain's numpy operations in its order, so every result is bit-equal
         to the taped one; only the results become Tensors."""
-        cfg, attn = self.config, self.attn
+        cfg, attn, m = self.config, self.attn, self.config.hidden_size
+        steps, batch = plan.unpack.shape
         layers = []
         for layer, (cell, (c0, h0)) in enumerate(zip(self.cells, state.layers)):
-            if layer > 0:
-                x = dropout_between_layers(ad.wrap(x), cfg.dropout, self.rng).data
-            cells, hidden = lstm_arrays(x, cell, range(len(x)), (c0.data, h0.data))
-            layers.append((ad.wrap(cells[-1]), ad.wrap(hidden[-1])))
-            x = hidden
-        inputs = (self.enc_proj.data, self.h.data)
-        params = (attn.state_w.data, attn.bias.data, attn.score_v.data, self.pad.data)
+            mask = None if layer == 0 else dropout_mask((steps, batch, x.shape[-1]), cfg.dropout, self.rng)
+            if mask is not None:
+                x = x * _packed(mask, plan)
+            start = (c0.data, h0.data) if plan.sorted else (c0.data[plan.order], h0.data[plan.order])
+            cells, x = lstm_arrays(x, cell, plan.lengths, start)
+            layers.append((ad.wrap(cells[plan.last]), ad.wrap(x[plan.last])))
+        states = np.concatenate([cells, x], axis=-1)
+        enc_proj, h, pad = self.enc_proj.data, self.h.data, self.pad.data
         weights = None if state.attn_weights is None else state.attn_weights.data
-        rows, contexts = [], []
-        for c_t, h_t in zip(cells, hidden):
+        if not plan.sorted:
+            enc_proj, h, pad = enc_proj[:, plan.order], h[:, plan.order], pad[:, plan.order]
+            weights = None if weights is None else weights[plan.order]
+        params = (attn.state_w.data, attn.bias.data, attn.score_v.data)
+        step_rows, contexts = [], []
+        for n, at in plan.steps:
+            if n < pad.shape[1]:
+                enc_proj, h, pad = enc_proj[:, :n], h[:, :n], pad[:, :n]
+                weights = None if weights is None else weights[:n]
             conv = () if cfg.attention != "conv" or weights is None else (
                 weights, attn.conv_filter.data, attn.conv_gate.data)
-            weights, context = attend_arrays(*inputs, np.concatenate([c_t, h_t], axis=-1), *params, *conv)
-            rows.append(ad.wrap(weights))
+            weights, context = attend_arrays(enc_proj, h, states[at:at + n], *params, pad, *conv)
+            step_rows.append(weights)
             contexts.append(context)
-        merged = ad.linear_array(np.concatenate([x, np.stack(contexts)], axis=-1),
+        merged = ad.linear_array(np.concatenate([x, np.concatenate(contexts)], axis=-1),
                                  self.merge_w.data, self.merge_b.data)
-        return DecoderState(layers=layers, attn_weights=rows[-1]), ad.wrap(merged), rows
+        if plan.dense:
+            return (DecoderState(layers, ad.wrap(step_rows[-1])), ad.wrap(merged.reshape(steps, batch, m)),
+                    [ad.wrap(w) for w in step_rows])
+        weights = np.concatenate(step_rows)
+        block = padded_arrays(weights, steps * batch)[plan.unpack]
+        return (DecoderState(layers, ad.wrap(weights[plan.last])),
+                ad.wrap(padded_arrays(merged, steps * batch)[plan.unpack]), [ad.wrap(w) for w in block])
 
     def output(self, merged: Tensor) -> Tensor:
         """Softmax over the target vocabulary of merge outputs [rows, m]."""
@@ -308,6 +351,12 @@ class DecoderCore:
         attention weights [B, A'])."""
         state, merged, rows = self.advance(state, np.asarray(prev_ids)[None])
         return state, self.output(merged[0] if ad.recording() else ad.wrap(merged.data[0])), rows[0]
+
+
+def _packed(block: np.ndarray, plan) -> np.ndarray:
+    """The [N, d] packed rows of a [T, B, d] array."""
+    rows = block.reshape(-1, block.shape[-1])
+    return rows if plan.dense else rows[plan.forward]
 
 
 def gather_state(state: DecoderState, index: np.ndarray) -> DecoderState:

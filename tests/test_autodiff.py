@@ -225,6 +225,9 @@ def test_matmul_weight_gradient_is_c_ordered_with_the_transposed_form_bytes():
 def test_matmul_shape_error_names_primitive():
     with pytest.raises(ShapeMismatch, match="matmul"):
         apply_primitive("matmul", (t(np.ones((2, 3))), t(np.ones((3, 2)))))
+    for x_shape in ((3, 4, 2), (4, 2), (2, 2, 4, 2)):  # a stacked [2, 5, 2] weight needs a [2, n, 2] input
+        with pytest.raises(ShapeMismatch, match="matmul"):
+            apply_primitive("matmul", (t(np.ones(x_shape)), t(np.ones((2, 5, 2)))))
 
 
 @pytest.mark.parametrize("bias_shape", [(3,), (2, 1), (1,), (), (2, 4, 5), (4, 2)])
@@ -691,6 +694,14 @@ def _case_matmul_out_bias(rng):
     return point, lambda p: ad.tsum(ad.tanh(ad.linear(p["a"], p["w"], p["b"])))
 
 
+def _case_matmul_stacked(rng):
+    # a [2, out, in] weight takes a [2, n, in] input, with a [2, out] bias or one of the output's shape
+    a, w, b, c = (rng.normal(size=shape) * 0.5 for shape in [(2, 3, 4), (2, 5, 4), (2, 5), (2, 3, 5)])
+    point = {"a": Tensor(a), "w": Tensor(w), "b": Tensor(b), "c": Tensor(c)}
+    return point, lambda p: ad.tsum(ad.tanh(ad.linear(p["a"], p["w"], p["b"]))) + ad.tsum(
+        ad.tanh(ad.linear(p["a"], p["w"], p["c"])))
+
+
 def _case_transpose(rng):
     a = rng.normal(size=(3, 4))
     return {"a": Tensor(a)}, lambda p: ad.tsum(ad.tanh(ad.transpose(p["a"])))
@@ -794,7 +805,7 @@ ALL_CASES = [
     _case_softmax, _case_log, _case_sum_axis, _case_concat, _case_stack,
     _case_slice, _case_conv, _case_embedding, _case_dropout, _case_pick,
     _case_slice_index, _case_slice_step, _case_embedding_2d, _case_slice_rows,
-    _case_matmul_bias, _case_matmul_out_bias,
+    _case_matmul_bias, _case_matmul_out_bias, _case_matmul_stacked,
 ]
 
 

@@ -3,7 +3,7 @@ import contextlib
 import numpy as np
 import pytest
 
-from s2t import autodiff as ad
+from s2t import autodiff as ad, encoders
 from s2t.autodiff import Tensor, gradient_check
 from s2t.config import RunConfig
 from s2t.corpus import make_batch
@@ -12,6 +12,7 @@ from s2t.encoders import (
     _lstm_arrays,
     bidirectional_layer,
     final_state,
+    packing,
     pyramidal_encode,
     run_lstm,
     speech_prenet,
@@ -34,11 +35,13 @@ def zero_cell(input_dim, m):
 
 
 def lstm_steps(params, xs, start=None):
-    """run_lstm over the [T, B, d] block ``xs``, projected as the model
+    """run_lstm over the [T, B, d] block ``xs`` of rows of equal length, whose
+    packed layout is the block's time-major rows, projected as the model
     projects it; returns the last step's (c, h)."""
-    projected = ad.linear(xs, params.wx, params.b)
-    cells, hidden = run_lstm(projected, params.wh, range(len(xs)), start)
-    return cells[-1], hidden[-1]
+    steps, batch, width = xs.shape
+    projected = ad.linear(ad.reshape(xs, (steps * batch, width)), params.wx, params.b)
+    cells, hidden = run_lstm(projected, params.wh, np.full(batch, steps), start)
+    return cells[(steps - 1) * batch:], hidden[(steps - 1) * batch:]
 
 
 def test_lstm_zero_weights_halves_cell_state():
@@ -79,19 +82,28 @@ def test_lstm_saturated_gates_hold_memory():
 
 
 def test_lstm_rejects_dimension_mismatch():
-    """Taped and untaped: a wrong input width, recurrent weight or start state."""
+    """Taped and untaped: a wrong input width, recurrent weight, start state
+    or row lengths."""
     params = zero_cell(3, 2)
-    projected = Tensor(np.zeros((2, 3, 8)))
+    projected = Tensor(np.zeros((6, 8)))  # 3 rows of 2 steps, packed
     for tape in (contextlib.nullcontext(), ad.Tape()):
         with tape:
             with pytest.raises(ad.ShapeMismatch):
                 lstm_steps(params, Tensor(np.zeros((1, 1, 4))),
                            (Tensor(np.zeros((1, 2))), Tensor(np.zeros((1, 2)))))
-            for wh, start in [(np.zeros((8, 3)), None), (np.zeros((2, 8)), None),
-                              (np.zeros((8, 2)), (np.zeros((1, 2)), np.zeros((1, 2)))),
-                              (np.zeros((8, 2)), (np.zeros((3, 2)), np.zeros((3, 3))))]:
+            for wh, start, lengths in [(np.zeros((8, 3)), None, [2, 2, 2]), (np.zeros((2, 8)), None, [2, 2, 2]),
+                                       (np.zeros((8, 2)), (np.zeros((1, 2)), np.zeros((1, 2))), [2, 2, 2]),
+                                       (np.zeros((8, 2)), (np.zeros((3, 2)), np.zeros((3, 3))), [2, 2, 2]),
+                                       (np.zeros((8, 2)), None, [2, 2, 1]), (np.zeros((8, 2)), None, [1, 2, 3])]:
                 with pytest.raises(ad.ShapeMismatch):
-                    run_lstm(projected, Tensor(wh), range(2), start and tuple(map(Tensor, start)))
+                    run_lstm(projected, Tensor(wh), lengths, start and tuple(map(Tensor, start)))
+                with pytest.raises(ad.ShapeMismatch):
+                    _lstm_arrays(projected.data, wh, lengths, start)
+            for lengths in ([3, 3, 0], []):
+                with pytest.raises(ValueError, match="lengths"):
+                    run_lstm(projected, Tensor(np.zeros((8, 2))), lengths)
+                with pytest.raises(ValueError, match="lengths"):
+                    _lstm_arrays(projected.data, np.zeros((8, 2)), lengths)
 
 
 def test_lstm_gradients_match_finite_differences():
@@ -118,43 +130,58 @@ def test_lstm_gradients_match_finite_differences():
 
 @pytest.mark.parametrize("steps", [1, 2, 5])
 def test_recurrent_step_adds_projection_inside_matmul(steps):
-    """From a nonzero state a step is one ``linear(h, wh, projected[t])``:
-    a T-step direction records T - 1 three-input ``matmul`` entries whose
-    bias is that step's slice of the projection, and no ``add`` reads a
-    projection slice or a recurrent product."""
+    """From a nonzero state a step is one ``linear(h, wh, live projection)``:
+    over ragged rows a T-step recurrence, alone or two stacked, records
+    T - 1 three-input ``matmul`` entries, each on its step's live rows
+    with that step's live slice of the packed projection as its bias, and
+    no ``add`` reads a projection slice or a recurrent product."""
     rng = np.random.default_rng(25)
-    params = make_cell(rng, 3, 2)
-    order = range(steps)[::-1]
-    tape = ad.Tape()
-    with tape:
-        projected = ad.linear(Tensor(rng.normal(size=(steps, 2, 3))), params.wx, params.b)
-        run_lstm(projected, params.wh, order)
-    slices = {entry.output: entry.attrs["index"] for entry in tape.entries
-              if entry.kind == "slice" and entry.inputs == (tape.node_of(projected),)}
-    recurrent = [entry for entry in tape.entries
-                 if entry.kind == "matmul" and entry.inputs[1] == tape.node_of(params.wh)]
-    assert [len(entry.inputs) for entry in recurrent] == [3] * (steps - 1)
-    assert [slices.get(entry.inputs[2]) for entry in recurrent] == list(order)[1:]
-    read = set(slices) | {entry.output for entry in recurrent}
-    assert not [entry for entry in tape.entries if entry.kind == "add" and read.intersection(entry.inputs)]
+    lengths = np.array([steps, max(steps - 2, 1), 1])
+    plan = packing(lengths, steps)
+    live = [(at, n) for n, at in plan.steps[1:]]
+    for lead in ((), (2,)):
+        wh = Tensor(rng.normal(size=lead + (8, 2)))
+        tape = ad.Tape()
+        with tape:
+            projected = Tensor(rng.normal(size=lead + (int(lengths.sum()), 8)))
+            run_lstm(projected, wh, lengths)
+        slices = {entry.output: (entry.attrs["start"], entry.attrs["stop"]) for entry in tape.entries
+                  if entry.kind == "slice" and entry.inputs == (tape.node_of(projected),)}
+        recurrent = [entry for entry in tape.entries
+                     if entry.kind == "matmul" and entry.inputs[1] == tape.node_of(wh)]
+        assert [len(entry.inputs) for entry in recurrent] == [3] * (steps - 1)
+        assert [slices.get(entry.inputs[2]) for entry in recurrent] == [(at, at + n) for at, n in live]
+        assert [tape.values[entry.inputs[0]].shape[-2] for entry in recurrent] == [n for _, n in live]
+        read = set(slices) | {entry.output for entry in recurrent}
+        assert not [entry for entry in tape.entries if entry.kind == "add" and read.intersection(entry.inputs)]
 
 
 def _recurrence_case(rng, steps, batch, reverse, ragged, with_start, m=3):
-    """A run_lstm call: (projection, recurrent weight, order, start, restart)."""
-    params = make_cell(rng, 4, m)
-    projected = ad.linear(Tensor(rng.normal(size=(steps, batch, 4))), params.wx, params.b)
-    order = range(steps)[::-1] if reverse else range(steps)
-    start = (Tensor(rng.normal(size=(batch, m))), Tensor(rng.normal(size=(batch, m)))) if with_start else None
-    restart = rng.integers(0, steps, size=batch) if ragged else None
-    return projected, params.wh, order, start, restart
+    """A run_lstm call over a random [steps, batch, 4] block: (packed
+    projection, recurrent weight, sorted row lengths, start).  ``reverse``
+    stacks a second direction that reads each row's real steps backward,
+    as a bidirectional layer does."""
+    lengths = rng.integers(1, steps + 1, size=batch) if ragged else np.full(batch, steps)
+    lengths[0] = steps  # the longest row keeps all T steps
+    plan = packing(lengths, steps)
+    flat = rng.normal(size=(steps * batch, 4))
+    cells = [make_cell(rng, 4, m) for _ in range(1 + reverse)]
+    projected = [ad.linear(Tensor(flat[index]), cell.wx, cell.b)
+                 for index, cell in zip((plan.forward, plan.backward), cells)]
+    lead = (2,) if reverse else ()
+    start = (Tensor(rng.normal(size=lead + (batch, m))), Tensor(rng.normal(size=lead + (batch, m)))
+             ) if with_start else None
+    if not reverse:
+        return projected[0], cells[0].wh, plan.lengths, start
+    return ad.stack(projected), ad.stack([cell.wh for cell in cells]), plan.lengths, start
 
 
-def _run_arrays(projected, wh, order, start, restart):
-    """A run_lstm call's arguments through _lstm_arrays; the states come
-    back as run_lstm returns them, per-step lists of Tensors."""
-    cells, hidden = _lstm_arrays(projected.data, wh.data, order,
-                                 None if start is None else (start[0].data, start[1].data), restart)
-    return [ad.wrap(c) for c in cells], [ad.wrap(h) for h in hidden]
+def _run_arrays(projected, wh, lengths, start):
+    """A run_lstm call's arguments through _lstm_arrays; the packed cell and
+    hidden blocks come back as run_lstm returns them, Tensors."""
+    cells, hidden = _lstm_arrays(projected.data, wh.data, lengths,
+                                 None if start is None else (start[0].data, start[1].data))
+    return ad.wrap(cells), ad.wrap(hidden)
 
 
 @pytest.mark.parametrize("with_start", [False, True], ids=["zero-start", "given-start"])
@@ -170,8 +197,8 @@ def test_untaped_recurrence_is_bit_equal_to_the_taped_chain(steps, batch, revers
     with ad.Tape():
         taped = run_lstm(*case)
     for fast, chain in zip(untaped, taped):
-        assert [x.data.tobytes() for x in fast] == [x.data.tobytes() for x in chain]
-        assert all(x.data.dtype == np.float64 and x.shape == (batch, 3) for x in fast)
+        assert fast.data.tobytes() == chain.data.tobytes()
+        assert fast.data.dtype == np.float64 and fast.shape == (2,) * reverse + (sum(case[2]), 3)
 
 
 def test_untaped_recurrence_makes_no_primitive_call(monkeypatch):
@@ -228,6 +255,26 @@ def test_untaped_bidirectional_layer_is_bit_equal_to_the_taped_chain(steps, batc
             outputs, forward = bidirectional_layer(fwd, bwd, inputs, lengths)
             final = final_state(forward, np.full(batch, steps) if lengths is None else lengths)
         runs.append([x.data.tobytes() for x in [outputs, final, *forward[0], *forward[1]]])
+    assert runs[0] == runs[1]
+
+
+def test_untaped_layer_past_the_stack_limit_is_bit_equal_to_the_taped_chain():
+    """Past ``_STACK_LIMIT`` elements a matrix the untaped directions take
+    their own weights instead of a stacked copy: on ragged rows with
+    one-live-row steps the output block, every state and the final state
+    still have the taped bytes."""
+    rng = np.random.default_rng(31)
+    m = 96
+    assert 4 * m * m > encoders._STACK_LIMIT
+    fwd, bwd = make_cell(rng, 5, m, scale=0.1), make_cell(rng, 5, m, scale=0.1)
+    inputs = Tensor(rng.normal(size=(6, 4, 5)))
+    lengths = np.array([6, 2, 5, 1])
+    runs = []
+    for tape in (contextlib.nullcontext(), ad.Tape()):
+        with tape:
+            outputs, forward = bidirectional_layer(fwd, bwd, inputs, lengths)
+            final = final_state(forward, lengths)
+        runs.append([x.data.tobytes() for x in [outputs, final, *forward]])
     assert runs[0] == runs[1]
 
 

@@ -20,7 +20,7 @@ from s2t.checkpoint import load_checkpoint, save_checkpoint
 from s2t.cli import main
 from s2t.corpus import EOS_ID
 from s2t.config import ConfigError, RunConfig, config_from_lines, load_config
-from s2t.lm import load_lm, save_lm, train_trigram
+from s2t.lm import LmFormatError, load_lm, save_lm, train_trigram
 from s2t.model import parameter_shapes
 from s2t.search import _top_k, beam_search
 from s2t.training import rewind_log
@@ -413,6 +413,28 @@ def test_lm_record_out_of_range_exits_2(tmp_path, capsys, section, record):
     code, out, err = _translate_with_lm(tmp_path, capsys, path)
     assert code == 2
     assert "bad.lm" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("fault", ["magic", "truncated", "record"])
+def test_malformed_lm_file_raises_lm_format_error(tmp_path, capsys, fault):
+    """A bad magic line, a truncated file and a bad record raise the typed
+    LmFormatError, a ValueError naming the file, and translate exits 2."""
+    path = _lm_file(tmp_path / "bad.lm")
+    lines = path.read_text().splitlines()
+    if fault == "magic":
+        lines[0] = "NOTANLM"
+    elif fault == "truncated":
+        lines = lines[:5]
+    else:
+        lines[_section_start(lines, "bigrams")] = "4 x 1"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(LmFormatError, match="bad.lm: ") as caught:
+        load_lm(path)
+    assert isinstance(caught.value, ValueError)
+    code, out, err = _translate_with_lm(tmp_path, capsys, path)
+    assert code == 2
+    assert "error: " in err and "bad.lm" in err and "Traceback" not in err
     assert out == ""
 
 
