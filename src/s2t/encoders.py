@@ -14,10 +14,8 @@ by step, so each step computes only its live rows, a prefix of the sorted
 rows, and padded positions are never computed.  A bidirectional layer
 runs its two directions as one recurrence stacked on a leading direction
 axis, the backward direction reading each row's real steps in reverse
-order, so both share each step's live prefix (untaped and past
-``_STACK_LIMIT`` elements a weight matrix, each direction runs the same
-packed steps on its own weights instead of a stacked copy).  A layer's
-output block is zero at padded positions; attention skips them.
+order, so both share each step's live prefix.  A layer's output block is
+zero at padded positions; attention skips them.
 
 The recurrence has two forms: :func:`run_lstm`, the primitive chain a tape
 records, and :func:`_lstm_arrays`, the same numpy operations on plain
@@ -71,13 +69,9 @@ class Packing:
     order: np.ndarray         # [B] the batch row of each sorted row (a stable sort)
     steps: tuple              # (live rows, first packed position) of each step with a live row
     slots: np.ndarray         # [2, N] the slot each packed position reads: forward, reversed
-    forward: np.ndarray       # [N] slots[0]
-    backward: np.ndarray      # [N] slots[1]
     last: np.ndarray          # [B] packed position of each batch row's last step
-    unpack: np.ndarray        # [T, B] packed position of each slot; padding past N
-    unpack_both: np.ndarray   # [2, T, B] the same over forward and reversed positions
+    unpack: np.ndarray        # [2, T, B] the row each slot reads in padded_rows(packed [2, N, w], T * B)
     sorted: bool              # the rows are in batch order already
-    dense: bool               # no padding: packed positions are the slots
 
 
 def _key(lengths) -> tuple:
@@ -102,7 +96,6 @@ def _packing(lengths: tuple, steps: int) -> Packing:
     sizes = np.bincount(step)
     starts = np.concatenate([[0], np.cumsum(sizes)])
     slots = np.stack([step, ranked[row] - 1 - step]) * batch + order[row]
-    forward, backward = slots
     padding = np.flatnonzero(np.arange(steps)[:, None] >= lengths[None, :])
 
     def inverse(targets):
@@ -110,12 +103,10 @@ def _packing(lengths: tuple, steps: int) -> Packing:
         index[targets] = np.arange(len(targets))
         return index
 
-    unpack = inverse(np.concatenate([forward, padding])).reshape(steps, batch)
-    unpack_both = inverse(np.concatenate([forward, count + backward, padding, count + padding]))
+    unpack = np.stack([inverse(np.concatenate([direction, padding])) for direction in slots])
     plan = Packing(tuple(ranked.tolist()), order, tuple(zip(sizes.tolist(), starts.tolist())), slots,
-                   forward, backward, starts[lengths - 1] + inverse(order), unpack,
-                   unpack_both.reshape(2, steps, batch),
-                   bool((order == np.arange(batch)).all()), not padding.size)
+                   starts[lengths - 1] + inverse(order), (unpack + [[0], [count]]).reshape(2, steps, batch),
+                   bool((order == np.arange(batch)).all()))
     for value in vars(plan).values():
         if isinstance(value, np.ndarray):
             value.flags.writeable = False
@@ -162,7 +153,7 @@ def _check_lstm(shape, wh_shape, lengths, start):
     m = shape[-1] // 4
     state = shape[:-2] + (len(lengths), m)
     if (wh_shape != shape[:-2] + (4 * m, m) or 4 * m != shape[-1] or not plan.sorted
-            or len(plan.forward) != shape[-2]
+            or plan.slots.shape[1] != shape[-2]
             or start is not None and (start[0].shape != state or start[1].shape != state)):
         raise ad.ShapeMismatch(f"lstm: projection {shape}, recurrent weight {wh_shape}, start state "
                                f"{None if start is None else [s.shape for s in start]} and row "
@@ -223,18 +214,22 @@ def take_rows(x: Tensor, index) -> Tensor:
 
 
 def padded_rows(x: Tensor, count: int) -> Tensor:
-    """The rows of ``x`` [..., w], flattened, followed by zero rows up to
-    ``count`` [count, w]: the source a :class:`Packing` unpack index reads."""
-    flat = ad.reshape(x, (x.size,))
-    if x.size < count * x.shape[-1]:
-        flat = ad.concat([flat, Tensor(np.zeros(count * x.shape[-1] - x.size))])
-    return ad.reshape(flat, (count, x.shape[-1]))
+    """The rows of the packed [..., N, w] ``x``, each [N, w] block followed by
+    zero rows up to ``count``, as one [prod(...) * count, w] block: the
+    source a :class:`Packing` unpack index reads."""
+    lead, (rows, width) = x.shape[:-2], x.shape[-2:]
+    if rows == count:
+        return ad.reshape(x, (x.size // width, width))
+    flat = ad.concat([ad.reshape(x, lead + (rows * width,)), Tensor(np.zeros(lead + ((count - rows) * width,)))])
+    return ad.reshape(flat, (flat.size // width, width))
 
 
 def padded_arrays(x: np.ndarray, count: int) -> np.ndarray:
     """:func:`padded_rows` on an array."""
-    flat = x.reshape(-1, x.shape[-1])
-    return np.concatenate([flat, np.zeros((count - len(flat), x.shape[-1]))]) if len(flat) < count else flat
+    lead, (rows, width) = x.shape[:-2], x.shape[-2:]
+    if rows < count:
+        x = np.concatenate([x, np.zeros(lead + (count - rows, width))], axis=-2)
+    return x.reshape(-1, width)
 
 
 def bidirectional_layer(
@@ -250,29 +245,22 @@ def bidirectional_layer(
     of the two directions, zero at padded positions; the packed [2, N, m]
     cell and hidden states of both directions, for :func:`final_state`).
     Untaped, everything runs on the arrays, and only the results become
-    Tensors; the directions share one stacked recurrence only while a
-    weight matrix has at most ``_STACK_LIMIT`` elements, and past that each
-    runs its own on the same packed steps, bit-equal to the stacked one."""
+    Tensors."""
     if len(inputs) == 0:
         raise ValueError("bidirectional layer needs a nonempty input sequence")
     steps, batch, width = inputs.shape
     plan = packing((steps,) * batch if lengths is None else lengths, steps)
-    count = 2 * steps * batch
     if not ad.recording():
         x = inputs.data.reshape(steps * batch, width)[plan.slots]
-        if fwd.wh.size <= _STACK_LIMIT:
-            cells, hidden = _lstm_arrays(ad.linear_array(x, _stacked(fwd.wx, bwd.wx), _stacked(fwd.b, bwd.b)),
-                                         _stacked(fwd.wh, bwd.wh), plan.lengths)
-        else:  # one recurrence per direction, on the same packed steps
-            runs = [lstm_arrays(rows, cell, plan.lengths) for rows, cell in zip(x, (fwd, bwd))]
-            cells, hidden = (np.stack(states) for states in zip(*runs))
-        outputs = padded_arrays(hidden, count)[plan.unpack_both].sum(axis=0)
+        cells, hidden = _lstm_arrays(ad.linear_array(x, _stacked(fwd.wx, bwd.wx), _stacked(fwd.b, bwd.b)),
+                                     _stacked(fwd.wh, bwd.wh), plan.lengths)
+        outputs = padded_arrays(hidden, steps * batch)[plan.unpack].sum(axis=0)
         return ad.wrap(outputs), (ad.wrap(cells), ad.wrap(hidden))
     flat = ad.reshape(inputs, (steps * batch, width))
-    projected = ad.linear(ad.stack([take_rows(flat, plan.forward), take_rows(flat, plan.backward)]),
+    projected = ad.linear(ad.stack([take_rows(flat, plan.slots[0]), take_rows(flat, plan.slots[1])]),
                           ad.stack([fwd.wx, bwd.wx]), ad.stack([fwd.b, bwd.b]))
     cells, hidden = run_lstm(projected, ad.stack([fwd.wh, bwd.wh]), plan.lengths)
-    return ad.tsum(take_rows(padded_rows(hidden, count), plan.unpack_both), axis=0), (cells, hidden)
+    return ad.tsum(take_rows(padded_rows(hidden, steps * batch), plan.unpack), axis=0), (cells, hidden)
 
 
 def final_state(forward, lengths: np.ndarray) -> Tensor:
@@ -283,14 +271,6 @@ def final_state(forward, lengths: np.ndarray) -> Tensor:
     if not ad.recording():
         return ad.wrap(np.concatenate([states.data[0][last] for states in forward], axis=-1))
     return ad.concat([take_rows(states[0], last) for states in forward])
-
-
-# Stacking two directions' weights copies them on every untaped call.  One
-# stacked recurrence pays for that on small weights, where each step's
-# numpy calls dominate (criterion 1's tiny models); on paper-size ones
-# (262,144 elements a matrix) the copy took about 4 ms a layer, more than a
-# one-sentence layer's whole recurrence.
-_STACK_LIMIT = 1 << 15
 
 
 def _stacked(a: Tensor, b: Tensor) -> np.ndarray:

@@ -251,17 +251,18 @@ class DecoderCore:
         layer; returns (state', merge outputs [T, B, m], the T attention
         weights [B, A']).  The rows run packed (``encoders.packing``): with
         per-row target ``lengths`` each step computes only the rows still
-        live, a row's merge outputs and weights past its length are zero,
-        and state' holds each row's state after its last real step.
+        live and a row's merge outputs past its length are zero; teacher
+        forcing reads nothing else, so state' and the weights are then None.
         Untaped, the layers, attention and merge run on the arrays
         (:meth:`_advance_arrays`)."""
         prev_ids = np.asarray(prev_ids)
         steps, batch = prev_ids.shape
-        plan = packing((steps,) * batch if lengths is None else lengths, steps)
-        ids = prev_ids.reshape(-1) if plan.dense else prev_ids.reshape(-1)[plan.forward]
+        full = lengths is None
+        plan = packing((steps,) * batch if full else lengths, steps)
+        ids = prev_ids.reshape(-1)[plan.slots[0]]
         if not ad.recording():
-            return self._advance_arrays(state, ad.embedding_array(self.embed.data, ids), plan)
-        cfg, m = self.config, self.config.hidden_size
+            return self._advance_arrays(state, ad.embedding_array(self.embed.data, ids), plan, full)
+        cfg = self.config
         x = ad.embedding(self.embed, ids)  # [N, n], packed
         layers = []
         for layer, (cell, start) in enumerate(zip(self.cells, state.layers)):
@@ -271,7 +272,8 @@ class DecoderCore:
             if not plan.sorted:
                 start = tuple(take_rows(s, plan.order) for s in start)
             cells, x = run_lstm(ad.linear(x, cell.wx, cell.b), cell.wh, plan.lengths, start)  # [N, m] each
-            layers.append((take_rows(cells, plan.last), take_rows(x, plan.last)))
+            if full:
+                layers.append((take_rows(cells, plan.last), take_rows(x, plan.last)))
         # attention reads each step's top-layer (c | h), conv also the weights before it
         states = ad.concat([cells, x])
         enc_proj, h, pad, weights = self.enc_proj, self.h, self.pad, state.attn_weights
@@ -294,19 +296,19 @@ class DecoderCore:
             step_rows.append(weights)
             contexts.append(context)
         merged = ad.linear(ad.concat([x, join_steps(contexts)]), self.merge_w, self.merge_b)
-        if plan.dense:
-            return DecoderState(layers, step_rows[-1]), ad.reshape(merged, (steps, batch, m)), step_rows
+        merged = take_rows(padded_rows(merged, steps * batch), plan.unpack[0])
+        if not full:
+            return None, merged, None
         weights = join_steps(step_rows)
-        block = take_rows(padded_rows(weights, steps * batch), plan.unpack)
-        return (DecoderState(layers, take_rows(weights, plan.last)),
-                take_rows(padded_rows(merged, steps * batch), plan.unpack), [block[t] for t in range(steps)])
+        block = take_rows(padded_rows(weights, steps * batch), plan.unpack[0])
+        return DecoderState(layers, take_rows(weights, plan.last)), merged, [block[t] for t in range(steps)]
 
-    def _advance_arrays(self, state: DecoderState, x: np.ndarray, plan):
+    def _advance_arrays(self, state: DecoderState, x: np.ndarray, plan, full: bool):
         """:meth:`advance` from the embedded packed [N, n] array, untaped: the
         chain's numpy operations in its order, so every result is bit-equal
         to the taped one; only the results become Tensors."""
-        cfg, attn, m = self.config, self.attn, self.config.hidden_size
-        steps, batch = plan.unpack.shape
+        cfg, attn = self.config, self.attn
+        steps, batch = plan.unpack.shape[1:]
         layers = []
         for layer, (cell, (c0, h0)) in enumerate(zip(self.cells, state.layers)):
             mask = None if layer == 0 else dropout_mask((steps, batch, x.shape[-1]), cfg.dropout, self.rng)
@@ -314,7 +316,8 @@ class DecoderCore:
                 x = x * _packed(mask, plan)
             start = (c0.data, h0.data) if plan.sorted else (c0.data[plan.order], h0.data[plan.order])
             cells, x = lstm_arrays(x, cell, plan.lengths, start)
-            layers.append((ad.wrap(cells[plan.last]), ad.wrap(x[plan.last])))
+            if full:
+                layers.append((ad.wrap(cells[plan.last]), ad.wrap(x[plan.last])))
         states = np.concatenate([cells, x], axis=-1)
         enc_proj, h, pad = self.enc_proj.data, self.h.data, self.pad.data
         weights = None if state.attn_weights is None else state.attn_weights.data
@@ -334,13 +337,12 @@ class DecoderCore:
             contexts.append(context)
         merged = ad.linear_array(np.concatenate([x, np.concatenate(contexts)], axis=-1),
                                  self.merge_w.data, self.merge_b.data)
-        if plan.dense:
-            return (DecoderState(layers, ad.wrap(step_rows[-1])), ad.wrap(merged.reshape(steps, batch, m)),
-                    [ad.wrap(w) for w in step_rows])
+        merged = ad.wrap(padded_arrays(merged, steps * batch)[plan.unpack[0]])
+        if not full:
+            return None, merged, None
         weights = np.concatenate(step_rows)
-        block = padded_arrays(weights, steps * batch)[plan.unpack]
-        return (DecoderState(layers, ad.wrap(weights[plan.last])),
-                ad.wrap(padded_arrays(merged, steps * batch)[plan.unpack]), [ad.wrap(w) for w in block])
+        block = padded_arrays(weights, steps * batch)[plan.unpack[0]]
+        return DecoderState(layers, ad.wrap(weights[plan.last])), merged, [ad.wrap(w) for w in block]
 
     def output(self, merged: Tensor) -> Tensor:
         """Softmax over the target vocabulary of merge outputs [rows, m]."""
@@ -355,8 +357,7 @@ class DecoderCore:
 
 def _packed(block: np.ndarray, plan) -> np.ndarray:
     """The [N, d] packed rows of a [T, B, d] array."""
-    rows = block.reshape(-1, block.shape[-1])
-    return rows if plan.dense else rows[plan.forward]
+    return block.reshape(-1, block.shape[-1])[plan.slots[0]]
 
 
 def gather_state(state: DecoderState, index: np.ndarray) -> DecoderState:

@@ -3,7 +3,7 @@ import contextlib
 import numpy as np
 import pytest
 
-from s2t import autodiff as ad, encoders
+from s2t import autodiff as ad
 from s2t.autodiff import Tensor, gradient_check
 from s2t.config import RunConfig
 from s2t.corpus import make_batch
@@ -167,7 +167,7 @@ def _recurrence_case(rng, steps, batch, reverse, ragged, with_start, m=3):
     flat = rng.normal(size=(steps * batch, 4))
     cells = [make_cell(rng, 4, m) for _ in range(1 + reverse)]
     projected = [ad.linear(Tensor(flat[index]), cell.wx, cell.b)
-                 for index, cell in zip((plan.forward, plan.backward), cells)]
+                 for index, cell in zip(plan.slots, cells)]
     lead = (2,) if reverse else ()
     start = (Tensor(rng.normal(size=lead + (batch, m))), Tensor(rng.normal(size=lead + (batch, m)))
              ) if with_start else None
@@ -258,14 +258,12 @@ def test_untaped_bidirectional_layer_is_bit_equal_to_the_taped_chain(steps, batc
     assert runs[0] == runs[1]
 
 
-def test_untaped_layer_past_the_stack_limit_is_bit_equal_to_the_taped_chain():
-    """Past ``_STACK_LIMIT`` elements a matrix the untaped directions take
-    their own weights instead of a stacked copy: on ragged rows with
-    one-live-row steps the output block, every state and the final state
-    still have the taped bytes."""
+def test_untaped_wide_layer_is_bit_equal_to_the_taped_chain():
+    """With weights wide enough for blocked GEMMs, on ragged rows with
+    one-live-row steps, the untaped layer's output block, every state and
+    the final state have the taped bytes."""
     rng = np.random.default_rng(31)
     m = 96
-    assert 4 * m * m > encoders._STACK_LIMIT
     fwd, bwd = make_cell(rng, 5, m, scale=0.1), make_cell(rng, 5, m, scale=0.1)
     inputs = Tensor(rng.normal(size=(6, 4, 5)))
     lengths = np.array([6, 2, 5, 1])

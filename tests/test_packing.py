@@ -20,18 +20,21 @@ def test_packing_lays_out_live_rows_step_by_step():
     plan = packing([2, 3, 1, 3], 3)
     assert plan.order.tolist() == [1, 3, 0, 2] and plan.lengths == (3, 3, 2, 1)
     assert plan.steps == ((4, 0), (3, 4), (2, 7))
-    # slot t * B + b of each packed position
-    assert plan.forward.tolist() == [1, 3, 0, 2, 5, 7, 4, 9, 11]
-    assert plan.backward.tolist() == [9, 11, 4, 2, 5, 7, 0, 1, 3]
+    # slot t * B + b of each packed position, forward and reversed
+    forward, backward = plan.slots
+    assert forward.tolist() == [1, 3, 0, 2, 5, 7, 4, 9, 11]
+    assert backward.tolist() == [9, 11, 4, 2, 5, 7, 0, 1, 3]
     assert plan.last.tolist() == [6, 7, 3, 8]
-    assert plan.unpack.reshape(-1)[plan.forward].tolist() == list(range(9))
-    assert sorted(plan.unpack.reshape(-1)[[6, 8, 10]].tolist()) == [9, 10, 11]
-    both = plan.unpack_both.reshape(-1)
-    assert both[12 + plan.backward].tolist() == list(range(9, 18))
-    assert sorted(both.tolist()) == list(range(24))
-    assert not plan.sorted and not plan.dense
+    # each direction's rows are followed by its own zero tail up to T * B
+    unpack = plan.unpack.reshape(2, -1)
+    assert unpack[0][forward].tolist() == list(range(9))
+    assert sorted(unpack[0][[6, 8, 10]].tolist()) == [9, 10, 11]
+    assert unpack[1][backward].tolist() == list(range(12, 21))
+    assert sorted(unpack[1][[6, 8, 10]].tolist()) == [21, 22, 23]
+    assert sorted(unpack.reshape(-1).tolist()) == list(range(24))
+    assert not plan.sorted
     dense = packing([2, 2], 2)
-    assert dense.sorted and dense.dense and dense.forward.tolist() == [0, 1, 2, 3]
+    assert dense.sorted and dense.slots[0].tolist() == [0, 1, 2, 3]
     with pytest.raises(ValueError, match="lengths"):
         packing([0, 2], 2)
     with pytest.raises(ValueError, match="lengths"):
@@ -157,5 +160,5 @@ def test_dropout_masks_are_the_padded_draws_at_real_positions(task):
         shape = mask.shape if index < encoder else (steps, batch_size, mask.shape[-1])
         drawn = (replay.random(shape) >= 0.3) * (1.0 / 0.7)
         if index >= encoder:
-            drawn = drawn.reshape(-1, shape[-1])[plan.forward]
+            drawn = drawn.reshape(-1, shape[-1])[plan.slots[0]]
         assert mask.tobytes() == drawn.tobytes()
