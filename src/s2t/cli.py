@@ -34,7 +34,7 @@ from .corpus import (DataError, ParallelCorpus, Vocabulary, make_batch, read_lin
                      whole_file)
 from .lm import DEFAULT_LAMBDAS, LmFormatError, load_lm, save_lm, train_trigram
 from .model import DivergenceError, Seq2SeqModel
-from .search import FusionWeights, beam_search, check_limits, decode_batch
+from .search import FusionWeights, SearchLimitError, beam_search, check_limits, decode_batch
 from .training import logged_best, rewind_log, train_loop
 
 
@@ -396,8 +396,8 @@ def main(argv=None) -> int:
         traceback.print_exc()
         print(f"internal error: {exc}", file=sys.stderr)
         return 70  # EX_SOFTWARE
-    except (DataError, CheckpointError, ConfigError, AudioFormatError, LmFormatError, OSError,
-            ValueError) as exc:
+    except (DataError, CheckpointError, ConfigError, AudioFormatError, LmFormatError,
+            SearchLimitError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -77,13 +77,20 @@ _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
 
 
 def _coerce(name: str, raw: str):
-    if raw == "":
-        return None
+    """The typed value of one field; empty means the default only for the
+    optional fields (None), which ``RunConfig.to_lines`` writes empty."""
     kind = _FIELD_TYPES[name]
-    if kind in ("int", "Optional[int]"):
-        return int(raw)
-    if kind == "float":
-        return float(raw)
+    if raw == "":
+        if not kind.startswith("Optional["):
+            raise ConfigError(f"{name} needs a value")
+        return None
+    try:
+        if kind in ("int", "Optional[int]"):
+            return int(raw)
+        if kind == "float":
+            return float(raw)
+    except ValueError:
+        raise ConfigError(f"bad value for {name!r}: {raw!r}") from None
     return raw
 
 
@@ -104,10 +111,7 @@ def parse_config_items(items) -> dict:
             continue
         if key not in _FIELD_TYPES:
             raise ConfigError(f"unknown config key {key!r}")
-        try:
-            values[key] = _coerce(key, raw.strip())
-        except ValueError:
-            raise ConfigError(f"bad value for {key!r}: {raw.strip()!r}") from None
+        values[key] = _coerce(key, raw.strip())
     return values
 
 

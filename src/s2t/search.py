@@ -12,11 +12,22 @@ the retired candidates are traced back through at the end.  Each source
 keeps its own beam, and all tie-breaking prefers the lowest flat index
 within the source's rows (parent row, then token id), so every decode is
 bit-reproducible.
+
+A search that ranks by raw score (neither ``length_norm`` nor
+``rescore_only``) stops a source as soon as its best finished hypothesis
+can no longer be beaten: a step adds each model's weighted log-probability,
+at most 0, and the LM's, at most ``lm_weight * ln`` of the largest
+probability the trigram model can return, about 0.  Once the best EOS
+score exceeds every live row's score by more than the remaining steps
+could add, no later candidate outranks it, so the result is the one the
+search to the length cap returns.  Length-normalized and LM-rescored
+searches rank by other scores and still run every source to its cap.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import log, ulp
 from typing import Optional, Sequence
 
 import numpy as np
@@ -24,6 +35,10 @@ import numpy as np
 from .corpus import BOS_ID, EOS_ID, PAD_ID, pad_sources
 from .lm import TrigramModel, fused_log_rows, lm_logprob, vocabulary_id_map
 from .model import DivergenceError, Seq2SeqModel, gather_state
+
+
+class SearchLimitError(ValueError):
+    """A search option (beam size, length cap, fusion weight) is out of range."""
 
 
 @dataclass
@@ -36,15 +51,15 @@ class FusionWeights:
 
     def resolve(self, n_models: int) -> list[float]:
         if not 0.0 <= self.lm_weight < float("inf"):  # NaN fails every comparison
-            raise ValueError("lm weight must be finite and nonnegative")
+            raise SearchLimitError("lm weight must be finite and nonnegative")
         if self.model_weights is None:
             return [1.0 / n_models] * n_models
         if len(self.model_weights) != n_models:
-            raise ValueError(
+            raise SearchLimitError(
                 f"{len(self.model_weights)} model weights for {n_models} models"
             )
         if not all(0.0 < w < float("inf") for w in self.model_weights):
-            raise ValueError("model weights must be finite and positive")
+            raise SearchLimitError("model weights must be finite and positive")
         return list(self.model_weights)
 
 
@@ -60,13 +75,29 @@ def check_limits(beam_size: int, max_len: Optional[int]) -> None:
     """Reject a beam narrower than 1 or a length cap below 1."""
     for name, value in (("beam size", beam_size), ("max len", max_len)):
         if value is not None and value < 1:
-            raise ValueError(f"{name} must be >= 1, got {value}")
+            raise SearchLimitError(f"{name} must be >= 1, got {value}")
 
 
 def greedy_decode(model: Seq2SeqModel, source, max_len: Optional[int] = None) -> DecodeResult:
     """Argmax token per step (ties to the lowest id); stops at EOS or
     ``max_len``.  Attention rows cover the emitted content tokens."""
     return beam_search([model], source, beam_size=1, max_len=max_len)
+
+
+# The largest probability a TrigramModel returns: its interpolation weights
+# sum to at most 1 + 1e-12, and the rest covers the rounding of its sums.
+LM_PROBABILITY_BOUND = 1.0 + 2e-12
+
+
+def _settled(finished: float, live: float, steps_left: int, step_gain: float) -> bool:
+    """Whether ``finished``, a source's best EOS score, outranks whatever its
+    live rows, best score ``live``, can still reach when each of the
+    ``steps_left`` steps adds at most ``step_gain``.  With no gain the
+    comparison is exact (adding a score <= 0 never rounds up); a positive
+    gain also covers each step's rounding near ``finished``."""
+    if step_gain > 0.0:
+        step_gain += 2 * ulp(finished)
+    return finished > live + steps_left * step_gain
 
 
 def _top_k(flat: np.ndarray, k: int) -> np.ndarray:
@@ -125,6 +156,15 @@ def decode_batch(
     that emitted EOS beats one cut at the cap, and the score is per-token
     normalized when ``length_norm``.  With ``rescore_only`` the language
     model scores the pool instead of every expansion.
+
+    When the winner ranks by raw score (neither ``length_norm`` nor
+    ``rescore_only``), a source stops before its cap once its best EOS
+    score exceeds each live row's score by more than the remaining steps
+    can add (see :func:`_settled`): no step adds more than 0 from the models
+    and ``lm_weight * ln LM_PROBABILITY_BOUND`` from the LM, so no later
+    candidate can outrank that EOS candidate and every result is the one the
+    search to the cap returns.  Its live rows leave the block as a capped
+    source's do.
     """
     if len(models) == 0:
         raise ValueError("beam search needs at least one model")
@@ -134,6 +174,8 @@ def decode_batch(
     weights = weights or FusionWeights(lm_weight=0.0)
     model_weights = weights.resolve(len(models))
     fuse_lm = lm is not None and weights.lm_weight > 0.0 and not rescore_only
+    stop_early = not (length_norm or rescore_only)  # the winner ranks by raw score
+    step_gain = weights.lm_weight * log(LM_PROBABILITY_BOUND) if fuse_lm else 0.0
     id_map = vocabulary_id_map(lm, models[0].tgt_vocab) if lm is not None else None
 
     block, lengths = pad_sources(sources)
@@ -150,6 +192,7 @@ def decode_batch(
     context = np.full((len(sources), 2), BOS_ID)
     prev_ids = np.full(len(sources), BOS_ID)
     retired = [[] for _ in sources]  # per source: (score, step, row, token)
+    best_finished = [-np.inf] * len(sources)  # per source: its best EOS score
     trail = []  # per step: (attention rows, parent row, token) of the survivors
     row_sources = np.arange(len(sources))  # the source of each row
     views = list(cores)
@@ -182,11 +225,18 @@ def decode_batch(
             best = first * vocab + _top_k(flat[first * vocab:(first + size) * vocab], beam_size)
             best = best[np.isfinite(flat[best])]  # a masked or impossible candidate goes nowhere
             first += size
-            retire = (best % vocab == EOS_ID) | (step + 1 >= caps[s])
+            eos = best % vocab == EOS_ID
+            retire = eos | (step + 1 >= caps[s])
             for index in best[retire].tolist():
                 retired[s].append((float(flat[index]), step, *divmod(index, vocab)))
-            survivors.append(best[~retire])
-            sizes[s] = len(survivors[-1])
+            if eos.any():  # best is sorted, so its first EOS is the best one
+                best_finished[s] = max(best_finished[s], float(flat[best[eos][0]]))
+            live = best[~retire]
+            if stop_early and live.size and _settled(best_finished[s], float(flat[live[0]]),
+                                                     caps[s] - step - 1, step_gain):
+                live = live[:0]
+            survivors.append(live)
+            sizes[s] = len(live)
         keep = np.concatenate(survivors)
         parents, prev_ids = np.divmod(keep, vocab)
         trail.append((attn_rows, parents, prev_ids))

@@ -178,10 +178,11 @@ def test_translate_archive_of_only_too_short_inputs(tmp_path, capsys):
 
 def test_lm_fusion_scores_each_distinct_context_once_per_step(monkeypatch):
     """``fused_log_rows`` runs once per distinct (u, v) context of a step,
-    and the decode equals the one without the counting wrapper."""
+    and the decode equals the one without the counting wrapper.  Length
+    normalization keeps these EOS-biased searches running past step 2."""
     models = _models("text", "additive", seed=70)[:1]
     sources = _sources(np.random.default_rng(71), "text", 3)
-    options = dict(beam_size=8, lm=LM, weights=FusionWeights(lm_weight=0.3))
+    options = dict(beam_size=8, lm=LM, weights=FusionWeights(lm_weight=0.3), length_norm=True)
     plain = decode_batch(models, sources, **options)
 
     steps = []  # per step: (the rows' previous tokens, the contexts scored)

@@ -22,7 +22,7 @@ from s2t.corpus import EOS_ID
 from s2t.config import ConfigError, RunConfig, config_from_lines, load_config
 from s2t.lm import LmFormatError, load_lm, save_lm, train_trigram
 from s2t.model import parameter_shapes
-from s2t.search import _top_k, beam_search
+from s2t.search import FusionWeights, SearchLimitError, _top_k, beam_search
 from s2t.training import rewind_log
 
 from test_audio import write_wav
@@ -671,6 +671,16 @@ def test_beam_search_rejects_bad_limits(beam_size, max_len):
         beam_search([model], [4, 5], beam_size=beam_size, max_len=max_len)
 
 
+@pytest.mark.parametrize("options", [
+    dict(beam_size=0), dict(max_len=0), dict(weights=FusionWeights(lm_weight=float("nan"))),
+    dict(weights=FusionWeights(model_weights=[1.0, 1.0])),
+    dict(weights=FusionWeights(model_weights=[-1.0])),
+], ids=["beam", "max-len", "lm-weight", "model-weight-count", "model-weight"])
+def test_search_limits_raise_search_limit_error(options):
+    with pytest.raises(SearchLimitError):
+        beam_search([build_tiny_model(m=3, n=3)], [4, 5], **options)
+
+
 @pytest.fixture(scope="module")
 def wav_blob(tmp_path_factory):
     path = tmp_path_factory.mktemp("wav") / "clean.wav"
@@ -773,6 +783,33 @@ def test_mutated_config_fails_typed_or_round_trips(tmp_path_factory, mutations):
         assert not (work / "run").exists()
         return
     assert config_from_lines(config.to_lines()).resolved().to_lines() == config.to_lines()
+
+
+REQUIRED_KEYS = ("task", "hidden_size", "embed_size", "dec_layers", "conv_filter_size", "prenet_size",
+                 "dropout", "learning_rate", "batch_size", "steps", "save_every", "seed")
+
+
+@pytest.mark.parametrize("key", REQUIRED_KEYS)
+def test_empty_required_config_value_exits_2_naming_the_key(tmp_path, capsys, key):
+    """An empty ``key=`` line means the default only for the optional
+    fields (``enc_layers``, ``attention``, ``max_vocab``, written empty by
+    ``to_lines``); for any other field ``train`` exits 2 naming it."""
+    lines = [f"{key}=" if line.startswith(f"{key}=") else line for line in CONFIG_TEXT.splitlines()]
+    assert f"{key}=" in lines
+    path = tmp_path / "run.cfg"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    code, _, err = run(capsys, "train", "--config", str(path), "--train-src", str(tmp_path / "absent.src"),
+                       "--train-tgt", str(tmp_path / "absent.tgt"), "--save-dir", str(tmp_path / "run"))
+    assert code == 2
+    assert f"error: {key} needs a value" in err
+    assert not (tmp_path / "run").exists()
+
+
+def test_empty_optional_config_values_mean_the_defaults():
+    config = config_from_lines(["task=speech", "enc_layers=", "attention=", "max_vocab="]).resolved()
+    assert config == RunConfig(task="speech").resolved()
+    assert {line.partition("=")[0] for line in RunConfig().to_lines()} == (
+        set(REQUIRED_KEYS) | {"enc_layers", "attention", "max_vocab"})
 
 
 def test_feature_dim_is_no_config_field():
